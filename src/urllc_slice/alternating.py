@@ -1,11 +1,18 @@
 """Alternating optimization: RB assignment and puncturing weights.
 
-Starting from zero puncturing, repeat: solve the fractional proportional-fair
-assignment for the current weights, round it to whole RBs, then re-solve the
-weight placement for the rounded assignment. Stops when both blocks stop
-moving or after ``max_iters`` rounds. Because rounding is interleaved, the
-monotone block-ascent guarantee applies to the objective evaluated on the
-fractional assignment; the rounded objective is recorded alongside it.
+Starting from the initial weights, repeat: solve the fractional
+proportional-fair assignment for the current weights, round it to whole RBs,
+then solve the weight placement for the rounded assignment. Stops when both
+blocks stop moving or after ``max_iters`` rounds.
+
+The assignment is closed form and depends on the weights only through which
+users stay active. Placement keeps every user active, so from zero
+puncturing the second round sees the same assignment as the first and the
+loop stops at its fixed point after two rounds. Placement is a pure function
+of the configuration, channel and assignment it is given, so a repeated
+assignment reuses the previous solution instead of solving again. Because
+rounding is interleaved, block ascent is monotone in the objective evaluated
+on the fractional assignment; the rounded objective is recorded alongside it.
 """
 
 from __future__ import annotations
@@ -70,19 +77,26 @@ def run(
     With ``post_round`` the placement sees the fractional assignment each
     round and rounding happens once at the end; otherwise rounding is inside
     the loop. An infeasible placement clamps the weights to their caps for
-    that round and is flagged in the trace.
+    that round and is flagged in the trace. When a round's placement input
+    equals the previous round's, the previous placement is reused, so from
+    ``init="zero"`` each call solves placement once. ``init="one"`` with a
+    mean load fraction of 1 or more deactivates every user in round 1 (an
+    empty assignment), so there round 2 genuinely differs and solves again.
     """
     weights = _initial_weights(cfg, init, rng)
     trace = AlternationTrace()
     prev_binary = None
     binary = None
+    prev_input = None
     placement: PlacementSolution | None = None
 
     for it in range(1, max_iters + 1):
         frac = solve_fractional(cfg, chan, weights)
         binary = round_to_binary(frac, cfg)
         placement_input = frac if post_round else binary
-        placement = solve_placement(cfg, chan, placement_input)
+        if prev_input is None or not np.array_equal(placement_input.entries, prev_input.entries):
+            placement = solve_placement(cfg, chan, placement_input)
+        prev_input = placement_input
         new_weights = (
             placement.weights.weights
             if placement.feasible

@@ -1,13 +1,18 @@
 """Proportional-fair RB assignment for broadband users.
 
 ``solve_fractional`` maximizes the sum of log mean rates over the relaxed
-assignment polytope (per-RB user shares in [0,1] summing to at most 1) by
-projected gradient ascent; ``round_to_binary`` turns the fractional solution
-into a whole-RB assignment by greedy largest-remaining-claim rounding.
+assignment polytope (per-RB user shares in [0,1] summing to at most 1). The
+objective sum_u log(c_u * phi_u) splits into sum_u log c_u + sum_u log phi_u,
+so the rate coefficients c_u (channel gains and puncture weights alike) do not
+move the maximizer: every active user gets an equal share of every RB.
+``round_to_binary`` turns a fractional assignment into a whole-RB assignment
+by greedy largest-remaining-claim rounding, memoized on its inputs because
+equal-share inputs repeat from round to round and slot to slot.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
 
 import numpy as np
@@ -19,13 +24,12 @@ from .model import (
     SystemConfig,
     embb_spectral_eff,
 )
-from .projections import project_rows_capped_simplex
 
 logger = logging.getLogger(__name__)
 
-_ARMIJO = 1e-4
-_REL_TOL = 1e-9
-_TOL_WINDOW = 10
+# Distinct (bandwidth, fractional assignment) inputs kept by round_to_binary;
+# a run sees one per active set, so a handful suffices.
+_ROUNDING_CACHE_SIZE = 8
 
 
 def rate_coefficients(
@@ -74,12 +78,13 @@ def solve_fractional(
     weights: PunctureWeights | np.ndarray | None = None,
     max_iters: int = 2000,
 ) -> SchedulingMatrix:
-    """Fractional proportional-fair assignment via projected gradient ascent.
+    """Fractional proportional-fair assignment in closed form.
 
-    Ascent runs with Armijo backtracking from unit steps and stops once the
-    objective improves by less than a 1e-9 relative margin over 10 iterations.
-    Degenerate users (zero gain, or fully punctured in expectation) are
-    excluded and logged rather than crashing the log objective.
+    Every active user holds a 1/n_active share of every RB, which gives each
+    the same bandwidth whatever its rate coefficient. Degenerate users (zero
+    gain, or fully punctured in expectation) are excluded with zero bandwidth
+    and logged rather than crashing the log objective. ``max_iters`` is
+    accepted for compatibility and unused.
     """
     active = active_user_mask(cfg, chan, weights)
     n_active = int(active.sum())
@@ -90,41 +95,8 @@ def solve_fractional(
             np.flatnonzero(~active).tolist(),
         )
     entries = np.zeros((cfg.num_rbs, cfg.num_embb_users))
-    if n_active == 0:
-        return SchedulingMatrix(entries)
-    # neutral interior start: equal small share for every active user
-    entries[:, active] = 1.0 / (2.0 * n_active)
-
-    f_b = cfg.rb_bandwidth
-
-    def objective(e: np.ndarray) -> float:
-        phi = f_b @ e
-        return float(np.log(phi[active]).sum())
-
-    obj = objective(entries)
-    history = [obj]
-    for _ in range(max_iters):
-        phi = f_b @ entries
-        grad = np.zeros_like(entries)
-        grad[:, active] = f_b[:, None] / phi[active][None, :]
-        step = 1.0
-        improved = False
-        while step >= 1e-14:
-            trial = project_rows_capped_simplex(entries + step * grad)
-            trial[:, ~active] = 0.0
-            new_obj = objective(trial)
-            gain = float((grad * (trial - entries)).sum())
-            if new_obj >= obj + _ARMIJO * gain:
-                improved = True
-                break
-            step *= 0.5
-        if not improved:
-            break
-        entries, obj = trial, new_obj
-        history.append(obj)
-        if len(history) > _TOL_WINDOW:
-            if obj - history[-1 - _TOL_WINDOW] < _REL_TOL * max(1.0, abs(obj)):
-                break
+    if n_active:
+        entries[:, active] = 1.0 / n_active
     return SchedulingMatrix(entries)
 
 
@@ -135,18 +107,28 @@ def round_to_binary(frac: SchedulingMatrix, cfg: SystemConfig) -> SchedulingMatr
     the largest remaining fractional bandwidth claim among users holding a
     positive fractional share of that RB (an all-zero RB column stays
     unassigned). Ties break toward the lower user index. Per-user bandwidth
-    lands within max(rb_bandwidth) of the fractional allocation.
+    lands within max(rb_bandwidth) of the fractional allocation. The result
+    depends only on ``rb_bandwidth`` and the fractional entries and is
+    memoized on them; each call returns a fresh matrix.
     """
-    f_b = cfg.rb_bandwidth
-    claims = frac.user_bandwidth(f_b).astype(float).copy()
-    entries = np.zeros_like(frac.entries)
+    f_b = np.ascontiguousarray(cfg.rb_bandwidth, dtype=float)
+    e = np.ascontiguousarray(frac.entries, dtype=float)
+    return SchedulingMatrix(_greedy_rounding(f_b.tobytes(), e.shape, e.tobytes()).copy())
+
+
+@functools.lru_cache(maxsize=_ROUNDING_CACHE_SIZE)
+def _greedy_rounding(f_b_bytes: bytes, shape: tuple, entries_bytes: bytes) -> np.ndarray:
+    f_b = np.frombuffer(f_b_bytes)
+    frac = np.frombuffer(entries_bytes).reshape(shape)
+    claims = f_b @ frac
+    entries = np.zeros(shape)
     order = np.argsort(-f_b, kind="stable")
     for b in order:
-        eligible = frac.entries[b] > 0.0
+        eligible = frac[b] > 0.0
         if not np.any(eligible):
             continue
         masked = np.where(eligible, claims, -np.inf)
         winner = int(np.argmax(masked))
         entries[b, winner] = 1.0
         claims[winner] -= f_b[b]
-    return SchedulingMatrix(entries)
+    return entries

@@ -22,6 +22,22 @@ class ConfigError(ValueError):
     """Invalid or unparseable system configuration."""
 
 
+# Scalar float fields of SystemConfig: (name, rule, check of a finite value).
+_SCALAR_RULES = (
+    ("noise_power", "must be > 0", lambda v: v > 0),
+    ("l_max", "must be > 0", lambda v: v > 0),
+    ("puncture_prob", "must lie in [0, 1]", lambda v: 0.0 <= v <= 1.0),
+    ("cvar_level", "must lie in (0, 1)", lambda v: 0.0 < v < 1.0),
+    ("risk_weight", "must lie in [0, 1]", lambda v: 0.0 <= v <= 1.0),
+    ("urllc_outage_budget", "must lie in (0, 1)", lambda v: 0.0 < v < 1.0),
+    ("target_rate", "must be > 0", lambda v: v > 0),
+    ("demand_quantum", "must be > 0", lambda v: v > 0),
+    ("snr_min_db", "", lambda v: True),
+    ("snr_max_db", "", lambda v: True),
+    ("risk_rate_scale", "must be > 0", lambda v: v > 0),
+)
+
+
 @dataclass(eq=False)
 class SystemConfig:
     """Static system parameters.
@@ -90,34 +106,22 @@ class SystemConfig:
             v = getattr(self, name)
             if not isinstance(v, (int, np.integer)) or v < 1:
                 bad.append(f"{name}: must be a positive integer, got {v!r}")
-        if np.any(self.rb_bandwidth <= 0):
-            bad.append("rb_bandwidth: all entries must be > 0")
+        for name in ("rb_bandwidth", "embb_tx_power", "urllc_tx_power"):
+            v = getattr(self, name)
+            if not np.all(np.isfinite(v) & (v > 0)):
+                bad.append(f"{name}: all entries must be finite and > 0")
         if len(self.rb_bandwidth) != self.num_rbs:
             bad.append("rb_bandwidth: length must equal num_rbs")
-        if np.any(self.embb_tx_power <= 0):
-            bad.append("embb_tx_power: all entries must be > 0")
-        if np.any(self.urllc_tx_power <= 0):
-            bad.append("urllc_tx_power: all entries must be > 0")
-        if not self.noise_power > 0:
-            bad.append("noise_power: must be > 0")
-        if not self.l_max > 0:
-            bad.append("l_max: must be > 0")
-        if not 0.0 <= self.puncture_prob <= 1.0:
-            bad.append("puncture_prob: must lie in [0, 1]")
-        if not 0.0 < self.cvar_level < 1.0:
-            bad.append("cvar_level: must lie in (0, 1)")
-        if not 0.0 <= self.risk_weight <= 1.0:
-            bad.append("risk_weight: must lie in [0, 1]")
-        if not 0.0 < self.urllc_outage_budget < 1.0:
-            bad.append("urllc_outage_budget: must lie in (0, 1)")
-        if not self.target_rate > 0:
-            bad.append("target_rate: must be > 0")
-        if not self.demand_quantum > 0:
-            bad.append("demand_quantum: must be > 0")
-        if self.snr_min_db > self.snr_max_db:
+        not_finite = set()
+        for name, rule, ok in _SCALAR_RULES:
+            v = getattr(self, name)
+            if not isinstance(v, (int, float, np.integer, np.floating)) or not np.isfinite(v):
+                not_finite.add(name)
+                bad.append(f"{name}: must be a finite number, got {v!r}")
+            elif not ok(v):
+                bad.append(f"{name}: {rule}")
+        if not not_finite & {"snr_min_db", "snr_max_db"} and self.snr_min_db > self.snr_max_db:
             bad.append("snr_min_db: must not exceed snr_max_db")
-        if not self.risk_rate_scale > 0:
-            bad.append("risk_rate_scale: must be > 0")
         return bad
 
     def to_dict(self) -> dict:

@@ -1,32 +1,8 @@
-"""Euclidean projections used by the projected-gradient solvers."""
+"""Euclidean projection used by the projected-gradient placement solver."""
 
 from __future__ import annotations
 
 import numpy as np
-
-
-def project_rows_capped_simplex(mat: np.ndarray, cap: float = 1.0) -> np.ndarray:
-    """Project each row of ``mat`` onto {v >= 0, sum(v) <= cap}.
-
-    Rows already inside the set after clipping negatives keep their clipped
-    values; the rest are projected onto the sum-equals-cap simplex by the
-    sort-and-threshold rule (Duchi et al.).
-    """
-    clipped = np.maximum(mat, 0.0)
-    over = clipped.sum(axis=1) > cap
-    if not np.any(over):
-        return clipped
-    out = clipped.copy()
-    rows = mat[over]
-    n = rows.shape[1]
-    u = np.sort(rows, axis=1)[:, ::-1]
-    css = np.cumsum(u, axis=1) - cap
-    ks = np.arange(1, n + 1)
-    cond = u - css / ks > 0
-    rho = n - 1 - np.argmax(cond[:, ::-1], axis=1)  # last index where cond holds
-    theta = css[np.arange(rows.shape[0]), rho] / (rho + 1)
-    out[over] = np.maximum(rows - theta[:, None], 0.0)
-    return out
 
 
 def project_box_halfspace(

@@ -16,7 +16,7 @@ from enum import Enum
 
 import numpy as np
 
-from . import alternating
+from . import alternating, urllc_placement
 from .embb_scheduler import round_to_binary, solve_fractional
 from .model import (
     ChannelRealization,
@@ -119,22 +119,21 @@ def _simulate_slot(cfg, policy, means, seed, slot, post_round, trace_sink):
         frac = solve_fractional(cfg, chan, weights=None)
         binary = round_to_binary(frac, cfg)
         if policy == Policy.BASELINE1:
-            from .urllc_placement import solve_baseline1 as solver
+            placement = urllc_placement.solve_baseline1(cfg, chan, binary)
         else:
-            from .urllc_placement import solve_baseline2 as solver
-        placement = solver(cfg, chan, binary)
+            placement = urllc_placement.solve_baseline2(cfg, chan, binary)
     outcome = evaluate_slot(cfg, chan, binary, placement.weights, load)
     return outcome, placement.feasible
 
 
-def _simulate_range(cfg, policy, seed, start, stop, post_round):
+def _simulate_range(cfg, policy, seed, start, stop, post_round, trace_sink=None):
     means = sample_mean_snr(cfg, mean_snr_rng(seed))
     rates = np.empty((stop - start, cfg.num_embb_users))
     thetas = np.empty_like(rates)
     outages = np.empty(stop - start, dtype=bool)
     feasible = np.empty(stop - start, dtype=bool)
     for i, slot in enumerate(range(start, stop)):
-        outcome, ok = _simulate_slot(cfg, policy, means, seed, slot, post_round, None)
+        outcome, ok = _simulate_slot(cfg, policy, means, seed, slot, post_round, trace_sink)
         rates[i] = outcome.embb_rate_per_user
         thetas[i] = outcome.punctured_bw
         outages[i] = outcome.outage
@@ -180,19 +179,9 @@ def run_simulation(
         outages = np.concatenate([p[2] for p in parts])
         feasible = np.concatenate([p[3] for p in parts])
     else:
-        means = sample_mean_snr(cfg, mean_snr_rng(seed))
-        rates = np.empty((num_slots, cfg.num_embb_users))
-        thetas = np.empty_like(rates)
-        outages = np.empty(num_slots, dtype=bool)
-        feasible = np.empty(num_slots, dtype=bool)
-        for slot in range(num_slots):
-            outcome, ok = _simulate_slot(
-                cfg, policy, means, seed, slot, post_round, trace_sink
-            )
-            rates[slot] = outcome.embb_rate_per_user
-            thetas[slot] = outcome.punctured_bw
-            outages[slot] = outcome.outage
-            feasible[slot] = ok
+        rates, thetas, outages, feasible = _simulate_range(
+            cfg, policy, seed, 0, num_slots, post_round, trace_sink
+        )
 
     sum_rates = rates.sum(axis=1)
     values, counts = np.unique(sum_rates, return_counts=True)

@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from urllc_slice import alternating
 from urllc_slice.alternating import run
 from urllc_slice.model import ChannelRealization, SystemConfig, sample_channel, sample_mean_snr
 
@@ -104,3 +105,29 @@ def test_trace_serializes():
         "user_bandwidth",
         "placement_feasible",
     }
+
+
+def test_placement_solved_once_from_zero_init(monkeypatch):
+    calls = []
+    solve = alternating.solve_placement
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(alternating, "solve_placement", counting)
+    cfg = SystemConfig()
+    _, _, trace = run(cfg, default_channel(cfg, seed=10))
+    assert len(calls) == 1
+    assert len(trace.iterations) == 2
+    assert trace.converged and trace.reason == "tolerance"
+
+
+def test_one_init_at_full_load_reaches_zero_init_point():
+    # init="one" at a mean load fraction of 1 deactivates every user in round 1
+    cfg = SystemConfig(puncture_prob=1.0)
+    chan = default_channel(cfg, seed=11)
+    _, p_zero, _ = run(cfg, chan, init="zero")
+    _, p_one, trace = run(cfg, chan, init="one")
+    assert trace.converged
+    np.testing.assert_allclose(p_one.weights.weights, p_zero.weights.weights, atol=1e-9)

@@ -210,3 +210,17 @@ def test_seed_env_var_is_default(tmp_path, monkeypatch):
         == 0
     )
     assert read_tree(out1) == read_tree(out2)
+
+
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_non_finite_config_value_rejected(tmp_path, capsys, command, value):
+    path = tmp_path / "cfg.json"
+    path.write_text('{"snr_min_db": %s}' % value)
+    argv = [command, "--config", str(path)]
+    if command == "run":
+        argv += ["--slots", "2", "--out", str(tmp_path / "out")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and "snr_min_db" in err
+    assert "Traceback" not in err

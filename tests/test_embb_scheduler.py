@@ -181,3 +181,34 @@ def test_fractional_feasibility():
         frac = solve_fractional(cfg, chan)
         assert frac.validate() == []
         assert np.all(frac.entries.sum(axis=1) <= 1 + 1e-9)
+
+
+def test_closed_form_is_exact_equal_share():
+    cfg = make_cfg(4, 6, rb_bandwidth=[0.2e6, 0.5e6, 1.0e6, 2.0e6, 3.3e6, 0.7e6])
+    chan = snr_channel(cfg, [2.0, 10.0, 80.0, 0.5])
+    expected = np.full((6, 4), 0.25)
+    np.testing.assert_array_equal(solve_fractional(cfg, chan).entries, expected)
+
+    punctured = make_cfg(4, 6, puncture_prob=1.0)  # mean load fraction is 1
+    weights = np.array([1.0, 0.3, 1.2, 0.0])  # w * kappa >= 1 deactivates users 0 and 2
+    frac = solve_fractional(punctured, snr_channel(punctured, [2.0, 10.0, 80.0, 0.5]), weights)
+    expected = np.zeros((6, 4))
+    expected[:, [1, 3]] = 0.5
+    np.testing.assert_array_equal(frac.entries, expected)
+
+
+def test_rounding_returns_fresh_copies_of_cached_result():
+    cfg = make_cfg(3, 5)
+    frac = SchedulingMatrix(np.full((5, 3), 1.0 / 3.0))
+    first = round_to_binary(frac, cfg)
+    expected = first.entries.copy()
+    first.entries[:] = 7.0
+    np.testing.assert_array_equal(round_to_binary(frac, cfg).entries, expected)
+
+
+def test_rounding_depends_on_rb_bandwidth():
+    frac = SchedulingMatrix(np.full((3, 2), 0.5))
+    uniform = round_to_binary(frac, make_cfg(2, 3))
+    skewed = round_to_binary(frac, make_cfg(2, 3, rb_bandwidth=[1e6, 1e6, 3e6]))
+    np.testing.assert_array_equal(uniform.entries, [[1, 0], [0, 1], [1, 0]])
+    np.testing.assert_array_equal(skewed.entries, [[0, 1], [0, 1], [1, 0]])

@@ -359,3 +359,28 @@ def test_config_validation_catches_bad_fields(field, value):
 def test_config_lmax_defaults_to_one_arrival_per_minislot():
     cfg = SystemConfig(num_minislots=5, demand_quantum=100.0)
     assert cfg.l_max == 500.0
+
+
+@pytest.mark.parametrize(
+    "field",
+    [
+        "noise_power",
+        "l_max",
+        "puncture_prob",
+        "cvar_level",
+        "risk_weight",
+        "urllc_outage_budget",
+        "target_rate",
+        "demand_quantum",
+        "snr_min_db",
+        "snr_max_db",
+        "risk_rate_scale",
+        "rb_bandwidth",
+        "embb_tx_power",
+        "urllc_tx_power",
+    ],
+)
+def test_config_validation_rejects_non_finite(field):
+    for value in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ConfigError, match=field):
+            SystemConfig.from_dict({field: value})
