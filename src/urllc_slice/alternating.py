@@ -82,9 +82,12 @@ def run(
     ``init="zero"`` each call solves placement once. ``init="one"`` with a
     mean load fraction of 1 or more deactivates every user in round 1 (an
     empty assignment), so there round 2 genuinely differs and solves again.
+    A round whose assignment and weights both repeat the previous round's
+    copies that round's two trace objectives instead of evaluating them again.
     """
     weights = _initial_weights(cfg, init, rng)
     trace = AlternationTrace()
+    prev_frac = None
     prev_binary = None
     binary = None
     prev_input = None
@@ -102,21 +105,31 @@ def run(
             if placement.feasible
             else np.minimum(np.ones_like(weights), placement.weights.weights)
         )
+        binary_moved = prev_binary is None or not np.array_equal(
+            binary.entries, prev_binary.entries
+        )
+        if (
+            binary_moved
+            or not np.array_equal(frac.entries, prev_frac.entries)
+            or not np.array_equal(new_weights, weights)
+        ):
+            objectives = (
+                placement_objective(cfg, chan, frac, new_weights),
+                placement_objective(cfg, chan, binary, new_weights),
+            )
         trace.iterations.append(
             TraceEntry(
                 iteration=it,
-                fractional_objective=placement_objective(cfg, chan, frac, new_weights),
-                rounded_objective=placement_objective(cfg, chan, binary, new_weights),
+                fractional_objective=objectives[0],
+                rounded_objective=objectives[1],
                 weights=new_weights.tolist(),
                 user_bandwidth=binary.user_bandwidth(cfg.rb_bandwidth).tolist(),
                 placement_feasible=placement.feasible,
             )
         )
         weights_moved = float(np.max(np.abs(new_weights - weights)))
-        binary_moved = prev_binary is None or not np.array_equal(
-            binary.entries, prev_binary.entries
-        )
         weights = new_weights
+        prev_frac = frac
         prev_binary = binary
         if weights_moved < OMEGA_TOL and not binary_moved:
             trace.converged = True

@@ -84,6 +84,13 @@ def _load_config(path: Path | None) -> SystemConfig:
     return SystemConfig.from_json(text)
 
 
+def _config_error(message: object) -> int:
+    """Print a configuration failure under the ``error: config`` prefix, once
+    even when the message itself starts with "config", and return exit code 1."""
+    print(f"error: config {str(message).removeprefix('config ')}", file=sys.stderr)
+    return 1
+
+
 def _fmt(x: float) -> str:
     return repr(float(x))
 
@@ -136,20 +143,15 @@ def cmd_run(args: argparse.Namespace) -> int:
     try:
         cfg = _load_config(args.config)
     except ConfigError as exc:
-        print(f"error: config {exc}", file=sys.stderr)
-        return 1
+        return _config_error(exc)
     if args.slots < 1:
-        print("error: config --slots must be >= 1", file=sys.stderr)
-        return 1
+        return _config_error("--slots must be >= 1")
     if args.threads < 1:
-        print("error: config --threads must be >= 1", file=sys.stderr)
-        return 1
+        return _config_error("--threads must be >= 1")
     if (args.sweep is None) != (args.values is None):
-        print("error: config --sweep and --values must be given together", file=sys.stderr)
-        return 1
+        return _config_error("--sweep and --values must be given together")
     if args.trace and args.sweep is not None:
-        print("error: config --trace requires a non-sweep run", file=sys.stderr)
-        return 1
+        return _config_error("--trace requires a non-sweep run")
 
     policies = (
         [Policy.PROPOSED, Policy.BASELINE1, Policy.BASELINE2]
@@ -161,11 +163,9 @@ def cmd_run(args: argparse.Namespace) -> int:
         try:
             values = [float(v) for v in args.values.split(",") if v.strip() != ""]
         except ValueError:
-            print(f"error: config cannot parse --values {args.values!r}", file=sys.stderr)
-            return 1
+            return _config_error(f"cannot parse --values {args.values!r}")
         if not values:
-            print("error: config --values is empty", file=sys.stderr)
-            return 1
+            return _config_error("--values is empty")
 
     rows = []
     try:
@@ -205,8 +205,7 @@ def cmd_run(args: argparse.Namespace) -> int:
                     json.dumps(trace_sink, indent=2, sort_keys=True) + "\n",
                 )
     except ValueError as exc:
-        print(f"error: config {exc}", file=sys.stderr)
-        return 1
+        return _config_error(exc)
     except IOError as exc:
         print(f"error: io {exc}", file=sys.stderr)
         return 2
@@ -227,12 +226,11 @@ def cmd_validate(args: argparse.Namespace) -> int:
         cfg = _load_config(args.config)
     except ConfigError as exc:
         # surface itemized violations if the config parsed but failed checks
-        print(f"error: config {exc}", file=sys.stderr)
-        return 1
+        return _config_error(exc)
     violations = cfg.validate()
     if violations:
         for v in violations:
-            print(f"error: config {v}", file=sys.stderr)
+            _config_error(v)
         return 1
 
     # Feasibility probe of the reliability floor at full puncturing, with each

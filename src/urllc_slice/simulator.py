@@ -10,7 +10,6 @@ directly comparable.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -165,6 +164,9 @@ def run_simulation(
         raise ValueError("config invalid: " + "; ".join(bad))
 
     if workers > 1 and trace_sink is None:
+        # imported here: it loads multiprocessing, which sequential runs never use
+        from concurrent.futures import ProcessPoolExecutor
+
         chunk = -(-num_slots // workers)
         spans = [(s, min(s + chunk, num_slots)) for s in range(0, num_slots, chunk)]
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -5,8 +5,10 @@ risk penalty on their total, subject to the relaxed reliability floor on the
 mean URLLC rate (a linear constraint) and per-user box bounds. The two
 auxiliary risk variables are eliminated analytically: minimizing
 ``gamma + excess/(1-alpha)`` subject to ``excess >= E[R] - gamma, excess >= 0``
-pins ``gamma`` to the mean total rate and ``excess`` to zero, leaving a smooth
-concave problem in the weights alone, solved by projected gradient ascent.
+pins ``gamma`` to the mean total rate and ``excess`` to zero, leaving a
+separable concave problem in the weights alone. Its KKT point is a
+water-filling in the one floor multiplier, found exactly by a breakpoint
+search and a Newton solve on one segment.
 
 ``solve_baseline1`` is the same problem with the risk penalty off;
 ``solve_baseline2`` maximizes the linear sum of mean rates instead, which a
@@ -28,12 +30,11 @@ from .model import (
     embb_spectral_eff,
     urllc_spectral_eff_mean,
 )
-from .projections import project_box_halfspace
 
-_ARMIJO = 1e-4
-_REL_TOL = 1e-9
-_TOL_WINDOW = 10
-_MAX_ITERS = 10_000
+# Newton aims this far (relative) above the reliability floor, so its iterates,
+# which approach their target from below, cross the floor after finitely many
+# steps; the returned weights meet the floor and exceed it by about this much.
+_REL_TOL = 1e-13
 
 
 @dataclass
@@ -97,14 +98,6 @@ def _objective(prob: _Problem, w: np.ndarray) -> float:
     return float(np.log(rates).sum() - prob.penalty * rates.sum())
 
 
-def _gradient(prob: _Problem, w: np.ndarray) -> np.ndarray:
-    grad = np.zeros_like(w)
-    a = prob.active
-    coeff = (prob.phi * prob.rate_per_hz)[a]
-    grad[a] = prob.load_fraction * (prob.penalty * coeff - 1.0 / (1.0 - prob.load_fraction * w[a]))
-    return grad
-
-
 def placement_objective(
     cfg: SystemConfig,
     chan: ChannelRealization,
@@ -133,9 +126,21 @@ def solve_placement(
 ) -> PlacementSolution:
     """Risk-aware puncturing weights for a fixed assignment matrix.
 
-    Projected gradient ascent from zero weights; every iterate is kept inside
-    the box and above the reliability floor by exact projection, so the
-    returned point is feasible to numerical precision.
+    With ``c_u`` the unpunctured rate coefficient, ``d_u`` the floor
+    coefficient and ``s_u = kappa*penalty*c_u/d_u``, stationarity of the
+    Lagrangian gives each active user ``w_u(lam) = clip(1/kappa -
+    1/(d_u*(s_u + lam)), 0, cap_u)`` for the floor multiplier ``lam >= 0``.
+    If ``lam = 0`` already meets the floor it is optimal (users with
+    ``penalty*c_u > 1`` puncture voluntarily). Otherwise the floor binds:
+    ``d @ w(lam)`` rises through the sorted breakpoints where users leave 0 or
+    reach their caps, and on the bracketing segment ``sum_free 1/(s_u + lam)``
+    is convex and decreasing in ``lam``, so Newton's method from the
+    segment's left end climbs to the root without overshooting. It aims
+    ``_REL_TOL`` above the floor and stops at the first iterate that meets
+    the floor, which keeps the result feasible; with the penalty off, the
+    start is already the root of the floor itself. Users outside the log
+    objective cost nothing, so any positive multiplier sends them to their
+    caps. ``iterations`` counts the Newton steps.
     """
     prob = _build_problem(cfg, chan, mat)
     w = np.zeros(cfg.num_embb_users)
@@ -144,31 +149,48 @@ def solve_placement(
     if float(prob.floor_coeff @ prob.caps) < prob.floor:
         return _finish(prob, prob.caps.copy(), feasible=False, iters=0)
 
-    w = project_box_halfspace(w, prob.floor_coeff, prob.floor, prob.caps)
-    obj = _objective(prob, w)
-    history = [obj]
+    kappa, a = prob.load_fraction, prob.active
+    d, cap = prob.floor_coeff[a], prob.caps[a]
+    s = kappa * prob.penalty * (prob.phi * prob.rate_per_hz)[a] / d
+
+    def active_weights(lam):
+        with np.errstate(divide="ignore"):  # s + lam = 0: weight clips to 0
+            return np.clip(1.0 / kappa - 1.0 / (d * (s + lam)), 0.0, cap)
+
+    w[a] = active_weights(0.0)
+    if prob.floor_coeff @ w >= prob.floor:
+        return _finish(prob, w, feasible=True, iters=0)
+
+    outside = ~a & (prob.floor_coeff > 0.0)
+    w[outside] = prob.caps[outside]
+    fixed = float(prob.floor_coeff[outside] @ prob.caps[outside])
+    enter = kappa / d - s
+    full = 1.0 / (d * (1.0 / kappa - cap)) - s
+    bps = np.sort(np.concatenate((enter, full)))
+    bps = bps[bps > 0.0]
+    if bps.size == 0 or d @ w[a] + fixed >= prob.floor:
+        return _finish(prob, w, feasible=True, iters=0)
+
+    at_bps = active_weights(bps[:, None]) @ d + fixed
+    k = min(int(np.count_nonzero(at_bps < prob.floor)), bps.size - 1)
+    lam_lo, lam_hi = (float(bps[k - 1]) if k else 0.0), float(bps[k])
+    free, capped = (enter <= lam_lo) & (full >= lam_hi), full <= lam_lo
+    s_free = s[free]
+    target = d[free].sum() / kappa + d[capped] @ cap[capped] + fixed - prob.floor
+    # At the root sum_free 1/(s_u + lam) = target, which is at least
+    # n_free/(max s + lam) and at least 1/(min s + lam): both bound lam below.
+    lam = max(lam_lo, s_free.size / target - s_free.max(), 1.0 / target - s_free.min())
+    goal = prob.floor * (1.0 + _REL_TOL)
     iters = 0
-    for iters in range(1, _MAX_ITERS + 1):
-        grad = _gradient(prob, w)
-        step = 1.0
-        improved = False
-        while step >= 1e-14:
-            trial = project_box_halfspace(
-                w + step * grad, prob.floor_coeff, prob.floor, prob.caps
-            )
-            new_obj = _objective(prob, trial)
-            gain = float(grad @ (trial - w))
-            if new_obj >= obj + _ARMIJO * gain:
-                improved = True
-                break
-            step *= 0.5
-        if not improved:
+    while True:
+        w[a] = active_weights(lam)
+        supplied = float(prob.floor_coeff @ w)
+        if supplied >= prob.floor:
             break
-        w, obj = trial, new_obj
-        history.append(obj)
-        if len(history) > _TOL_WINDOW:
-            if obj - history[-1 - _TOL_WINDOW] < _REL_TOL * max(1.0, abs(obj)):
-                break
+        iters += 1
+        slope = float(np.sum((s_free + lam) ** -2.0))
+        # at least one ulp a step, in case rounding makes the Newton step vanish
+        lam = max(lam + (goal - supplied) / slope, float(np.nextafter(lam, np.inf)))
     return _finish(prob, w, feasible=True, iters=iters)
 
 

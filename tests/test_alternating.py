@@ -131,3 +131,20 @@ def test_one_init_at_full_load_reaches_zero_init_point():
     _, p_one, trace = run(cfg, chan, init="one")
     assert trace.converged
     np.testing.assert_allclose(p_one.weights.weights, p_zero.weights.weights, atol=1e-9)
+
+
+def test_repeated_round_copies_its_objectives(monkeypatch):
+    calls = []
+    objective = alternating.placement_objective
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return objective(*args, **kwargs)
+
+    monkeypatch.setattr(alternating, "placement_objective", counting)
+    cfg = SystemConfig()
+    _, _, trace = run(cfg, default_channel(cfg, seed=12))
+    first, second = trace.iterations
+    assert len(calls) == 2
+    assert first.fractional_objective == second.fractional_objective
+    assert first.rounded_objective == second.rounded_objective

@@ -224,3 +224,22 @@ def test_non_finite_config_value_rejected(tmp_path, capsys, command, value):
     err = capsys.readouterr().err
     assert "error:" in err and "snr_min_db" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["run", "validate"])
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ('{"snr_min_db": NaN}', "error: config invalid: snr_min_db: must be a finite number, got nan"),
+        ('{"puncture_prob": null}', "error: config invalid: puncture_prob: must be a finite number, got None"),
+        ('{"bogus": 1}', "error: config has unknown keys: bogus"),
+    ],
+)
+def test_config_error_prefix_printed_once(tmp_path, capsys, command, text, line):
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    argv = [command, "--config", str(path)]
+    if command == "run":
+        argv += ["--slots", "2", "--out", str(tmp_path / "out")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == line + "\n"

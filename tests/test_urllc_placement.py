@@ -359,3 +359,86 @@ def test_solver_is_deterministic():
     b = solve_placement(cfg, chan, mat)
     np.testing.assert_array_equal(a.weights.weights, b.weights.weights)
     assert a.objective == b.objective
+
+
+# -- exact water-filling solve ------------------------------------------------------
+
+
+def kkt_multiplier(cfg, chan, mat, w):
+    """Floor multiplier implied by the weights, checked against the KKT
+    conditions recomputed from scratch; returns (lambda, floor, supplied)."""
+    coeff, kappa, a, floor, caps = coefficients(cfg, chan, mat)
+    pen = cfg.risk_weight / cfg.risk_rate_scale
+    active = coeff > 0
+    # minus the objective gradient per unit of floor coefficient: stationarity
+    # asks it to equal lambda on free users, be >= lambda at 0 and <= at the cap
+    marginal_loss = (kappa / (1.0 - kappa * w) / a)[active]
+    marginal_gain = (kappa * pen * coeff / a)[active]
+    ratio = marginal_loss - marginal_gain
+    scale = float(np.maximum(marginal_loss, marginal_gain).max())
+    w_act, cap_act = w[active], caps[active]
+    free = (w_act > 1e-12) & (w_act < cap_act - 1e-12)
+    lam = float(ratio[free].mean()) if free.any() else 0.0
+    assert np.all(np.abs(ratio[free] - lam) <= 1e-9 * scale)
+    assert np.all(ratio[w_act <= 1e-12] >= lam - 1e-9 * scale)
+    assert np.all(ratio[w_act >= cap_act - 1e-12] <= lam + 1e-9 * scale)
+    return (lam if lam > 1e-9 * scale else 0.0), floor, float(a @ w)
+
+
+@pytest.mark.parametrize("num_users", [10, 40])
+def test_kkt_residuals_and_floor_tightness(num_users):
+    rng = np.random.default_rng(16 + num_users)
+    binding = slack = 0
+    for _ in range(60):
+        cfg, chan, mat = make_instance(rng, num_users=num_users, util=float(rng.uniform(0.05, 0.9)))
+        cfg = replace(cfg, risk_rate_scale=float(rng.uniform(5e6, 5e7)))
+        sol = solve_placement(cfg, chan, mat)
+        assert sol.feasible
+        assert sol.iterations <= 60
+        lam, floor, supplied = kkt_multiplier(cfg, chan, mat, sol.weights.weights)
+        assert supplied >= floor
+        if lam > 0:
+            binding += 1
+            assert supplied - floor <= 1e-12 * floor
+        else:
+            slack += 1
+    assert binding and slack
+
+
+def test_voluntary_puncturing_meets_floor_at_zero_multiplier():
+    rng = np.random.default_rng(17)
+    cfg, chan, mat = make_instance(rng, num_users=5, util=0.01, beta=1.0)
+    cfg = replace(cfg, risk_rate_scale=1e6)
+    coeff, kappa, a, floor, caps = coefficients(cfg, chan, mat)
+    pen_c = cfg.risk_weight * coeff / cfg.risk_rate_scale
+    assert np.any(pen_c > 1)
+    sol = solve_placement(cfg, chan, mat)
+    want = np.clip(1 / kappa - 1 / (kappa * pen_c), 0.0, caps)
+    np.testing.assert_allclose(sol.weights.weights, want, rtol=1e-12, atol=0)
+    assert a @ sol.weights.weights > floor
+    assert sol.iterations == 0
+
+
+def test_user_with_no_broadband_rate_goes_to_its_cap():
+    rng = np.random.default_rng(18)
+    cfg, chan, mat = make_instance(rng, num_users=4, util=0.5)
+    chan = ChannelRealization(
+        embb_gain=np.concatenate(([0.0], chan.embb_gain[1:])), urllc_gain=chan.urllc_gain
+    )
+    _, _, a, floor, caps = coefficients(cfg, chan, mat)
+    assert a[0] > 0
+    sol = solve_placement(cfg, chan, mat)
+    assert sol.feasible
+    assert sol.weights.weights[0] == caps[0]
+    assert a @ sol.weights.weights >= floor
+
+
+def test_baseline1_symmetric_users_get_the_exact_equal_share():
+    rng = np.random.default_rng(19)
+    cfg, chan, mat = make_instance(rng, num_users=40, equal_bw=True, util=0.3)
+    chan = snr_channel(cfg, np.full(40, 50.0), np.full(2, 20.0))
+    _, _, a, floor, _ = coefficients(cfg, chan, mat)
+    sol = solve_baseline1(cfg, chan, mat)
+    np.testing.assert_allclose(sol.weights.weights, floor / a.sum(), rtol=1e-12, atol=0)
+    assert a @ sol.weights.weights >= floor
+    assert sol.iterations <= 1
