@@ -6,13 +6,15 @@ then solve the weight placement for the rounded assignment. Stops when both
 blocks stop moving or after ``max_iters`` rounds.
 
 The assignment is closed form and depends on the weights only through which
-users stay active. Placement keeps every user active, so from zero
-puncturing the second round sees the same assignment as the first and the
-loop stops at its fixed point after two rounds. Placement is a pure function
-of the configuration, channel and assignment it is given, so a repeated
-assignment reuses the previous solution instead of solving again. Because
-rounding is interleaved, block ascent is monotone in the objective evaluated
-on the fractional assignment; the rounded objective is recorded alongside it.
+users stay active, and placement is a pure function of the configuration,
+channel and assignment it is given. So a round is keyed on its active set:
+when it equals the previous round's, the round reuses the previous
+assignment, rounding, placement and trace values instead of computing them
+again. Placement keeps every user active, so from zero puncturing the second
+round repeats the first and the loop stops at its fixed point after two
+rounds, having solved each block once. Because rounding is interleaved,
+block ascent is monotone in the objective evaluated on the fractional
+assignment; the rounded objective is recorded alongside it.
 """
 
 from __future__ import annotations
@@ -21,8 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .embb_scheduler import round_to_binary, solve_fractional
-from .model import ChannelRealization, PunctureWeights, SchedulingMatrix, SystemConfig
+from .embb_scheduler import active_user_mask, round_to_binary, solve_fractional
+from .model import ChannelRealization, SchedulingMatrix, SystemConfig
 from .urllc_placement import PlacementSolution, placement_objective, solve_placement
 
 OMEGA_TOL = 1e-6
@@ -77,60 +79,53 @@ def run(
     With ``post_round`` the placement sees the fractional assignment each
     round and rounding happens once at the end; otherwise rounding is inside
     the loop. An infeasible placement clamps the weights to their caps for
-    that round and is flagged in the trace. When a round's placement input
-    equals the previous round's, the previous placement is reused, so from
-    ``init="zero"`` each call solves placement once. ``init="one"`` with a
-    mean load fraction of 1 or more deactivates every user in round 1 (an
-    empty assignment), so there round 2 genuinely differs and solves again.
-    A round whose assignment and weights both repeat the previous round's
-    copies that round's two trace objectives instead of evaluating them again.
+    that round and is flagged in the trace. A round whose active set equals
+    the previous round's reuses that round's assignment, placement and trace
+    values, so from ``init="zero"`` each call solves each block once.
+    ``init="one"`` with a mean load fraction of 1 or more deactivates every
+    user in round 1 (an empty assignment), so there round 2 genuinely differs
+    and solves again. The trace objective of the matrix that placement solved
+    on is the placement's own objective; only the other matrix's is evaluated.
     """
     weights = _initial_weights(cfg, init, rng)
     trace = AlternationTrace()
-    prev_frac = None
-    prev_binary = None
+    prev_active = None
     binary = None
-    prev_input = None
     placement: PlacementSolution | None = None
 
     for it in range(1, max_iters + 1):
-        frac = solve_fractional(cfg, chan, weights)
-        binary = round_to_binary(frac, cfg)
-        placement_input = frac if post_round else binary
-        if prev_input is None or not np.array_equal(placement_input.entries, prev_input.entries):
-            placement = solve_placement(cfg, chan, placement_input)
-        prev_input = placement_input
-        new_weights = (
-            placement.weights.weights
-            if placement.feasible
-            else np.minimum(np.ones_like(weights), placement.weights.weights)
-        )
-        binary_moved = prev_binary is None or not np.array_equal(
-            binary.entries, prev_binary.entries
-        )
-        if (
-            binary_moved
-            or not np.array_equal(frac.entries, prev_frac.entries)
-            or not np.array_equal(new_weights, weights)
-        ):
-            objectives = (
-                placement_objective(cfg, chan, frac, new_weights),
-                placement_objective(cfg, chan, binary, new_weights),
+        active = active_user_mask(cfg, chan, weights)
+        binary_moved = False
+        if prev_active is None or not np.array_equal(active, prev_active):
+            frac = solve_fractional(cfg, chan, weights)
+            new_binary = round_to_binary(frac, cfg)
+            # a new active set can still round to the previous assignment
+            binary_moved = binary is None or not np.array_equal(
+                new_binary.entries, binary.entries
             )
+            binary = new_binary
+            placement = solve_placement(cfg, chan, frac if post_round else binary)
+            new_weights = (
+                placement.weights.weights
+                if placement.feasible
+                else np.minimum(np.ones_like(weights), placement.weights.weights)
+            )
+            other = placement_objective(cfg, chan, binary if post_round else frac, new_weights)
+            objectives = (placement.objective, other) if post_round else (other, placement.objective)
+            user_bandwidth = binary.user_bandwidth(cfg.rb_bandwidth).tolist()
         trace.iterations.append(
             TraceEntry(
                 iteration=it,
                 fractional_objective=objectives[0],
                 rounded_objective=objectives[1],
                 weights=new_weights.tolist(),
-                user_bandwidth=binary.user_bandwidth(cfg.rb_bandwidth).tolist(),
+                user_bandwidth=list(user_bandwidth),
                 placement_feasible=placement.feasible,
             )
         )
         weights_moved = float(np.max(np.abs(new_weights - weights)))
         weights = new_weights
-        prev_frac = frac
-        prev_binary = binary
+        prev_active = active
         if weights_moved < OMEGA_TOL and not binary_moved:
             trace.converged = True
             trace.reason = "tolerance"

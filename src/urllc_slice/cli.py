@@ -91,6 +91,38 @@ def _config_error(message: object) -> int:
     return 1
 
 
+_encode_flat = json.JSONEncoder(sort_keys=True).encode
+_NUMBER_TYPES = {int, float}
+
+
+def _json_indented(obj, newline: str = "\n") -> str:
+    """Exactly ``json.dumps(obj, indent=2, sort_keys=True)`` for acyclic data.
+
+    ``indent`` switches ``json`` to its pure-Python encoder, which is slow on
+    the long float lists of a trace. Here the dict and list layout is built in
+    Python, and every scalar and every list of plain ints and floats goes
+    through the C encoder of a flat ``JSONEncoder``; a number never contains
+    ``", "``, so splitting such a list's flat encoding on it gives its items.
+    ``newline`` is the line break plus the indentation of the current depth.
+    Dicts with non-string keys fall back to ``json.dumps``, re-indented
+    (encoded strings hold no raw line breaks).
+    """
+    inner = newline + "  "
+    if isinstance(obj, dict) and obj:
+        if not all(isinstance(k, str) for k in obj):
+            return json.dumps(obj, indent=2, sort_keys=True).replace("\n", newline)
+        items = [f"{_encode_flat(k)}: {_json_indented(v, inner)}" for k, v in sorted(obj.items())]
+    elif isinstance(obj, (list, tuple)) and obj:
+        if set(map(type, obj)) <= _NUMBER_TYPES:
+            items = _encode_flat(obj)[1:-1].split(", ")
+        else:
+            items = [_json_indented(x, inner) for x in obj]
+    else:
+        return _encode_flat(obj)
+    opening, closing = ("{", "}") if isinstance(obj, dict) else ("[", "]")
+    return opening + inner + ("," + inner).join(items) + newline + closing
+
+
 def _fmt(x: float) -> str:
     return repr(float(x))
 
@@ -202,7 +234,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             if trace_sink is not None:
                 _write(
                     args.out / f"trace_{policy.value}.json",
-                    json.dumps(trace_sink, indent=2, sort_keys=True) + "\n",
+                    _json_indented(trace_sink) + "\n",
                 )
     except ValueError as exc:
         return _config_error(exc)

@@ -71,10 +71,8 @@ def _build_problem(
     phi = mat.user_bandwidth(cfg.rb_bandwidth)
     eff = embb_spectral_eff(cfg, chan)
     kappa = cfg.expected_load_fraction()
-    caps = np.full(cfg.num_embb_users, 1.0)
-    if kappa > 0:
-        caps = np.minimum(1.0, (1.0 - 1e-12) / kappa)
-        caps = np.broadcast_to(caps, phi.shape).copy()
+    cap = min(1.0, (1.0 - 1e-12) / kappa) if kappa > 0 else 1.0
+    caps = np.full(cfg.num_embb_users, cap)
     return _Problem(
         phi=phi,
         rate_per_hz=eff,

@@ -5,7 +5,9 @@ import pytest
 
 from urllc_slice import alternating
 from urllc_slice.alternating import run
+from urllc_slice.embb_scheduler import round_to_binary, solve_fractional
 from urllc_slice.model import ChannelRealization, SystemConfig, sample_channel, sample_mean_snr
+from urllc_slice.urllc_placement import placement_objective
 
 
 def default_channel(cfg, seed=0):
@@ -145,6 +147,65 @@ def test_repeated_round_copies_its_objectives(monkeypatch):
     cfg = SystemConfig()
     _, _, trace = run(cfg, default_channel(cfg, seed=12))
     first, second = trace.iterations
-    assert len(calls) == 2
+    assert len(calls) == 1
     assert first.fractional_objective == second.fractional_objective
     assert first.rounded_objective == second.rounded_objective
+
+
+def _count_calls(monkeypatch, names):
+    calls = {name: 0 for name in names}
+    for name in names:
+        fn = getattr(alternating, name)
+
+        def counting(*args, _fn=fn, _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(alternating, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("post_round", [False, True])
+def test_repeated_active_set_skips_every_block(monkeypatch, post_round):
+    calls = _count_calls(monkeypatch, ["solve_fractional", "round_to_binary", "solve_placement"])
+    cfg = SystemConfig()
+    _, _, trace = run(cfg, default_channel(cfg, seed=13), post_round=post_round)
+    # round 1 calls each block once; round 2 sees the same active set
+    assert len(trace.iterations) == 2
+    assert calls == {"solve_fractional": 1, "round_to_binary": 1, "solve_placement": 1}
+    first, second = trace.iterations
+    assert first.user_bandwidth == second.user_bandwidth
+    assert first.user_bandwidth is not second.user_bandwidth
+
+
+@pytest.mark.parametrize("post_round", [False, True])
+def test_one_placement_objective_call_per_slot(monkeypatch, post_round):
+    calls = _count_calls(monkeypatch, ["placement_objective"])
+    cfg = SystemConfig()
+    for seed in range(5):
+        run(cfg, default_channel(cfg, seed=20 + seed), post_round=post_round)
+    assert calls == {"placement_objective": 5}
+
+
+@pytest.mark.parametrize("post_round", [False, True])
+@pytest.mark.parametrize("cfg_kw", [{}, {"urllc_outage_budget": 1e-6}, {"puncture_prob": 0.0}])
+def test_trace_objectives_equal_fresh_evaluations(post_round, cfg_kw):
+    # the placement's own objective stands in for one trace objective
+    cfg = SystemConfig(**cfg_kw)
+    chan = default_channel(cfg, seed=14)
+    _, _, trace = run(cfg, chan, post_round=post_round)
+    frac = solve_fractional(cfg, chan, np.zeros(cfg.num_embb_users))
+    binary = round_to_binary(frac, cfg)
+    for entry in trace.iterations:
+        w = np.array(entry.weights)
+        assert entry.fractional_objective == placement_objective(cfg, chan, frac, w)
+        assert entry.rounded_objective == placement_objective(cfg, chan, binary, w)
+
+
+def test_new_active_set_solves_again(monkeypatch):
+    # init="one" at full load empties the active set in round 1 only
+    calls = _count_calls(monkeypatch, ["solve_fractional", "solve_placement"])
+    cfg = SystemConfig(puncture_prob=1.0)
+    _, _, trace = run(cfg, default_channel(cfg, seed=15), init="one")
+    assert len(trace.iterations) == 3
+    assert calls == {"solve_fractional": 2, "solve_placement": 2}

@@ -243,3 +243,35 @@ def test_config_error_prefix_printed_once(tmp_path, capsys, command, text, line)
         argv += ["--slots", "2", "--out", str(tmp_path / "out")]
     assert main(argv) == 1
     assert capsys.readouterr().err == line + "\n"
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize(
+    "text, field",
+    [
+        ('{"num_rbs": 2.5}', "num_rbs"),
+        ('{"num_rbs": -1}', "num_rbs"),
+        ('{"num_embb_users": true}', "num_embb_users"),
+        ('{"rb_bandwidth": "abc"}', "rb_bandwidth"),
+        ('{"rb_bandwidth": [1,2]}', "rb_bandwidth"),
+        ('{"embb_tx_power": [1,2]}', "embb_tx_power"),
+    ],
+)
+def test_malformed_field_gives_one_config_error(tmp_path, capsys, command, text, field):
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    argv = [command, "--config", str(path)]
+    if command == "run":
+        argv += ["--slots", "2", "--out", str(tmp_path / "out")]
+    assert main(argv) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"error: config invalid: {field}: ")
+
+
+def test_trace_file_is_canonical_indented_json(tmp_path):
+    out = tmp_path / "out"
+    argv = ["run", "--policy", "proposed", "--slots", "4", "--seed", "5", "--threads", "1"]
+    assert main(argv + ["--trace", "--out", str(out)]) == 0
+    text = (out / "trace_proposed.json").read_text()
+    assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"

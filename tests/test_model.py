@@ -384,3 +384,44 @@ def test_config_validation_rejects_non_finite(field):
     for value in (float("nan"), float("inf"), float("-inf")):
         with pytest.raises(ConfigError, match=field):
             SystemConfig.from_dict({field: value})
+
+
+def test_evaluate_slot_equals_rate_functions_bit_for_bit():
+    cfg = small_cfg()
+    rng = np.random.default_rng(17)
+    for _ in range(50):
+        mat, chan, w, load = random_instance(rng, cfg)
+        out = evaluate_slot(cfg, chan, mat, PunctureWeights(w), load)
+        np.testing.assert_array_equal(out.embb_rate_per_user, embb_rate(cfg, chan, mat, w, load))
+        np.testing.assert_array_equal(out.punctured_bw, punctured_bandwidth(cfg, mat, w, load))
+        assert out.urllc_rate == urllc_rate(cfg, chan, mat, w, load)
+
+
+def test_evaluate_slot_rejects_load_above_lmax():
+    cfg = small_cfg()
+    mat, chan, w, _ = random_instance(np.random.default_rng(18), cfg)
+    with pytest.raises(ValueError, match="exceeds l_max"):
+        evaluate_slot(cfg, chan, mat, w, cfg.l_max * 1.01)
+
+
+@pytest.mark.parametrize(
+    "kw, line",
+    [
+        ({"num_rbs": 2.5}, "num_rbs: must be a positive integer, got 2.5"),
+        ({"num_urllc_users": True}, "num_urllc_users: must be a positive integer, got True"),
+        ({"num_minislots": "7"}, "num_minislots: must be a positive integer, got '7'"),
+        ({"urllc_tx_power": "abc"}, "urllc_tx_power: must be a number or a list of numbers, got 'abc'"),
+        ({"rb_bandwidth": [[1e5]]}, "rb_bandwidth: must be a number or a list of numbers, got [[100000.0]]"),
+        ({"embb_tx_power": [1.0, 2.0]}, "embb_tx_power: has 2 entries, expected 1 or 10"),
+    ],
+)
+def test_direct_construction_defers_malformed_fields_to_validate(kw, line):
+    # nothing is broadcast that cannot be; validate() names exactly the bad field
+    assert SystemConfig(**kw).validate() == [line]
+
+
+def test_vector_fields_broadcast_one_entry_or_take_full_length():
+    cfg = SystemConfig(num_rbs=3, rb_bandwidth=[2e5], embb_tx_power=np.arange(1.0, 11.0))
+    np.testing.assert_array_equal(cfg.rb_bandwidth, [2e5, 2e5, 2e5])
+    np.testing.assert_array_equal(cfg.embb_tx_power, np.arange(1.0, 11.0))
+    assert cfg.validate() == []
