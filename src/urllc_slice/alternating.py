@@ -96,7 +96,7 @@ def run(
     for it in range(1, max_iters + 1):
         active = active_user_mask(cfg, chan, weights)
         binary_moved = False
-        if prev_active is None or not np.array_equal(active, prev_active):
+        if prev_active is None or not (active == prev_active).all():
             frac = solve_fractional(cfg, chan, weights)
             new_binary = round_to_binary(frac, cfg)
             # a new active set can still round to the previous assignment
@@ -123,7 +123,7 @@ def run(
                 placement_feasible=placement.feasible,
             )
         )
-        weights_moved = float(np.max(np.abs(new_weights - weights)))
+        weights_moved = float(np.abs(new_weights - weights).max())
         weights = new_weights
         prev_active = active
         if weights_moved < OMEGA_TOL and not binary_moved:

@@ -22,7 +22,7 @@ from .model import (
     PunctureWeights,
     SchedulingMatrix,
     SystemConfig,
-    embb_spectral_eff,
+    spectral_efficiencies,
 )
 
 logger = logging.getLogger(__name__)
@@ -39,9 +39,9 @@ def rate_coefficients(
 ) -> np.ndarray:
     """Per-user mean rate per Hz of assigned bandwidth: spectral efficiency
     discounted by the expected puncturing loss."""
-    eff = embb_spectral_eff(cfg, chan)
+    eff = spectral_efficiencies(cfg, chan)[0]
     if weights is None:
-        return eff
+        return eff.copy()
     w = weights.weights if isinstance(weights, PunctureWeights) else np.asarray(weights)
     return eff * (1.0 - w * cfg.expected_load_fraction())
 
@@ -87,16 +87,16 @@ def solve_fractional(
     accepted for compatibility and unused.
     """
     active = active_user_mask(cfg, chan, weights)
-    n_active = int(active.sum())
+    n_active = np.count_nonzero(active)
     if n_active < cfg.num_embb_users:
         logger.warning(
             "excluding %d degenerate user(s) from scheduling: %s",
             cfg.num_embb_users - n_active,
             np.flatnonzero(~active).tolist(),
         )
-    entries = np.zeros((cfg.num_rbs, cfg.num_embb_users))
-    if n_active:
-        entries[:, active] = 1.0 / n_active
+    share = np.where(active, 1.0 / n_active, 0.0) if n_active else np.zeros(cfg.num_embb_users)
+    entries = np.empty((cfg.num_rbs, cfg.num_embb_users))
+    entries[:] = share
     return SchedulingMatrix(entries)
 
 
@@ -109,17 +109,22 @@ def round_to_binary(frac: SchedulingMatrix, cfg: SystemConfig) -> SchedulingMatr
     unassigned). Ties break toward the lower user index. Per-user bandwidth
     lands within max(rb_bandwidth) of the fractional allocation. The result
     depends only on ``rb_bandwidth`` and the fractional entries and is
-    memoized on them; each call returns a fresh matrix.
+    memoized on them; each call returns a fresh matrix. A matrix that repeats
+    one row on every RB, as ``solve_fractional``'s 1/n_active shares on the
+    active users do, is keyed on that row alone, so the key costs O(U) bytes
+    rather than O(B*U).
     """
     f_b = np.ascontiguousarray(cfg.rb_bandwidth, dtype=float)
     e = np.ascontiguousarray(frac.entries, dtype=float)
-    return SchedulingMatrix(_greedy_rounding(f_b.tobytes(), e.shape, e.tobytes()).copy())
+    rows = e[:1] if e.ndim == 2 and e.shape[0] and (e == e[0]).all() else e
+    return SchedulingMatrix(_greedy_rounding(f_b.tobytes(), e.shape, rows.tobytes()).copy())
 
 
 @functools.lru_cache(maxsize=_ROUNDING_CACHE_SIZE)
-def _greedy_rounding(f_b_bytes: bytes, shape: tuple, entries_bytes: bytes) -> np.ndarray:
+def _greedy_rounding(f_b_bytes: bytes, shape: tuple, rows_bytes: bytes) -> np.ndarray:
     f_b = np.frombuffer(f_b_bytes)
-    frac = np.frombuffer(entries_bytes).reshape(shape)
+    # a contiguous copy, so the claims are summed exactly as for the caller's matrix
+    frac = np.broadcast_to(np.frombuffer(rows_bytes).reshape(-1, *shape[1:]), shape).copy()
     claims = f_b @ frac
     entries = np.zeros(shape)
     order = np.argsort(-f_b, kind="stable")

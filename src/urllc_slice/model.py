@@ -10,12 +10,18 @@ randomness enters only through a caller-supplied ``numpy.random.Generator``.
 from __future__ import annotations
 
 import json
+import math
+import struct
 from dataclasses import dataclass, fields
 from typing import Union
 
 import numpy as np
 
 SLOT_DURATION_S = 1e-3
+
+# Distinct channel inputs whose spectral efficiencies are kept; a slot asks for
+# them in the scheduler, both placement problems and evaluate_slot.
+_CHANNEL_CACHE_SIZE = 4
 
 
 class ConfigError(ValueError):
@@ -39,6 +45,13 @@ _SCALAR_RULES = (
 
 _COUNT_FIELDS = ("num_embb_users", "num_rbs", "num_minislots", "num_urllc_users")
 
+# Largest accepted value of a count field. Counts size arrays before anything
+# else is checked: num_rbs = 10**10 would broadcast rb_bandwidth to 80 GB.
+MAX_COUNT = 100_000
+# Largest accepted num_rbs * num_embb_users, the size of the B x U assignment
+# matrix (10**7 float64 entries take 80 MB).
+MAX_ASSIGNMENT_ENTRIES = 10_000_000
+
 # Vector fields of SystemConfig and the count field that sets their length.
 _VECTOR_FIELDS = (
     ("rb_bandwidth", "num_rbs"),
@@ -47,12 +60,24 @@ _VECTOR_FIELDS = (
 )
 
 
-def _is_count(v) -> bool:
+def _is_positive_int(v) -> bool:
     return isinstance(v, (int, np.integer)) and not isinstance(v, bool) and v >= 1
 
 
+def _is_count(v) -> bool:
+    return _is_positive_int(v) and v <= MAX_COUNT
+
+
 def _is_number(v) -> bool:
-    return isinstance(v, (int, float, np.integer, np.floating)) and not isinstance(v, bool)
+    """A real number a float can hold (bools excluded; an int beyond the
+    float range is not one)."""
+    if isinstance(v, bool) or not isinstance(v, (int, float, np.integer, np.floating)):
+        return False
+    try:
+        float(v)
+    except OverflowError:
+        return False
+    return True
 
 
 def _vector_problem(value, length) -> str | None:
@@ -79,7 +104,10 @@ class SystemConfig:
     Vector-valued fields (``rb_bandwidth``, ``embb_tx_power``,
     ``urllc_tx_power``) accept scalars and are broadcast to the right length.
     ``l_max`` (maximum servable URLLC traffic per slot, bits) defaults to
-    ``num_minislots * demand_quantum``, i.e. one arrival per minislot.
+    ``num_minislots * demand_quantum``, i.e. one arrival per minislot. Count
+    fields are at most ``MAX_COUNT`` and ``num_rbs * num_embb_users`` at most
+    ``MAX_ASSIGNMENT_ENTRIES``; a larger count is left unbroadcast for
+    ``validate()`` to report.
     """
 
     num_embb_users: int = 10
@@ -109,7 +137,7 @@ class SystemConfig:
                 vec = np.broadcast_to(np.asarray(value, dtype=float), (length,)).copy()
                 setattr(self, name, vec)
         if self.l_max is None and self._l_max_derivable():
-            self.l_max = float(self.num_minislots * self.demand_quantum)
+            self.l_max = float(self.num_minislots * float(self.demand_quantum))
 
     def _l_max_derivable(self) -> bool:
         return _is_count(self.num_minislots) and _is_number(self.demand_quantum)
@@ -138,8 +166,17 @@ class SystemConfig:
         bad = []
         for name in _COUNT_FIELDS:
             v = getattr(self, name)
-            if not _is_count(v):
+            if not _is_positive_int(v):
                 bad.append(f"{name}: must be a positive integer, got {v!r}")
+            elif v > MAX_COUNT:
+                bad.append(f"{name}: must be at most {MAX_COUNT}, got {v!r}")
+        if _is_count(self.num_rbs) and _is_count(self.num_embb_users):
+            entries = self.num_rbs * self.num_embb_users
+            if entries > MAX_ASSIGNMENT_ENTRIES:
+                bad.append(
+                    f"num_rbs: num_rbs * num_embb_users must be at most "
+                    f"{MAX_ASSIGNMENT_ENTRIES}, got {entries}"
+                )
         for name, count in _VECTOR_FIELDS:
             v, length = getattr(self, name), getattr(self, count)
             if not _is_count(length):
@@ -154,7 +191,7 @@ class SystemConfig:
             v = getattr(self, name)
             if name == "l_max" and v is None and not self._l_max_derivable():
                 continue  # no default: num_minislots or demand_quantum is reported
-            if not isinstance(v, (int, float, np.integer, np.floating)) or not np.isfinite(v):
+            if not _is_number(v) or not math.isfinite(v):
                 not_finite.add(name)
                 bad.append(f"{name}: must be a finite number, got {v!r}")
             elif not ok(v):
@@ -178,7 +215,10 @@ class SystemConfig:
         known = {f.name for f in fields(cls)}
         unknown = sorted(set(data) - known)
         if unknown:
-            raise ConfigError(f"config has unknown keys: {', '.join(unknown)}")
+            # a key with a line break or other control character is quoted, so
+            # the message stays on one line
+            names = [k if k.isprintable() else repr(k) for k in unknown]
+            raise ConfigError(f"config has unknown keys: {', '.join(names)}")
         cfg = cls(**data)
         bad = cfg.validate()
         if bad:
@@ -189,7 +229,7 @@ class SystemConfig:
     def from_json(cls, text: str) -> "SystemConfig":
         try:
             data = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # also too many digits or too deep
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
         if not isinstance(data, dict):
             raise ConfigError("config JSON must be an object")
@@ -336,16 +376,50 @@ def _load_bits(load: LoadLike) -> float:
     return float(load)
 
 
+# Bounded by emptying it when full; entries are pure functions of their keys,
+# so callers racing on it can only repeat a computation.
+_efficiency_cache: dict[tuple, tuple[np.ndarray, float]] = {}
+
+
+def spectral_efficiencies(cfg: SystemConfig, chan: ChannelRealization) -> tuple[np.ndarray, float]:
+    """``embb_spectral_eff`` (as a read-only array) and
+    ``urllc_spectral_eff_mean`` together. They are memoized on the exact bits
+    of the noise power, transmit powers and gains, so the scheduler, both
+    placement problems and ``evaluate_slot`` share one evaluation per slot."""
+    noise = float(cfg.noise_power)
+    embb_power = np.asarray(cfg.embb_tx_power, dtype=float)
+    embb_gain = np.asarray(chan.embb_gain, dtype=float)
+    urllc_power = np.asarray(cfg.urllc_tx_power, dtype=float)
+    urllc_gain = np.asarray(chan.urllc_gain, dtype=float)
+    key = (
+        (embb_power.shape, embb_gain.shape, urllc_power.shape, urllc_gain.shape),
+        struct.pack("d", noise)
+        + embb_power.tobytes()
+        + embb_gain.tobytes()
+        + urllc_power.tobytes()
+        + urllc_gain.tobytes(),
+    )
+    terms = _efficiency_cache.get(key)
+    if terms is None:
+        embb = np.log2(1.0 + embb_power * embb_gain / noise)
+        embb.flags.writeable = False
+        urllc = np.log2(1.0 + urllc_power * urllc_gain / noise)
+        terms = (embb, float(urllc.mean()))
+        if len(_efficiency_cache) >= _CHANNEL_CACHE_SIZE:
+            _efficiency_cache.clear()
+        _efficiency_cache[key] = terms
+    return terms
+
+
 def embb_spectral_eff(cfg: SystemConfig, chan: ChannelRealization) -> np.ndarray:
     """bits/s/Hz per broadband user at this slot's gains."""
-    return np.log2(1.0 + cfg.embb_tx_power * chan.embb_gain / cfg.noise_power)
+    return spectral_efficiencies(cfg, chan)[0].copy()
 
 
 def urllc_spectral_eff_mean(cfg: SystemConfig, chan: ChannelRealization) -> float:
     """bits/s/Hz averaged over the URLLC users (punctured bandwidth is split
     evenly between them)."""
-    eff = np.log2(1.0 + cfg.urllc_tx_power * chan.urllc_gain / cfg.noise_power)
-    return float(eff.mean())
+    return spectral_efficiencies(cfg, chan)[1]
 
 
 def punctured_bandwidth(
@@ -432,16 +506,18 @@ def evaluate_slot(
 
     Equal bit for bit to ``embb_rate``, ``urllc_rate`` and
     ``punctured_bandwidth``, whose expressions it repeats in the same order,
-    but computes the user bandwidth once instead of three times.
+    but computes the user bandwidth once instead of three times and takes
+    the spectral efficiencies from ``spectral_efficiencies``.
     """
     load_bits = _load_bits(load)
     if load_bits > cfg.l_max * (1 + 1e-12):
         raise ValueError(f"load {load_bits} exceeds l_max {cfg.l_max}; clamp first")
     phi = mat.user_bandwidth(cfg.rb_bandwidth)
     w = _weights_vec(weights)
-    rates = phi * (1.0 - w * (load_bits / cfg.l_max)) * embb_spectral_eff(cfg, chan)
+    embb_eff, urllc_eff = spectral_efficiencies(cfg, chan)
+    rates = phi * (1.0 - w * (load_bits / cfg.l_max)) * embb_eff
     theta = phi * w * (load_bits / cfg.l_max)
-    r_urllc = float(theta.sum() * urllc_spectral_eff_mean(cfg, chan))
+    r_urllc = float(theta.sum() * urllc_eff)
     return SlotOutcome(
         realized_load=load_bits,
         embb_rate_per_user=rates,

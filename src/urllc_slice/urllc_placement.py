@@ -27,8 +27,7 @@ from .model import (
     PunctureWeights,
     SchedulingMatrix,
     SystemConfig,
-    embb_spectral_eff,
-    urllc_spectral_eff_mean,
+    spectral_efficiencies,
 )
 
 # Newton aims this far (relative) above the reliability floor, so its iterates,
@@ -57,6 +56,7 @@ class _Problem:
 
     phi: np.ndarray            # Hz per user
     rate_per_hz: np.ndarray    # unpunctured bits/s/Hz per user
+    rate: np.ndarray           # unpunctured bits/s per user, phi * rate_per_hz
     load_fraction: float       # mean load / l_max; scales every weight
     floor: float               # required mean URLLC rate, bits/s
     floor_coeff: np.ndarray    # mean URLLC rate contributed per unit weight
@@ -69,31 +69,32 @@ def _build_problem(
     cfg: SystemConfig, chan: ChannelRealization, mat: SchedulingMatrix
 ) -> _Problem:
     phi = mat.user_bandwidth(cfg.rb_bandwidth)
-    eff = embb_spectral_eff(cfg, chan)
+    # the channel terms are shared with every other matrix of the slot
+    eff, urllc_eff = spectral_efficiencies(cfg, chan)
     kappa = cfg.expected_load_fraction()
     cap = min(1.0, (1.0 - 1e-12) / kappa) if kappa > 0 else 1.0
-    caps = np.full(cfg.num_embb_users, cap)
     return _Problem(
         phi=phi,
         rate_per_hz=eff,
+        rate=phi * eff,
         load_fraction=kappa,
         floor=cfg.markov_rate_floor() if cfg.puncture_prob > 0 else 0.0,
-        floor_coeff=phi * kappa * urllc_spectral_eff_mean(cfg, chan),
-        caps=caps,
+        floor_coeff=phi * kappa * urllc_eff,
+        caps=np.full(cfg.num_embb_users, cap),
         active=(phi > 0.0) & (eff > 0.0),
         penalty=cfg.risk_weight / cfg.risk_rate_scale,
     )
 
 
-def _mean_rates(prob: _Problem, w: np.ndarray) -> np.ndarray:
-    return prob.phi * prob.rate_per_hz * (1.0 - prob.load_fraction * w)
+def _active_rates(prob: _Problem, w: np.ndarray) -> np.ndarray:
+    """Mean rates of the users in the log objective."""
+    return (prob.rate * (1.0 - prob.load_fraction * w))[prob.active]
 
 
-def _objective(prob: _Problem, w: np.ndarray) -> float:
-    rates = _mean_rates(prob, w)[prob.active]
-    if np.any(rates <= 0.0):
+def _objective(rates: np.ndarray, total: float, penalty: float) -> float:
+    if (rates <= 0.0).any():
         return -np.inf
-    return float(np.log(rates).sum() - prob.penalty * rates.sum())
+    return float(np.log(rates).sum() - penalty * total)
 
 
 def placement_objective(
@@ -105,15 +106,18 @@ def placement_objective(
     """Objective value of the placement problem at the given weights (risk
     variables at their pinned optimum)."""
     w = weights.weights if isinstance(weights, PunctureWeights) else np.asarray(weights)
-    return _objective(_build_problem(cfg, chan, mat), w)
+    prob = _build_problem(cfg, chan, mat)
+    rates = _active_rates(prob, w)
+    return _objective(rates, float(rates.sum()), prob.penalty)
 
 
 def _finish(prob: _Problem, w: np.ndarray, feasible: bool, iters: int) -> PlacementSolution:
-    mean_total = float(_mean_rates(prob, w)[prob.active].sum())
+    rates = _active_rates(prob, w)
+    mean_total = float(rates.sum())
     return PlacementSolution(
         weights=PunctureWeights(weights=w, var_level=mean_total, excess=0.0),
         feasible=feasible,
-        objective=_objective(prob, w),
+        objective=_objective(rates, mean_total, prob.penalty),
         max_achievable_urllc_rate=float(prob.floor_coeff @ prob.caps),
         iterations=iters,
     )
@@ -149,7 +153,7 @@ def solve_placement(
 
     kappa, a = prob.load_fraction, prob.active
     d, cap = prob.floor_coeff[a], prob.caps[a]
-    s = kappa * prob.penalty * (prob.phi * prob.rate_per_hz)[a] / d
+    s = kappa * prob.penalty * prob.rate[a] / d
 
     def active_weights(lam):
         with np.errstate(divide="ignore"):  # s + lam = 0: weight clips to 0

@@ -275,3 +275,59 @@ def test_trace_file_is_canonical_indented_json(tmp_path):
     assert main(argv + ["--trace", "--out", str(out)]) == 0
     text = (out / "trace_proposed.json").read_text()
     assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ('{"num_rbs": 10000000000}', "num_rbs: must be at most 100000, got 10000000000"),
+        ('{"num_embb_users": 100001}', "num_embb_users: must be at most 100000, got 100001"),
+        ('{"num_urllc_users": 10000000000}', "num_urllc_users: must be at most 100000, got 10000000000"),
+        (
+            '{"num_rbs": 100000, "num_embb_users": 101}',
+            "num_rbs: num_rbs * num_embb_users must be at most 10000000, got 10100000",
+        ),
+    ],
+)
+def test_oversized_count_gives_one_config_error(tmp_path, capsys, command, text, line):
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    argv = [command, "--config", str(path)]
+    if command == "run":
+        argv += ["--slots", "2", "--out", str(tmp_path / "out")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: config invalid: {line}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"demand_quantum": 1%s}' % ("0" * 400),
+        '{"l_max": -9223372036854775809}',
+        '{"rb_bandwidth": [1%s]}' % ("0" * 400),
+        '{"num_rbs": 1%s}' % ("0" * 5000),
+        "[" * 100000 + "]" * 100000,
+    ],
+)
+def test_out_of_range_numbers_give_one_config_error(tmp_path, capsys, text):
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    assert main(["validate", "--config", str(path)]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: config ")
+
+
+def test_unknown_key_with_line_break_stays_on_one_line(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"bad\nkey": 1}))
+    assert main(["validate", "--config", str(path)]) == 1
+    assert capsys.readouterr().err == "error: config has unknown keys: 'bad\\nkey'\n"
+
+
+def test_validate_accepts_snr_beyond_float_range(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text('{"snr_max_db": 1e300}')
+    assert main(["validate", "--config", str(path)]) == 0
+    assert capsys.readouterr().out == "config ok\n"

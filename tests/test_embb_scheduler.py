@@ -212,3 +212,21 @@ def test_rounding_depends_on_rb_bandwidth():
     skewed = round_to_binary(frac, make_cfg(2, 3, rb_bandwidth=[1e6, 1e6, 3e6]))
     np.testing.assert_array_equal(uniform.entries, [[1, 0], [0, 1], [1, 0]])
     np.testing.assert_array_equal(skewed.entries, [[0, 1], [0, 1], [1, 0]])
+
+
+def test_rounding_keyed_on_repeated_row_matches_full_matrix():
+    from urllc_slice.embb_scheduler import _greedy_rounding
+
+    cfg = make_cfg(4, 6, rb_bandwidth=[1e6, 3e6, 2e6, 2e6, 5e5, 1e6])
+    shares = np.tile([0.5, 0.0, 0.5, 0.0], (6, 1))
+    _greedy_rounding.cache_clear()
+    by_row = round_to_binary(SchedulingMatrix(shares), cfg).entries
+    # a Fortran-order copy and a matrix that differs in its last row take other keys
+    _greedy_rounding.cache_clear()
+    by_copy = round_to_binary(SchedulingMatrix(np.asfortranarray(shares)), cfg).entries
+    np.testing.assert_array_equal(by_row, by_copy)
+    changed = shares.copy()
+    changed[-1] = [0.0, 0.5, 0.0, 0.5]
+    last = round_to_binary(SchedulingMatrix(changed), cfg).entries
+    assert last[-1, [1, 3]].sum() == 1.0 and last[-1, [0, 2]].sum() == 0.0
+    np.testing.assert_array_equal(by_row[:, [1, 3]], 0.0)

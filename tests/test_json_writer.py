@@ -28,6 +28,11 @@ documents = st.recursive(
 @example({"réseau, débit": ["ü, ß", "日本", 1.5], "\n": ['", "', True, None]})
 @example([[1, 2.5], [True, False], [None], ["x, y"]])
 @example([{"slot": 0, "iterations": [{"weights": [0.5, 1.0], "placement_feasible": True}]}])
+@example([[1, 2], [1.0, 2.0]])
+@example([[0.0], [-0.0]])
+@example([[math.nan, 1.0], [math.nan, 1.0]])
+@example([[True], [1]])
+@example({"a": [0.5, 1.5], "b": {"c": [0.5, 1.5]}})
 def test_matches_json_dumps_byte_for_byte(doc):
     assert _json_indented(doc) == json.dumps(doc, indent=2, sort_keys=True)
 

@@ -425,3 +425,50 @@ def test_vector_fields_broadcast_one_entry_or_take_full_length():
     np.testing.assert_array_equal(cfg.rb_bandwidth, [2e5, 2e5, 2e5])
     np.testing.assert_array_equal(cfg.embb_tx_power, np.arange(1.0, 11.0))
     assert cfg.validate() == []
+
+
+def test_spectral_efficiencies_follow_the_values_they_are_memoized_on():
+    from urllc_slice.model import embb_spectral_eff, spectral_efficiencies, urllc_spectral_eff_mean
+
+    cfg = small_cfg()
+    chan = ChannelRealization(embb_gain=[1.0, 3.0, 7.0], urllc_gain=[2.0, 5.0])
+
+    def direct():
+        embb = np.log2(1.0 + cfg.embb_tx_power * chan.embb_gain / cfg.noise_power)
+        urllc = np.log2(1.0 + cfg.urllc_tx_power * chan.urllc_gain / cfg.noise_power)
+        return embb, float(urllc.mean())
+
+    for change in (
+        lambda: None,
+        lambda: chan.embb_gain.__setitem__(1, 4.0),  # in place: same object, new value
+        lambda: chan.urllc_gain.__setitem__(0, 9.0),
+        lambda: setattr(cfg, "noise_power", 2.0),
+        lambda: cfg.embb_tx_power.__setitem__(2, 0.5),
+        lambda: setattr(cfg, "urllc_tx_power", np.array([1.0, 3.0])),
+    ):
+        change()
+        embb, urllc = spectral_efficiencies(cfg, chan)
+        want_embb, want_urllc = direct()
+        np.testing.assert_array_equal(embb, want_embb)
+        assert urllc == want_urllc
+        np.testing.assert_array_equal(embb_spectral_eff(cfg, chan), want_embb)
+        assert urllc_spectral_eff_mean(cfg, chan) == want_urllc
+    # the memoized array is read-only; the public function returns a fresh copy
+    assert not spectral_efficiencies(cfg, chan)[0].flags.writeable
+    copy = embb_spectral_eff(cfg, chan)
+    copy[:] = -1.0
+    np.testing.assert_array_equal(embb_spectral_eff(cfg, chan), direct()[0])
+
+
+def test_spectral_efficiency_memo_tells_signed_zeros_apart():
+    from urllc_slice.model import embb_spectral_eff
+
+    cfg = small_cfg()
+    chan = ChannelRealization(embb_gain=[1.0, 2.0, 3.0], urllc_gain=[1.0, 1.0])
+    # invalid noise powers, but the memo must follow their exact bits
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cfg.noise_power = 0.0
+        plus = embb_spectral_eff(cfg, chan)
+        cfg.noise_power = -0.0
+        minus = embb_spectral_eff(cfg, chan)
+    assert np.all(np.isposinf(plus)) and np.all(np.isnan(minus))

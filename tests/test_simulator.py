@@ -157,3 +157,14 @@ def test_trace_sink_collects_per_slot_traces():
     assert len(sink) == 4
     assert all(t["converged"] for t in sink)
     assert [t["slot"] for t in sink] == [0, 1, 2, 3]
+
+
+def test_degenerate_users_warned_once_per_slot(caplog):
+    # at -400 dB, log2(1 + SNR) rounds to 0 for every user in every slot
+    cfg = quick_cfg(snr_min_db=-400.0, snr_max_db=-400.0)
+    with caplog.at_level("WARNING", logger="urllc_slice.embb_scheduler"):
+        metrics = run_simulation(cfg, "proposed", 3, 5)
+    warnings = [r.getMessage() for r in caplog.records if "degenerate" in r.getMessage()]
+    users = list(range(cfg.num_embb_users))
+    assert warnings == [f"excluding {len(users)} degenerate user(s) from scheduling: {users}"] * 3
+    assert metrics.n_infeasible_slots == 3
