@@ -78,10 +78,11 @@ def run(
 
     With ``post_round`` the placement sees the fractional assignment each
     round and rounding happens once at the end; otherwise rounding is inside
-    the loop. An infeasible placement clamps the weights to their caps for
-    that round and is flagged in the trace. A round whose active set equals
-    the previous round's reuses that round's assignment, placement and trace
-    values, so from ``init="zero"`` each call solves each block once.
+    the loop. An infeasible placement already returns its caps, each at most
+    1, so they are the round's weights as they stand; the trace flags the
+    round. A round whose active set equals the previous round's reuses that
+    round's assignment, placement and trace values, so from ``init="zero"``
+    each call solves each block once.
     ``init="one"`` with a mean load fraction of 1 or more deactivates every
     user in round 1 (an empty assignment), so there round 2 genuinely differs
     and solves again. The trace objective of the matrix that placement solved
@@ -105,11 +106,7 @@ def run(
             )
             binary = new_binary
             placement = solve_placement(cfg, chan, frac if post_round else binary)
-            new_weights = (
-                placement.weights.weights
-                if placement.feasible
-                else np.minimum(np.ones_like(weights), placement.weights.weights)
-            )
+            new_weights = placement.weights.weights
             other = placement_objective(cfg, chan, binary if post_round else frac, new_weights)
             objectives = (placement.objective, other) if post_round else (other, placement.objective)
             user_bandwidth = binary.user_bandwidth(cfg.rb_bandwidth).tolist()

@@ -7,17 +7,13 @@ Every error goes to stderr with a machine-parsable ``error:`` prefix.
 from __future__ import annotations
 
 import argparse
-import functools
-import json
 import math
 import os
-import struct
 import sys
-from json.encoder import encode_basestring_ascii
+from dataclasses import fields
 from pathlib import Path
 
-import numpy as np
-
+from .json_writer import _json_indented
 from .model import ConfigError, SystemConfig
 from .simulator import Policy, RunMetrics, run_simulation, sweep
 
@@ -39,14 +35,18 @@ _COMPARISON_COLUMNS = [
 ]
 
 
-def _default_seed() -> int:
+def _env_seed() -> int:
+    """The seed given by ``URLLC_SLICE_SEED``, or 0 when it is unset."""
     env = os.environ.get("URLLC_SLICE_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            pass
-    return 0
+    if env is None:
+        return 0
+    try:
+        seed = int(env)
+    except ValueError:
+        seed = None
+    if seed is None or seed < 0:
+        raise ConfigError(f"URLLC_SLICE_SEED must be a non-negative integer, got {env!r}")
+    return seed
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -64,7 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="proposed",
     )
     run.add_argument("--slots", type=int, default=1000)
-    run.add_argument("--seed", type=int, default=_default_seed())
+    run.add_argument("--seed", type=int, default=None, help="default: $URLLC_SLICE_SEED, else 0")
     run.add_argument("--sweep", choices=["p", "epsilon", "beta"], default=None)
     run.add_argument("--values", default=None, help="comma-separated sweep values")
     run.add_argument("--out", type=Path, default=Path("out"))
@@ -94,82 +94,6 @@ def _config_error(message: object) -> int:
     return 1
 
 
-_encode_flat = json.JSONEncoder(sort_keys=True).encode
-_NUMBER_TYPES = {int, float}
-# Distinct (float list, indentation) pairs whose text is kept; a trace repeats
-# a slot's weights in its second entry and user_bandwidth across slots.
-_FLOAT_LIST_CACHE_SIZE = 64
-
-
-def _float_json(x: float) -> str:
-    if x != x:
-        return "NaN"
-    if x in (math.inf, -math.inf):
-        return "Infinity" if x > 0 else "-Infinity"
-    return float.__repr__(x)
-
-
-# What json writes for a scalar of exactly these types; any other type goes
-# through the flat encoder, which also raises json's errors.
-_SCALAR_TEXT = {
-    str: encode_basestring_ascii,
-    int: int.__repr__,
-    float: _float_json,
-    bool: ("false", "true").__getitem__,
-    type(None): lambda x: "null",
-}
-
-
-@functools.lru_cache(maxsize=_FLOAT_LIST_CACHE_SIZE)
-def _float_list_text(packed: bytes, separator: str) -> str:
-    floats = struct.unpack(f"{len(packed) // 8}d", packed)
-    return _encode_flat(floats)[1:-1].replace(", ", separator)
-
-
-def _json_indented(obj, newline: str = "\n") -> str:
-    """Exactly ``json.dumps(obj, indent=2, sort_keys=True)`` for acyclic data.
-
-    ``indent`` switches ``json`` to its pure-Python encoder, which is slow on
-    the long float lists of a trace. Here the dict and list layout is built in
-    Python, and scalars are written by type as json writes them. A list of
-    plain ints and floats goes through the C encoder of a flat
-    ``JSONEncoder`` in one call; a number never contains ``", "``, so
-    replacing it in the flat encoding lays the items out. Lists of floats
-    alone are memoized on their exact bits (``-0.0`` and ``0.0`` differ,
-    ``1`` and ``1.0`` never share a key). ``newline`` is the line break plus
-    the indentation of the current depth. Dicts with non-string keys fall
-    back to ``json.dumps``, re-indented (encoded strings hold no raw line
-    breaks).
-    """
-    scalar = _SCALAR_TEXT.get(type(obj))
-    if scalar is not None:
-        return scalar(obj)
-    inner = newline + "  "
-    if isinstance(obj, dict) and obj:
-        if not all(isinstance(k, str) for k in obj):
-            return json.dumps(obj, indent=2, sort_keys=True).replace("\n", newline)
-        # scalar values are written here rather than through a call each
-        body = ("," + inner).join(
-            [
-                encode_basestring_ascii(k)
-                + ": "
-                + (_SCALAR_TEXT[type(v)](v) if type(v) in _SCALAR_TEXT else _json_indented(v, inner))
-                for k, v in sorted(obj.items())
-            ]
-        )
-        return "{" + inner + body + newline + "}"
-    if isinstance(obj, (list, tuple)) and obj:
-        types = set(map(type, obj))
-        if types == {float}:
-            body = _float_list_text(struct.pack(f"{len(obj)}d", *obj), "," + inner)
-        elif types <= _NUMBER_TYPES:
-            body = _encode_flat(obj)[1:-1].replace(", ", "," + inner)
-        else:
-            body = ("," + inner).join([_json_indented(x, inner) for x in obj])
-        return "[" + inner + body + newline + "]"
-    return _encode_flat(obj)
-
-
 def _fmt(x: float) -> str:
     return repr(float(x))
 
@@ -189,23 +113,18 @@ def _emit_run(out: Path, tag: str, metrics: RunMetrics) -> None:
 
 
 def _comparison_row(metrics: RunMetrics, sweep_param: str | None, sweep_value) -> str:
-    cells = [
-        metrics.policy,
-        sweep_param or "",
-        "" if sweep_value is None else _fmt(sweep_value),
-        _fmt(metrics.puncture_prob),
-        _fmt(metrics.urllc_outage_budget),
-        _fmt(metrics.risk_weight),
-        str(metrics.slots),
-        str(metrics.seed),
-        _fmt(metrics.embb_reliability),
-        _fmt(metrics.urllc_outage_rate),
-        _fmt(metrics.mean_sum_rate),
-        _fmt(metrics.sum_rate_cvar_upper),
-        _fmt(metrics.sum_rate_cvar_lower),
-        str(metrics.n_infeasible_slots),
-    ]
-    return ",".join(cells)
+    """The ``_COMPARISON_COLUMNS`` cells of one run: str- and int-typed fields
+    as ``str`` writes them, every other number through ``_fmt``."""
+    kinds = {f.name: f.type for f in fields(RunMetrics)}
+    cells = {
+        "sweep_param": sweep_param or "",
+        "sweep_value": "" if sweep_value is None else _fmt(sweep_value),
+    }
+    for name in _COMPARISON_COLUMNS:
+        if name not in cells:
+            value = getattr(metrics, name)
+            cells[name] = str(value) if kinds[name] in ("str", "int") else _fmt(value)
+    return ",".join(cells[name] for name in _COMPARISON_COLUMNS)
 
 
 def _summary_line(metrics: RunMetrics) -> str:
@@ -221,16 +140,21 @@ def _summary_line(metrics: RunMetrics) -> str:
 def cmd_run(args: argparse.Namespace) -> int:
     try:
         cfg = _load_config(args.config)
+        seed = _env_seed() if args.seed is None else args.seed
     except ConfigError as exc:
         return _config_error(exc)
     if args.slots < 1:
         return _config_error("--slots must be >= 1")
     if args.threads < 1:
         return _config_error("--threads must be >= 1")
+    if seed < 0:
+        return _config_error(f"--seed must be >= 0, got {seed}")
     if (args.sweep is None) != (args.values is None):
         return _config_error("--sweep and --values must be given together")
     if args.trace and args.sweep is not None:
         return _config_error("--trace requires a non-sweep run")
+    if args.trace and args.policy not in ("proposed", "all"):
+        return _config_error("--trace requires --policy proposed or all")
 
     policies = (
         [Policy.PROPOSED, Policy.BASELINE1, Policy.BASELINE2]
@@ -255,14 +179,12 @@ def cmd_run(args: argparse.Namespace) -> int:
                     cfg,
                     policy,
                     args.slots,
-                    args.seed,
+                    seed,
                     workers=1 if trace_sink is not None else args.threads,
                     post_round=args.post_round,
                     trace_sink=trace_sink,
                 )
-                _emit_run(args.out, policy.value, metrics)
-                print(_summary_line(metrics))
-                rows.append(_comparison_row(metrics, None, None))
+                runs = [(policy.value, None, metrics)]
             else:
                 results = sweep(
                     cfg,
@@ -270,30 +192,29 @@ def cmd_run(args: argparse.Namespace) -> int:
                     args.sweep,
                     values,
                     args.slots,
-                    args.seed,
+                    seed,
                     workers=args.threads,
                     post_round=args.post_round,
                 )
-                for idx, metrics in enumerate(results):
-                    _emit_run(args.out, f"{policy.value}_{args.sweep}{idx}", metrics)
-                    print(_summary_line(metrics))
-                    rows.append(_comparison_row(metrics, args.sweep, values[idx]))
+                runs = [
+                    (f"{policy.value}_{args.sweep}{idx}", value, metrics)
+                    for idx, (value, metrics) in enumerate(zip(values, results))
+                ]
+            for tag, value, metrics in runs:
+                _emit_run(args.out, tag, metrics)
+                print(_summary_line(metrics))
+                rows.append(_comparison_row(metrics, args.sweep, value))
             if trace_sink is not None:
                 _write(
                     args.out / f"trace_{policy.value}.json",
                     _json_indented(trace_sink) + "\n",
                 )
-    except ValueError as exc:
-        return _config_error(exc)
-    except IOError as exc:
-        print(f"error: io {exc}", file=sys.stderr)
-        return 2
-
-    try:
         _write(
             args.out / "comparison.csv",
             ",".join(_COMPARISON_COLUMNS) + "\n" + "\n".join(rows) + "\n",
         )
+    except ValueError as exc:
+        return _config_error(exc)
     except IOError as exc:
         print(f"error: io {exc}", file=sys.stderr)
         return 2
@@ -304,13 +225,8 @@ def cmd_validate(args: argparse.Namespace) -> int:
     try:
         cfg = _load_config(args.config)
     except ConfigError as exc:
-        # surface itemized violations if the config parsed but failed checks
+        # from_dict joins every violation into this one message
         return _config_error(exc)
-    violations = cfg.validate()
-    if violations:
-        for v in violations:
-            _config_error(v)
-        return 1
 
     # Feasibility probe of the reliability floor at full puncturing, with each
     # user at its expected linear SNR and bandwidth split evenly.

@@ -22,6 +22,7 @@ from .model import (
     PunctureWeights,
     SchedulingMatrix,
     SystemConfig,
+    _weights_vec,
     spectral_efficiencies,
 )
 
@@ -42,8 +43,7 @@ def rate_coefficients(
     eff = spectral_efficiencies(cfg, chan)[0]
     if weights is None:
         return eff.copy()
-    w = weights.weights if isinstance(weights, PunctureWeights) else np.asarray(weights)
-    return eff * (1.0 - w * cfg.expected_load_fraction())
+    return eff * (1.0 - _weights_vec(weights) * cfg.expected_load_fraction())
 
 
 def active_user_mask(

@@ -17,6 +17,8 @@ from typing import Union
 
 import numpy as np
 
+from .json_writer import _json_indented
+
 SLOT_DURATION_S = 1e-3
 
 # Distinct channel inputs whose spectral efficiencies are kept; a slot asks for
@@ -208,7 +210,7 @@ class SystemConfig:
         return out
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
+        return _json_indented(self.to_dict())
 
     @classmethod
     def from_dict(cls, data: dict) -> "SystemConfig":
@@ -422,6 +424,31 @@ def urllc_spectral_eff_mean(cfg: SystemConfig, chan: ChannelRealization) -> floa
     return spectral_efficiencies(cfg, chan)[1]
 
 
+def _checked_load_bits(cfg: SystemConfig, load: LoadLike) -> float:
+    load_bits = _load_bits(load)
+    if load_bits > cfg.l_max * (1 + 1e-12):
+        raise ValueError(f"load {load_bits} exceeds l_max {cfg.l_max}; clamp first")
+    return load_bits
+
+
+def _slot_rates(
+    cfg: SystemConfig,
+    chan: ChannelRealization,
+    mat: SchedulingMatrix,
+    weights: WeightsLike,
+    load_fraction: float,
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """Per-user broadband rates, punctured bandwidth per user and aggregate
+    URLLC rate at a load normalized by l_max. A user loses rate in proportion
+    to its punctured share; the URLLC users split the punctured bandwidth."""
+    phi = mat.user_bandwidth(cfg.rb_bandwidth)
+    w = _weights_vec(weights)
+    embb_eff, urllc_eff = spectral_efficiencies(cfg, chan)
+    rates = phi * (1.0 - w * load_fraction) * embb_eff
+    theta = phi * w * load_fraction
+    return rates, theta, float(theta.sum() * urllc_eff)
+
+
 def punctured_bandwidth(
     cfg: SystemConfig,
     mat: SchedulingMatrix,
@@ -442,12 +469,8 @@ def embb_rate(
     load: LoadLike,
 ) -> np.ndarray:
     """Instantaneous per-user broadband rate (bits/s) after puncturing."""
-    load_bits = _load_bits(load)
-    if load_bits > cfg.l_max * (1 + 1e-12):
-        raise ValueError(f"load {load_bits} exceeds l_max {cfg.l_max}; clamp first")
-    phi = mat.user_bandwidth(cfg.rb_bandwidth)
-    loss = _weights_vec(weights) * (load_bits / cfg.l_max)
-    return phi * (1.0 - loss) * embb_spectral_eff(cfg, chan)
+    load_fraction = _checked_load_bits(cfg, load) / cfg.l_max
+    return _slot_rates(cfg, chan, mat, weights, load_fraction)[0]
 
 
 def expected_embb_rate(
@@ -458,9 +481,7 @@ def expected_embb_rate(
 ) -> np.ndarray:
     """Per-user rate with the load replaced by its mean (the rate is affine in
     the load, so this is the exact expectation absent clamping)."""
-    phi = mat.user_bandwidth(cfg.rb_bandwidth)
-    loss = _weights_vec(weights) * cfg.expected_load_fraction()
-    return phi * (1.0 - loss) * embb_spectral_eff(cfg, chan)
+    return _slot_rates(cfg, chan, mat, weights, cfg.expected_load_fraction())[0]
 
 
 def urllc_rate(
@@ -472,8 +493,7 @@ def urllc_rate(
 ) -> float:
     """Aggregate URLLC rate (bits/s) over the punctured bandwidth, which is
     divided equally between the URLLC users."""
-    theta = punctured_bandwidth(cfg, mat, weights, load)
-    return float(theta.sum() * urllc_spectral_eff_mean(cfg, chan))
+    return _slot_rates(cfg, chan, mat, weights, _load_bits(load) / cfg.l_max)[2]
 
 
 def expected_urllc_rate(
@@ -484,9 +504,7 @@ def expected_urllc_rate(
 ) -> float:
     """URLLC rate at the mean load; the left-hand side of the relaxed
     reliability constraint."""
-    phi = mat.user_bandwidth(cfg.rb_bandwidth)
-    theta = phi * _weights_vec(weights) * cfg.expected_load_fraction()
-    return float(theta.sum() * urllc_spectral_eff_mean(cfg, chan))
+    return _slot_rates(cfg, chan, mat, weights, cfg.expected_load_fraction())[2]
 
 
 def outage_indicator(urllc_rate_bps: float, load_bits: float) -> bool:
@@ -502,22 +520,9 @@ def evaluate_slot(
     weights: WeightsLike,
     load: LoadLike,
 ) -> SlotOutcome:
-    """Realized rates, punctured bandwidth, and outage flag for one slot.
-
-    Equal bit for bit to ``embb_rate``, ``urllc_rate`` and
-    ``punctured_bandwidth``, whose expressions it repeats in the same order,
-    but computes the user bandwidth once instead of three times and takes
-    the spectral efficiencies from ``spectral_efficiencies``.
-    """
-    load_bits = _load_bits(load)
-    if load_bits > cfg.l_max * (1 + 1e-12):
-        raise ValueError(f"load {load_bits} exceeds l_max {cfg.l_max}; clamp first")
-    phi = mat.user_bandwidth(cfg.rb_bandwidth)
-    w = _weights_vec(weights)
-    embb_eff, urllc_eff = spectral_efficiencies(cfg, chan)
-    rates = phi * (1.0 - w * (load_bits / cfg.l_max)) * embb_eff
-    theta = phi * w * (load_bits / cfg.l_max)
-    r_urllc = float(theta.sum() * urllc_eff)
+    """Realized rates, punctured bandwidth, and outage flag for one slot."""
+    load_bits = _checked_load_bits(cfg, load)
+    rates, theta, r_urllc = _slot_rates(cfg, chan, mat, weights, load_bits / cfg.l_max)
     return SlotOutcome(
         realized_load=load_bits,
         embb_rate_per_user=rates,

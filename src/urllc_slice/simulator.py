@@ -9,14 +9,14 @@ directly comparable.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from enum import Enum
 
 import numpy as np
 
 from . import alternating, urllc_placement
 from .embb_scheduler import round_to_binary, solve_fractional
+from .json_writer import _json_indented
 from .model import (
     ChannelRealization,
     SystemConfig,
@@ -59,29 +59,15 @@ class RunMetrics:
     n_infeasible_slots: int
 
     def to_dict(self) -> dict:
-        return {
-            "policy": self.policy,
-            "slots": self.slots,
-            "seed": self.seed,
-            "puncture_prob": self.puncture_prob,
-            "urllc_outage_budget": self.urllc_outage_budget,
-            "risk_weight": self.risk_weight,
-            "embb_reliability": self.embb_reliability,
-            "urllc_outage_rate": self.urllc_outage_rate,
-            "mean_sum_rate": self.mean_sum_rate,
-            "sum_rate_cvar_upper": self.sum_rate_cvar_upper,
-            "sum_rate_cvar_lower": self.sum_rate_cvar_lower,
-            "sum_rate_ecdf": {
-                "values": self.ecdf_values.tolist(),
-                "cum_probs": self.ecdf_probs.tolist(),
-            },
-            "per_user_mean_rate": self.per_user_mean_rate.tolist(),
-            "per_user_mean_theta": self.per_user_mean_theta.tolist(),
-            "n_infeasible_slots": self.n_infeasible_slots,
-        }
+        out = {}
+        for f in fields(self):
+            v = getattr(self, f.name)
+            out[f.name] = v.tolist() if isinstance(v, np.ndarray) else v
+        out["sum_rate_ecdf"] = {"values": out.pop("ecdf_values"), "cum_probs": out.pop("ecdf_probs")}
+        return out
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
+        return _json_indented(self.to_dict())
 
     def ecdf_csv(self) -> str:
         lines = ["value,cum_prob"]
@@ -230,19 +216,12 @@ def sweep(
     if parameter not in _SWEEP_FIELDS:
         raise ValueError(f"unknown sweep parameter {parameter!r}; use p, epsilon, or beta")
     field_name = _SWEEP_FIELDS[parameter]
-    for v in values:
-        probe = replace(cfg, **{field_name: float(v)})
-        bad = [b for b in probe.validate() if b.startswith(field_name)]
+    cfgs = [replace(cfg, **{field_name: float(v)}) for v in values]
+    for v, swept in zip(values, cfgs):
+        bad = [b for b in swept.validate() if b.startswith(field_name)]
         if bad:
             raise ValueError(f"sweep value {v} rejected: " + "; ".join(bad))
     return [
-        run_simulation(
-            replace(cfg, **{field_name: float(v)}),
-            policy,
-            num_slots,
-            seed,
-            workers=workers,
-            post_round=post_round,
-        )
-        for v in values
+        run_simulation(swept, policy, num_slots, seed, workers=workers, post_round=post_round)
+        for swept in cfgs
     ]

@@ -27,6 +27,7 @@ from .model import (
     PunctureWeights,
     SchedulingMatrix,
     SystemConfig,
+    _weights_vec,
     spectral_efficiencies,
 )
 
@@ -105,9 +106,8 @@ def placement_objective(
 ) -> float:
     """Objective value of the placement problem at the given weights (risk
     variables at their pinned optimum)."""
-    w = weights.weights if isinstance(weights, PunctureWeights) else np.asarray(weights)
     prob = _build_problem(cfg, chan, mat)
-    rates = _active_rates(prob, w)
+    rates = _active_rates(prob, _weights_vec(weights))
     return _objective(rates, float(rates.sum()), prob.penalty)
 
 
@@ -144,8 +144,13 @@ def solve_placement(
     objective cost nothing, so any positive multiplier sends them to their
     caps. ``iterations`` counts the Newton steps.
     """
-    prob = _build_problem(cfg, chan, mat)
-    w = np.zeros(cfg.num_embb_users)
+    return _solve(_build_problem(cfg, chan, mat))
+
+
+def _solve(prob: _Problem) -> PlacementSolution:
+    """The water-filling of ``solve_placement`` on a built problem; the risk
+    penalty enters only through ``prob.penalty``."""
+    w = np.zeros(prob.caps.size)
     if prob.floor <= 0.0:
         return _finish(prob, w, feasible=True, iters=0)
     if float(prob.floor_coeff @ prob.caps) < prob.floor:
@@ -202,7 +207,7 @@ def solve_baseline1(
     """Placement without the risk penalty (risk weight zero): pure
     proportional fairness, which punctures everyone as little and as evenly
     as the reliability floor allows."""
-    return solve_placement(replace(cfg, risk_weight=0.0), chan, mat)
+    return _solve(replace(_build_problem(cfg, chan, mat), penalty=0.0))
 
 
 def solve_baseline2(

@@ -209,3 +209,19 @@ def test_new_active_set_solves_again(monkeypatch):
     _, _, trace = run(cfg, default_channel(cfg, seed=15), init="one")
     assert len(trace.iterations) == 3
     assert calls == {"solve_fractional": 2, "solve_placement": 2}
+
+
+@pytest.mark.parametrize("post_round", [False, True])
+def test_infeasible_round_records_the_placement_caps(post_round):
+    # an infeasible placement returns its caps, which are the round's weights;
+    # l_max below the mean load gives caps under 1
+    cfg = SystemConfig(urllc_outage_budget=1e-6, l_max=512.0)
+    chan = default_channel(cfg, seed=4)
+    _, placement, trace = run(cfg, chan, post_round=post_round)
+    kappa = cfg.expected_load_fraction()
+    caps = np.full(cfg.num_embb_users, min(1.0, (1.0 - 1e-12) / kappa))
+    assert not placement.feasible and caps.max() < 1.0
+    assert placement.weights.weights.tobytes() == caps.tobytes()
+    for entry in trace.iterations:
+        assert not entry.placement_feasible
+        assert entry.weights == caps.tolist()

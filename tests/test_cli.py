@@ -331,3 +331,63 @@ def test_validate_accepts_snr_beyond_float_range(tmp_path, capsys):
     path.write_text('{"snr_max_db": 1e300}')
     assert main(["validate", "--config", str(path)]) == 0
     assert capsys.readouterr().out == "config ok\n"
+
+
+def test_validate_prints_two_violations_on_one_line(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text('{"num_rbs": 0, "puncture_prob": 2.0}')
+    assert main(["validate", "--config", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: config invalid: num_rbs: must be a positive integer, got 0; "
+        "puncture_prob: must lie in [0, 1]\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, env, line",
+    [
+        (["--seed", "-1"], None, "error: config --seed must be >= 0, got -1"),
+        ([], "-5", "error: config URLLC_SLICE_SEED must be a non-negative integer, got '-5'"),
+        ([], "abc", "error: config URLLC_SLICE_SEED must be a non-negative integer, got 'abc'"),
+        (["--trace", "--policy", "baseline1"], None, "error: config --trace requires --policy proposed or all"),
+        (["--trace", "--policy", "baseline2"], None, "error: config --trace requires --policy proposed or all"),
+    ],
+)
+def test_bad_seed_or_trace_gives_one_config_error(tmp_path, capsys, monkeypatch, argv, env, line):
+    if env is None:
+        monkeypatch.delenv("URLLC_SLICE_SEED", raising=False)
+    else:
+        monkeypatch.setenv("URLLC_SLICE_SEED", env)
+    out = tmp_path / "out"
+    assert main(["run", "--slots", "2", "--threads", "1", *argv, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == line + "\n"
+    assert not out.exists()
+
+
+def test_seed_flag_overrides_a_bad_seed_variable(tmp_path, monkeypatch):
+    monkeypatch.setenv("URLLC_SLICE_SEED", "abc")
+    argv = ["run", "--policy", "baseline2", "--slots", "2", "--seed", "4", "--threads", "1"]
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+
+
+def test_validate_ignores_the_seed_variable(capsys, monkeypatch):
+    monkeypatch.setenv("URLLC_SLICE_SEED", "abc")
+    assert main(["validate"]) == 0
+    assert capsys.readouterr().out == "config ok\n"
+
+
+def test_comparison_writes_int_config_values_as_floats(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text('{"puncture_prob": 1}')
+    out = tmp_path / "out"
+    argv = ["run", "--config", str(path), "--policy", "baseline2", "--slots", "3", "--seed", "2"]
+    assert main(argv + ["--threads", "1", "--out", str(out)]) == 0
+    header, row = (out / "comparison.csv").read_text().splitlines()
+    cells = dict(zip(header.split(","), row.split(",")))
+    assert cells["puncture_prob"] == "1.0"
+    assert (cells["policy"], cells["sweep_param"], cells["sweep_value"]) == ("baseline2", "", "")
+    assert (cells["slots"], cells["seed"], cells["n_infeasible_slots"]) == ("3", "2", "0")

@@ -1,3 +1,4 @@
+import json
 import math
 from dataclasses import replace
 
@@ -168,3 +169,24 @@ def test_degenerate_users_warned_once_per_slot(caplog):
     users = list(range(cfg.num_embb_users))
     assert warnings == [f"excluding {len(users)} degenerate user(s) from scheduling: {users}"] * 3
     assert metrics.n_infeasible_slots == 3
+
+
+def test_baseline1_builds_no_config_per_slot(monkeypatch):
+    cfg = quick_cfg()
+    built = []
+    post_init = SystemConfig.__post_init__
+
+    def counting(self):
+        built.append(1)
+        post_init(self)
+
+    monkeypatch.setattr(SystemConfig, "__post_init__", counting)
+    run_simulation(cfg, "baseline1", 20, 3)
+    assert built == []
+
+
+def test_metrics_json_is_canonical_indented_json():
+    metrics = run_simulation(quick_cfg(), "proposed", 30, 59)
+    assert metrics.to_json() == json.dumps(metrics.to_dict(), indent=2, sort_keys=True)
+    ecdf = metrics.to_dict()["sum_rate_ecdf"]
+    assert ecdf == {"values": metrics.ecdf_values.tolist(), "cum_probs": metrics.ecdf_probs.tolist()}

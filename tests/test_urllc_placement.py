@@ -442,3 +442,43 @@ def test_baseline1_symmetric_users_get_the_exact_equal_share():
     np.testing.assert_allclose(sol.weights.weights, floor / a.sum(), rtol=1e-12, atol=0)
     assert a @ sol.weights.weights >= floor
     assert sol.iterations <= 1
+
+
+# -- baseline 1 is the proposed problem with the penalty at zero -----------------
+
+
+def baseline1_instances():
+    """About 50 instances: floors slack, binding and out of reach, no traffic,
+    dead users, and default-size whole-RB assignments."""
+    rng = np.random.default_rng(20)
+    for i in range(40):
+        num_users = int(rng.integers(1, 7))
+        util = float(rng.uniform(0.05, 1.5))  # above 1 the floor is out of reach
+        cfg, chan, mat = make_instance(rng, num_users=num_users, util=util)
+        yield (replace(cfg, puncture_prob=0.0) if i % 10 == 0 else cfg), chan, mat
+    for snr_db in (-400.0, -10.0, 3.0, 30.0):
+        for budget in (1e-6, 0.1):
+            cfg = SystemConfig(snr_min_db=snr_db, snr_max_db=snr_db + 10.0, urllc_outage_budget=budget)
+            embb_db = rng.uniform(cfg.snr_min_db, cfg.snr_max_db, cfg.num_embb_users)
+            urllc_db = rng.uniform(cfg.snr_min_db, cfg.snr_max_db, cfg.num_urllc_users)
+            chan = snr_channel(cfg, 10.0 ** (embb_db / 10.0), 10.0 ** (urllc_db / 10.0))
+            owner = rng.integers(0, cfg.num_embb_users, cfg.num_rbs)
+            yield cfg, chan, SchedulingMatrix(np.eye(cfg.num_embb_users)[owner])
+
+
+def test_baseline1_equals_placement_at_zero_risk_weight_bit_for_bit():
+    seen = {"feasible": 0, "infeasible": 0, "no-traffic": 0}
+    for cfg, chan, mat in baseline1_instances():
+        got = solve_baseline1(cfg, chan, mat)
+        # the formulation baseline 1 had before it passed the penalty directly
+        want = solve_placement(replace(cfg, risk_weight=0.0), chan, mat)
+        assert got.weights.weights.tobytes() == want.weights.weights.tobytes()
+        assert got.weights.var_level == want.weights.var_level
+        assert got.weights.excess == want.weights.excess
+        assert got.objective == want.objective
+        assert got.feasible is want.feasible
+        assert got.iterations == want.iterations
+        assert got.max_achievable_urllc_rate == want.max_achievable_urllc_rate
+        kind = "no-traffic" if cfg.puncture_prob == 0 else "feasible" if got.feasible else "infeasible"
+        seen[kind] += 1
+    assert sum(seen.values()) >= 48 and min(seen.values()) >= 3, seen
