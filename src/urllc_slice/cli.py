@@ -180,7 +180,7 @@ def cmd_run(args: argparse.Namespace) -> int:
                     policy,
                     args.slots,
                     seed,
-                    workers=1 if trace_sink is not None else args.threads,
+                    workers=args.threads,
                     post_round=args.post_round,
                     trace_sink=trace_sink,
                 )

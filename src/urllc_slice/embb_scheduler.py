@@ -76,15 +76,13 @@ def solve_fractional(
     cfg: SystemConfig,
     chan: ChannelRealization,
     weights: PunctureWeights | np.ndarray | None = None,
-    max_iters: int = 2000,
 ) -> SchedulingMatrix:
     """Fractional proportional-fair assignment in closed form.
 
     Every active user holds a 1/n_active share of every RB, which gives each
     the same bandwidth whatever its rate coefficient. Degenerate users (zero
     gain, or fully punctured in expectation) are excluded with zero bandwidth
-    and logged rather than crashing the log objective. ``max_iters`` is
-    accepted for compatibility and unused.
+    and logged rather than crashing the log objective.
     """
     active = active_user_mask(cfg, chan, weights)
     n_active = np.count_nonzero(active)

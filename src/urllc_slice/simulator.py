@@ -9,6 +9,7 @@ directly comparable.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, fields, replace
 from enum import Enum
 
@@ -18,7 +19,7 @@ from . import alternating, urllc_placement
 from .embb_scheduler import round_to_binary, solve_fractional
 from .json_writer import _json_indented
 from .model import (
-    ChannelRealization,
+    MAX_ASSIGNMENT_ENTRIES,
     SystemConfig,
     evaluate_slot,
     sample_channel,
@@ -92,38 +93,35 @@ def mean_snr_rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((seed, _MEANS_STREAM)))
 
 
-def _simulate_slot(cfg, policy, means, seed, slot, post_round, trace_sink):
-    rng = slot_rng(seed, slot)
-    chan = sample_channel(cfg, means[0], means[1], rng)
-    load = sample_urllc_load(cfg, rng)
-    if policy == Policy.PROPOSED:
-        binary, placement, trace = alternating.run(cfg, chan, post_round=post_round)
-        if trace_sink is not None:
-            trace_sink.append({"slot": slot, **trace.to_dict()})
-    else:
-        frac = solve_fractional(cfg, chan, weights=None)
-        binary = round_to_binary(frac, cfg)
-        if policy == Policy.BASELINE1:
-            placement = urllc_placement.solve_baseline1(cfg, chan, binary)
-        else:
-            placement = urllc_placement.solve_baseline2(cfg, chan, binary)
-    outcome = evaluate_slot(cfg, chan, binary, placement.weights, load)
-    return outcome, placement.feasible
-
-
-def _simulate_range(cfg, policy, seed, start, stop, post_round, trace_sink=None):
+def _simulate_range(cfg, policy, seed, start, stop, post_round, trace):
+    """Per-slot arrays of slots ``start`` to ``stop``, and their alternation
+    traces if ``trace`` is set (proposed policy only)."""
     means = sample_mean_snr(cfg, mean_snr_rng(seed))
     rates = np.empty((stop - start, cfg.num_embb_users))
     thetas = np.empty_like(rates)
     outages = np.empty(stop - start, dtype=bool)
     feasible = np.empty(stop - start, dtype=bool)
+    traces = []
     for i, slot in enumerate(range(start, stop)):
-        outcome, ok = _simulate_slot(cfg, policy, means, seed, slot, post_round, trace_sink)
+        rng = slot_rng(seed, slot)
+        chan = sample_channel(cfg, means[0], means[1], rng)
+        load = sample_urllc_load(cfg, rng)
+        if policy == Policy.PROPOSED:
+            binary, placement, alternation = alternating.run(cfg, chan, post_round=post_round)
+            if trace:
+                traces.append({"slot": slot, **alternation.to_dict()})
+        else:
+            binary = round_to_binary(solve_fractional(cfg, chan, weights=None), cfg)
+            if policy == Policy.BASELINE1:
+                placement = urllc_placement.solve_baseline1(cfg, chan, binary)
+            else:
+                placement = urllc_placement.solve_baseline2(cfg, chan, binary)
+        outcome = evaluate_slot(cfg, chan, binary, placement.weights, load)
         rates[i] = outcome.embb_rate_per_user
         thetas[i] = outcome.punctured_bw
         outages[i] = outcome.outage
-        feasible[i] = ok
-    return rates, thetas, outages, feasible
+        feasible[i] = placement.feasible
+    return rates, thetas, outages, feasible, traces
 
 
 def run_simulation(
@@ -137,39 +135,45 @@ def run_simulation(
 ) -> RunMetrics:
     """Simulate ``num_slots`` independent slots under one policy.
 
-    ``workers`` > 1 fans slot ranges out to a process pool; results are
-    reduced in slot order, so the output is identical to a sequential run.
-    ``trace_sink``, if given, collects one alternation-trace dict per slot
-    (proposed policy only) and forces sequential execution.
+    The slots are split into at most ``workers`` contiguous ranges, run on
+    ``min(workers, ranges, os.cpu_count())`` processes: in this process when
+    that is one, else on a process pool. Results, traces included, are joined
+    in slot order, so the output is identical for every worker count.
+    ``trace_sink``, if given, is extended with one alternation-trace dict per
+    slot (proposed policy only). ``num_slots * cfg.num_embb_users`` may be at
+    most ``MAX_ASSIGNMENT_ENTRIES``.
     """
     policy = Policy(policy)
     if num_slots < 1:
         raise ValueError("num_slots must be >= 1")
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
     bad = cfg.validate()
     if bad:
         raise ValueError("config invalid: " + "; ".join(bad))
+    if num_slots * cfg.num_embb_users > MAX_ASSIGNMENT_ENTRIES:
+        raise ValueError(
+            f"num_slots * num_embb_users must be at most {MAX_ASSIGNMENT_ENTRIES}, "
+            f"got {num_slots * cfg.num_embb_users}"
+        )
 
-    if workers > 1 and trace_sink is None:
-        # imported here: it loads multiprocessing, which sequential runs never use
+    chunk = -(-num_slots // workers)
+    spans = [(s, min(s + chunk, num_slots)) for s in range(0, num_slots, chunk)]
+    jobs = zip(*[(cfg, policy, seed, a, b, post_round, trace_sink is not None) for a, b in spans])
+    # len(spans) <= workers; the pool starts all its processes at once
+    procs = min(len(spans), os.cpu_count() or 1)
+    if procs == 1:
+        parts = list(map(_simulate_range, *jobs))
+    else:
+        # imported here: it loads multiprocessing, which one-process runs never use
         from concurrent.futures import ProcessPoolExecutor
 
-        chunk = -(-num_slots // workers)
-        spans = [(s, min(s + chunk, num_slots)) for s in range(0, num_slots, chunk)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(
-                pool.map(
-                    _simulate_range,
-                    *zip(*[(cfg, policy, seed, a, b, post_round) for a, b in spans]),
-                )
-            )
-        rates = np.vstack([p[0] for p in parts])
-        thetas = np.vstack([p[1] for p in parts])
-        outages = np.concatenate([p[2] for p in parts])
-        feasible = np.concatenate([p[3] for p in parts])
-    else:
-        rates, thetas, outages, feasible = _simulate_range(
-            cfg, policy, seed, 0, num_slots, post_round, trace_sink
-        )
+        with ProcessPoolExecutor(max_workers=procs) as pool:
+            parts = list(pool.map(_simulate_range, *jobs))
+    rates, thetas, outages, feasible, traces = zip(*parts)
+    rates, thetas, outages, feasible = map(np.concatenate, (rates, thetas, outages, feasible))
+    if trace_sink is not None:
+        trace_sink.extend(t for part in traces for t in part)
 
     sum_rates = rates.sum(axis=1)
     values, counts = np.unique(sum_rates, return_counts=True)

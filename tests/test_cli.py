@@ -391,3 +391,37 @@ def test_comparison_writes_int_config_values_as_floats(tmp_path):
     assert cells["puncture_prob"] == "1.0"
     assert (cells["policy"], cells["sweep_param"], cells["sweep_value"]) == ("baseline2", "", "")
     assert (cells["slots"], cells["seed"], cells["n_infeasible_slots"]) == ("3", "2", "0")
+
+
+@pytest.mark.parametrize("extra", [[], ["--post-round"]])
+def test_trace_files_do_not_depend_on_threads(tmp_path, extra):
+    argv = ["run", "--policy", "all", "--slots", "6", "--seed", "13", "--trace", *extra]
+    trees = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        assert main(argv + ["--threads", threads, "--out", str(out)]) == 0
+        trees.append(read_tree(out))
+    assert "trace_proposed.json" in trees[0]
+    assert trees[0] == trees[1]
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [[], ["--policy", "all", "--threads", "2"], ["--sweep", "beta", "--values", "0.2,0.8"]],
+)
+def test_oversized_slot_count_gives_one_config_error(tmp_path, capsys, monkeypatch, extra):
+    from urllc_slice import simulator
+
+    def no_slot_may_run(*args):
+        raise AssertionError("an oversized run reached the slot loop")
+
+    monkeypatch.setattr(simulator, "_simulate_range", no_slot_may_run)
+    out = tmp_path / "out"
+    argv = ["run", "--slots", "1000000000000", "--seed", "1", *extra, "--out", str(out)]
+    assert main(argv) == 1
+    users = SystemConfig().num_embb_users
+    assert capsys.readouterr().err == (
+        "error: config num_slots * num_embb_users must be at most 10000000, "
+        f"got {10**12 * users}\n"
+    )
+    assert not out.exists()

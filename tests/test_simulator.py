@@ -1,5 +1,9 @@
+import concurrent.futures
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -190,3 +194,108 @@ def test_metrics_json_is_canonical_indented_json():
     assert metrics.to_json() == json.dumps(metrics.to_dict(), indent=2, sort_keys=True)
     ecdf = metrics.to_dict()["sum_rate_ecdf"]
     assert ecdf == {"values": metrics.ecdf_values.tolist(), "cum_probs": metrics.ecdf_probs.tolist()}
+
+
+def test_trace_sink_is_the_same_for_every_worker_count():
+    sinks = {}
+    for workers in (1, 2, 3):
+        sinks[workers] = []
+        run_simulation(quick_cfg(), "proposed", 7, 61, workers=workers, trace_sink=sinks[workers])
+    assert [t["slot"] for t in sinks[1]] == list(range(7))
+    assert sinks[1] == sinks[2] == sinks[3]
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records the requested size and maps
+    in this process, so no process starts whatever size is asked for."""
+
+    requested: list = []
+
+    def __init__(self, max_workers=None):
+        self.requested.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+@pytest.mark.parametrize(
+    "cpus, workers, slots, expected",
+    [
+        (4, 64, 10, [4]),
+        (4, 100_000, 3, [3]),
+        (4, 3, 10, [3]),
+        (2, 3, 10, [2]),
+        (4, 5, 1, []),
+        (1, 8, 10, []),
+        (None, 8, 10, []),
+    ],
+)
+def test_pool_size_is_bounded_by_ranges_and_cpus(monkeypatch, cpus, workers, slots, expected):
+    cfg = quick_cfg()
+    seq = run_simulation(cfg, "baseline2", slots, 67)
+    seq_sink = []
+    run_simulation(cfg, "proposed", slots, 67, trace_sink=seq_sink)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(_RecordingPool, "requested", [])
+    par = run_simulation(cfg, "baseline2", slots, 67, workers=workers)
+    par_sink = []
+    run_simulation(cfg, "proposed", slots, 67, workers=workers, trace_sink=par_sink)
+    assert _RecordingPool.requested == expected * 2
+    assert par.to_json() == seq.to_json()
+    assert par_sink == seq_sink
+
+
+def test_one_process_run_loads_no_process_pool():
+    import urllc_slice
+
+    code = (
+        "import sys\n"
+        "from urllc_slice.model import SystemConfig\n"
+        "from urllc_slice.simulator import run_simulation\n"
+        "run_simulation(SystemConfig(), 'proposed', 3, 1, workers=1, trace_sink=[])\n"
+        "run_simulation(SystemConfig(), 'baseline1', 1, 1, workers=4)\n"
+        "print(sorted(m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules))\n"
+    )
+    src = os.path.dirname(os.path.dirname(urllc_slice.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout == "[]\n"
+
+
+def _no_slot_may_run(*args):
+    raise AssertionError("an oversized run reached the slot loop")
+
+
+def test_oversized_slot_count_rejected_before_allocating(monkeypatch):
+    from urllc_slice import simulator
+    from urllc_slice.model import MAX_ASSIGNMENT_ENTRIES
+
+    monkeypatch.setattr(simulator, "_simulate_range", _no_slot_may_run)
+    cfg = quick_cfg()
+    slots = MAX_ASSIGNMENT_ENTRIES // cfg.num_embb_users + 1
+    line = (
+        f"num_slots * num_embb_users must be at most {MAX_ASSIGNMENT_ENTRIES}, "
+        f"got {slots * cfg.num_embb_users}"
+    )
+    with pytest.raises(ValueError) as exc:
+        run_simulation(cfg, "proposed", slots, 1)
+    assert str(exc.value) == line
+    with pytest.raises(ValueError, match="num_slots"):
+        run_simulation(cfg, "baseline1", 10**12, 1, workers=10**5)
+    with pytest.raises(ValueError) as exc:
+        sweep(cfg, "baseline2", "beta", [0.2, 0.8], slots, 1)
+    assert str(exc.value) == line
+
+
+def test_nonpositive_worker_count_rejected():
+    with pytest.raises(ValueError, match="workers must be >= 1"):
+        run_simulation(quick_cfg(), "baseline1", 4, 1, workers=0)
