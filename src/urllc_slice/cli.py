@@ -13,7 +13,7 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
-from .json_writer import _json_indented
+from .json_writer import _csv, _json_indented
 from .model import ConfigError, SystemConfig
 from .simulator import Policy, RunMetrics, run_simulation, sweep
 
@@ -94,10 +94,6 @@ def _config_error(message: object) -> int:
     return 1
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
 def _write(path: Path, text: str) -> None:
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -112,19 +108,19 @@ def _emit_run(out: Path, tag: str, metrics: RunMetrics) -> None:
     _write(out / f"users_{tag}.csv", metrics.per_user_csv())
 
 
-def _comparison_row(metrics: RunMetrics, sweep_param: str | None, sweep_value) -> str:
+def _comparison_row(metrics: RunMetrics, sweep_param: str | None, sweep_value) -> list:
     """The ``_COMPARISON_COLUMNS`` cells of one run: str- and int-typed fields
-    as ``str`` writes them, every other number through ``_fmt``."""
+    as they are, every other number as a float, which ``_csv`` writes by ``_fmt``."""
     kinds = {f.name: f.type for f in fields(RunMetrics)}
     cells = {
         "sweep_param": sweep_param or "",
-        "sweep_value": "" if sweep_value is None else _fmt(sweep_value),
+        "sweep_value": "" if sweep_value is None else float(sweep_value),
     }
     for name in _COMPARISON_COLUMNS:
         if name not in cells:
             value = getattr(metrics, name)
-            cells[name] = str(value) if kinds[name] in ("str", "int") else _fmt(value)
-    return ",".join(cells[name] for name in _COMPARISON_COLUMNS)
+            cells[name] = value if kinds[name] in ("str", "int") else float(value)
+    return [cells[name] for name in _COMPARISON_COLUMNS]
 
 
 def _summary_line(metrics: RunMetrics) -> str:
@@ -209,10 +205,7 @@ def cmd_run(args: argparse.Namespace) -> int:
                     args.out / f"trace_{policy.value}.json",
                     _json_indented(trace_sink) + "\n",
                 )
-        _write(
-            args.out / "comparison.csv",
-            ",".join(_COMPARISON_COLUMNS) + "\n" + "\n".join(rows) + "\n",
-        )
+        _write(args.out / "comparison.csv", _csv(_COMPARISON_COLUMNS, rows))
     except ValueError as exc:
         return _config_error(exc)
     except IOError as exc:

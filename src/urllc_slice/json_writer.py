@@ -1,6 +1,6 @@
-"""Indented JSON text equal byte for byte to ``json.dumps(obj, indent=2,
-sort_keys=True)``, without the pure-Python encoder that ``indent`` selects.
-Every JSON file the package writes goes through ``_json_indented``."""
+"""Output text: every JSON file goes through ``_json_indented`` (exactly
+``json.dumps(obj, indent=2, sort_keys=True)``, without its pure-Python
+encoder), every CSV file through ``_csv``, and dataclasses through ``_fields_dict``."""
 
 from __future__ import annotations
 
@@ -8,7 +8,10 @@ import functools
 import json
 import math
 import struct
+from dataclasses import fields
 from json.encoder import encode_basestring_ascii
+
+import numpy as np
 
 _encode_flat = json.JSONEncoder(sort_keys=True).encode
 _NUMBER_TYPES = {int, float}
@@ -84,3 +87,20 @@ def _json_indented(obj, newline: str = "\n") -> str:
             body = ("," + inner).join([_json_indented(x, inner) for x in obj])
         return "[" + inner + body + newline + "]"
     return _encode_flat(obj)
+
+
+def _fields_dict(obj) -> dict:
+    """Dataclass fields as built-in values: NumPy arrays and scalars via ``tolist``."""
+    out = {f.name: getattr(obj, f.name) for f in fields(obj)}
+    return {k: v.tolist() if isinstance(v, (np.ndarray, np.generic)) else v for k, v in out.items()}
+
+
+def _fmt(x: float) -> str:
+    return repr(float(x))
+
+
+def _csv(header: list[str], rows) -> str:
+    """CSV text: float cells through ``_fmt``, every other cell through ``str``."""
+    lines = [",".join(header)]
+    lines += [",".join([_fmt(c) if isinstance(c, float) else str(c) for c in row]) for row in rows]
+    return "\n".join(lines) + "\n"

@@ -17,7 +17,7 @@ from typing import Union
 
 import numpy as np
 
-from .json_writer import _json_indented
+from .json_writer import _fields_dict, _json_indented
 
 SLOT_DURATION_S = 1e-3
 
@@ -203,11 +203,7 @@ class SystemConfig:
         return bad
 
     def to_dict(self) -> dict:
-        out = {}
-        for f in fields(self):
-            v = getattr(self, f.name)
-            out[f.name] = v.tolist() if isinstance(v, np.ndarray) else v
-        return out
+        return _fields_dict(self)
 
     def to_json(self) -> str:
         return _json_indented(self.to_dict())

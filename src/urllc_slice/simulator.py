@@ -10,14 +10,14 @@ directly comparable.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
 
 from . import alternating, urllc_placement
 from .embb_scheduler import round_to_binary, solve_fractional
-from .json_writer import _json_indented
+from .json_writer import _csv, _fields_dict, _json_indented
 from .model import (
     MAX_ASSIGNMENT_ENTRIES,
     SystemConfig,
@@ -60,10 +60,7 @@ class RunMetrics:
     n_infeasible_slots: int
 
     def to_dict(self) -> dict:
-        out = {}
-        for f in fields(self):
-            v = getattr(self, f.name)
-            out[f.name] = v.tolist() if isinstance(v, np.ndarray) else v
+        out = _fields_dict(self)
         out["sum_rate_ecdf"] = {"values": out.pop("ecdf_values"), "cum_probs": out.pop("ecdf_probs")}
         return out
 
@@ -71,17 +68,11 @@ class RunMetrics:
         return _json_indented(self.to_dict())
 
     def ecdf_csv(self) -> str:
-        lines = ["value,cum_prob"]
-        lines += [f"{v!r},{p!r}" for v, p in zip(self.ecdf_values, self.ecdf_probs)]
-        return "\n".join(lines) + "\n"
+        return _csv(["value", "cum_prob"], zip(self.ecdf_values.tolist(), self.ecdf_probs.tolist()))
 
     def per_user_csv(self) -> str:
-        lines = ["user,mean_rate,mean_theta"]
-        lines += [
-            f"{u},{r!r},{t!r}"
-            for u, (r, t) in enumerate(zip(self.per_user_mean_rate, self.per_user_mean_theta))
-        ]
-        return "\n".join(lines) + "\n"
+        rates, thetas = self.per_user_mean_rate.tolist(), self.per_user_mean_theta.tolist()
+        return _csv(["user", "mean_rate", "mean_theta"], zip(range(len(rates)), rates, thetas))
 
 
 def slot_rng(seed: int, slot: int) -> np.random.Generator:

@@ -425,3 +425,27 @@ def test_oversized_slot_count_gives_one_config_error(tmp_path, capsys, monkeypat
         f"got {10**12 * users}\n"
     )
     assert not out.exists()
+
+
+@pytest.mark.parametrize("extra", [[], ["--sweep", "p", "--values", "0,0.5"]])
+def test_csv_cells_are_plain_numbers_equal_to_the_metrics(tmp_path, extra):
+    out = tmp_path / "out"
+    argv = ["run", "--policy", "all", "--slots", "50", "--seed", "7", "--threads", "1"]
+    assert main(argv + ["--out", str(out), *extra]) == 0
+    tags = sorted(p.name[len("metrics_") : -len(".json")] for p in out.glob("metrics_*.json"))
+    assert len(tags) == (6 if extra else 3)
+    for tag in tags:
+        metrics = json.loads((out / f"metrics_{tag}.json").read_text())
+        header, *ecdf = (out / f"ecdf_{tag}.csv").read_text().splitlines()
+        assert header == "value,cum_prob"
+        ecdf_json = metrics["sum_rate_ecdf"]
+        expected = list(zip(ecdf_json["values"], ecdf_json["cum_probs"]))
+        assert [tuple(map(float, line.split(","))) for line in ecdf] == expected
+        header, *users = (out / f"users_{tag}.csv").read_text().splitlines()
+        assert header == "user,mean_rate,mean_theta"
+        rates, thetas = metrics["per_user_mean_rate"], metrics["per_user_mean_theta"]
+        rows = [line.split(",") for line in users]
+        assert len(rows) == SystemConfig().num_embb_users
+        assert [(int(u), float(r), float(t)) for u, r, t in rows] == list(
+            zip(range(len(rates)), rates, thetas)
+        )

@@ -327,6 +327,14 @@ def test_config_json_round_trip():
         )
 
 
+def test_config_with_numpy_integer_counts_round_trips_through_json():
+    cfg = SystemConfig(num_embb_users=np.int64(4), num_rbs=np.int64(8))
+    assert cfg.validate() == []
+    again = SystemConfig.from_json(cfg.to_json())
+    assert type(again.num_embb_users) is int and type(again.num_rbs) is int
+    assert again.to_json() == SystemConfig(num_embb_users=4, num_rbs=8).to_json()
+
+
 def test_config_rejects_unknown_keys():
     with pytest.raises(ConfigError, match="unknown"):
         SystemConfig.from_dict({"num_embb_users": 4, "bogus_field": 1})

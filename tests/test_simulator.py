@@ -299,3 +299,9 @@ def test_oversized_slot_count_rejected_before_allocating(monkeypatch):
 def test_nonpositive_worker_count_rejected():
     with pytest.raises(ValueError, match="workers must be >= 1"):
         run_simulation(quick_cfg(), "baseline1", 4, 1, workers=0)
+
+
+def test_numpy_integer_slots_and_seed_give_the_same_json():
+    cfg = quick_cfg()
+    expected = run_simulation(cfg, "proposed", 5, 3).to_json()
+    assert run_simulation(cfg, "proposed", np.int64(5), np.int64(3)).to_json() == expected
