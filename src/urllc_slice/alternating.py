@@ -12,7 +12,9 @@ when it equals the previous round's, the round reuses the previous
 assignment, rounding, placement and trace values instead of computing them
 again. Placement keeps every user active, so from zero puncturing the second
 round repeats the first and the loop stops at its fixed point after two
-rounds, having solved each block once. Because rounding is interleaved,
+rounds, having solved each block once. Given the configuration's all-active
+assignment (``all_active_assignment``), such a run returns those two rounds
+without entering the loop. Because rounding is interleaved,
 block ascent is monotone in the objective evaluated on the fractional
 assignment; the rounded objective is recorded alongside it.
 """
@@ -23,9 +25,22 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .embb_scheduler import active_user_mask, round_to_binary, solve_fractional
-from .model import ChannelRealization, SchedulingMatrix, SystemConfig
-from .urllc_placement import PlacementSolution, placement_objective, solve_placement
+from .embb_scheduler import (
+    _array_rate_coefficients,
+    _equal_shares,
+    active_user_mask,
+    round_to_binary,
+    solve_fractional,
+)
+from .model import ChannelRealization, SchedulingMatrix, SystemConfig, spectral_efficiencies
+from .urllc_placement import (
+    PlacementSolution,
+    _array_problem,
+    _problem_objective,
+    _solve,
+    placement_objective,
+    solve_placement,
+)
 
 OMEGA_TOL = 1e-6
 
@@ -54,6 +69,26 @@ class AlternationTrace:
         }
 
 
+@dataclass(frozen=True)
+class AllActive:
+    """Round 1's assignment of a zero-initialised ``run`` in which every user
+    is active, and its user bandwidths. It depends on the configuration
+    alone, so one serves every slot of a run."""
+
+    binary: SchedulingMatrix
+    fractional_bandwidth: np.ndarray
+    rounded_bandwidth: np.ndarray
+
+
+def all_active_assignment(cfg: SystemConfig) -> AllActive:
+    """The ``AllActive`` of ``cfg``, for ``run``'s ``all_active``."""
+    frac = _equal_shares(cfg, np.ones(cfg.num_embb_users, dtype=bool))
+    binary = round_to_binary(frac, cfg)
+    return AllActive(
+        binary, frac.user_bandwidth(cfg.rb_bandwidth), binary.user_bandwidth(cfg.rb_bandwidth)
+    )
+
+
 def _initial_weights(cfg: SystemConfig, init: str, rng) -> np.ndarray:
     if init == "zero":
         return np.zeros(cfg.num_embb_users)
@@ -73,6 +108,7 @@ def run(
     init: str = "zero",
     rng=None,
     post_round: bool = False,
+    all_active: AllActive | None = None,
 ) -> tuple[SchedulingMatrix, PlacementSolution, AlternationTrace]:
     """Alternate assignment and placement until neither block moves.
 
@@ -87,7 +123,16 @@ def run(
     user in round 1 (an empty assignment), so there round 2 genuinely differs
     and solves again. The trace objective of the matrix that placement solved
     on is the placement's own objective; only the other matrix's is evaluated.
+
+    ``all_active``, ``all_active_assignment(cfg)``, lets a call from
+    ``init="zero"`` skip the loop (``_two_equal_rounds``) when every user has
+    a positive spectral efficiency; the matrix it returns is then
+    ``all_active.binary`` itself. The result is the same, bit for bit.
     """
+    if all_active is not None and init == "zero" and max_iters >= 2:
+        result = _two_equal_rounds(cfg, chan, all_active, post_round)
+        if result is not None:
+            return result
     weights = _initial_weights(cfg, init, rng)
     trace = AlternationTrace()
     prev_active = None
@@ -129,3 +174,35 @@ def run(
             break
 
     return binary, placement, trace
+
+
+def _two_equal_rounds(cfg, chan, all_active, post_round):
+    """``run``'s result from zero weights when its loop would stop after two
+    equal rounds, or None.
+
+    With every spectral efficiency positive, round 1 keeps every user active
+    and so assigns ``all_active``. Round 2 repeats it, and the loop stops
+    converged, exactly when round 1's weights keep every user active
+    (``active_user_mask``'s test).
+    """
+    eff, urllc_eff = spectral_efficiencies(cfg, chan)
+    if not (eff > 0.0).all():
+        return None
+    placed, other = all_active.fractional_bandwidth, all_active.rounded_bandwidth
+    if not post_round:
+        placed, other = other, placed
+    placement = _solve(_array_problem(cfg, placed, eff, urllc_eff))
+    w = placement.weights.weights
+    if not (_array_rate_coefficients(eff, w, cfg.expected_load_fraction()) > 0.0).all():
+        return None
+    other_objective = _problem_objective(_array_problem(cfg, other, eff, urllc_eff), w)
+    objectives = (
+        (placement.objective, other_objective) if post_round else (other_objective, placement.objective)
+    )
+    entries = [
+        TraceEntry(
+            it, *objectives, w.tolist(), all_active.rounded_bandwidth.tolist(), placement.feasible
+        )
+        for it in (1, 2)
+    ]
+    return all_active.binary, placement, AlternationTrace(entries, converged=True, reason="tolerance")

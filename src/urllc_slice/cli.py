@@ -1,7 +1,8 @@
 """Command line front end: experiment orchestration and file output.
 
-Exit codes: 0 on success, 1 on configuration problems, 2 on I/O failures.
-Every error goes to stderr with a machine-parsable ``error:`` prefix.
+Exit codes: 0 on success, 1 on configuration problems (a flag argparse
+cannot parse among them), 2 on I/O failures. Every error goes to stderr with
+a machine-parsable ``error:`` prefix.
 """
 
 from __future__ import annotations
@@ -49,8 +50,18 @@ def _env_seed() -> int:
     return seed
 
 
+class _UsageError(Exception):
+    """A command line argparse cannot parse; reported as a config error."""
+
+
+class _Parser(argparse.ArgumentParser):
+    # argparse would print its usage and exit 2, the I/O failure code
+    def error(self, message):
+        raise _UsageError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="urllc-slice",
         description="Risk-sensitive eMBB/URLLC downlink slicing simulator",
     )
@@ -245,7 +256,12 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except _UsageError as exc:
+        # an unrecognized argument is quoted as given, line breaks included
+        message = str(exc)
+        return _config_error(message if message.isprintable() else repr(message)[1:-1])
     if args.command == "run":
         return cmd_run(args)
     if args.command == "validate":

@@ -43,7 +43,12 @@ def rate_coefficients(
     eff = spectral_efficiencies(cfg, chan)[0]
     if weights is None:
         return eff.copy()
-    return eff * (1.0 - _weights_vec(weights) * cfg.expected_load_fraction())
+    return _array_rate_coefficients(eff, _weights_vec(weights), cfg.expected_load_fraction())
+
+
+def _array_rate_coefficients(eff: np.ndarray, w: np.ndarray, load_fraction: float) -> np.ndarray:
+    """``rate_coefficients`` from the spectral efficiencies and weights themselves."""
+    return eff * (1.0 - w * load_fraction)
 
 
 def active_user_mask(
@@ -92,6 +97,13 @@ def solve_fractional(
             cfg.num_embb_users - n_active,
             np.flatnonzero(~active).tolist(),
         )
+    return _equal_shares(cfg, active)
+
+
+def _equal_shares(cfg: SystemConfig, active: np.ndarray) -> SchedulingMatrix:
+    """``solve_fractional``'s assignment for the users in ``active``: a
+    1/n_active share of every RB each."""
+    n_active = np.count_nonzero(active)
     share = np.where(active, 1.0 / n_active, 0.0) if n_active else np.zeros(cfg.num_embb_users)
     entries = np.empty((cfg.num_rbs, cfg.num_embb_users))
     entries[:] = share

@@ -86,19 +86,23 @@ def mean_snr_rng(seed: int) -> np.random.Generator:
 
 def _simulate_range(cfg, policy, seed, start, stop, post_round, trace):
     """Per-slot arrays of slots ``start`` to ``stop``, and their alternation
-    traces if ``trace`` is set (proposed policy only)."""
+    traces if ``trace`` is set (proposed policy only). The proposed policy's
+    all-active assignment is computed once per range."""
     means = sample_mean_snr(cfg, mean_snr_rng(seed))
     rates = np.empty((stop - start, cfg.num_embb_users))
     thetas = np.empty_like(rates)
     outages = np.empty(stop - start, dtype=bool)
     feasible = np.empty(stop - start, dtype=bool)
     traces = []
+    all_active = alternating.all_active_assignment(cfg) if policy == Policy.PROPOSED else None
     for i, slot in enumerate(range(start, stop)):
         rng = slot_rng(seed, slot)
         chan = sample_channel(cfg, means[0], means[1], rng)
         load = sample_urllc_load(cfg, rng)
         if policy == Policy.PROPOSED:
-            binary, placement, alternation = alternating.run(cfg, chan, post_round=post_round)
+            binary, placement, alternation = alternating.run(
+                cfg, chan, post_round=post_round, all_active=all_active
+            )
             if trace:
                 traces.append({"slot": slot, **alternation.to_dict()})
         else:

@@ -71,7 +71,12 @@ def _build_problem(
 ) -> _Problem:
     phi = mat.user_bandwidth(cfg.rb_bandwidth)
     # the channel terms are shared with every other matrix of the slot
-    eff, urllc_eff = spectral_efficiencies(cfg, chan)
+    return _array_problem(cfg, phi, *spectral_efficiencies(cfg, chan))
+
+
+def _array_problem(cfg: SystemConfig, phi: np.ndarray, eff: np.ndarray, urllc_eff: float) -> _Problem:
+    """The placement problem of user bandwidths ``phi`` at broadband spectral
+    efficiencies ``eff`` and mean URLLC spectral efficiency ``urllc_eff``."""
     kappa = cfg.expected_load_fraction()
     cap = min(1.0, (1.0 - 1e-12) / kappa) if kappa > 0 else 1.0
     return _Problem(
@@ -106,8 +111,12 @@ def placement_objective(
 ) -> float:
     """Objective value of the placement problem at the given weights (risk
     variables at their pinned optimum)."""
-    prob = _build_problem(cfg, chan, mat)
-    rates = _active_rates(prob, _weights_vec(weights))
+    return _problem_objective(_build_problem(cfg, chan, mat), _weights_vec(weights))
+
+
+def _problem_objective(prob: _Problem, w: np.ndarray) -> float:
+    """``placement_objective`` of a built problem."""
+    rates = _active_rates(prob, w)
     return _objective(rates, float(rates.sum()), prob.penalty)
 
 

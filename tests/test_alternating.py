@@ -225,3 +225,32 @@ def test_infeasible_round_records_the_placement_caps(post_round):
     for entry in trace.iterations:
         assert not entry.placement_feasible
         assert entry.weights == caps.tolist()
+
+
+@pytest.mark.parametrize("post_round", [False, True])
+@pytest.mark.parametrize(
+    "cfg", [SystemConfig(), SystemConfig(puncture_prob=0.0), SystemConfig(urllc_outage_budget=1e-6)]
+)
+def test_all_active_assignment_gives_the_loops_result(cfg, post_round):
+    all_active = alternating.all_active_assignment(cfg)
+    for seed in range(5):
+        chan = default_channel(cfg, seed=seed)
+        b1, p1, t1 = run(cfg, chan, post_round=post_round)
+        b2, p2, t2 = run(cfg, chan, post_round=post_round, all_active=all_active)
+        assert b2 is all_active.binary  # every user is active: the shortcut answered
+        np.testing.assert_array_equal(b1.entries, b2.entries)
+        assert p1.weights.weights.tobytes() == p2.weights.weights.tobytes()
+        fields = ("feasible", "objective", "max_achievable_urllc_rate", "iterations")
+        assert [getattr(p1, f) for f in fields] == [getattr(p2, f) for f in fields]
+        assert p1.weights.var_level == p2.weights.var_level
+        assert t1.to_dict() == t2.to_dict()
+
+
+def test_all_active_assignment_is_ignored_away_from_zero_init():
+    cfg = SystemConfig()
+    chan = default_channel(cfg, seed=13)
+    all_active = alternating.all_active_assignment(cfg)
+    _, _, looped = run(cfg, chan, init="one")
+    binary, _, trace = run(cfg, chan, init="one", all_active=all_active)
+    assert binary is not all_active.binary
+    assert trace.to_dict() == looped.to_dict()

@@ -449,3 +449,60 @@ def test_csv_cells_are_plain_numbers_equal_to_the_metrics(tmp_path, extra):
         assert [(int(u), float(r), float(t)) for u, r, t in rows] == list(
             zip(range(len(rates)), rates, thetas)
         )
+
+
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (["run", "--slots", "abc"], "error: config argument --slots: invalid int value: 'abc'"),
+        (["run", "--threads", "2.5"], "error: config argument --threads: invalid int value: '2.5'"),
+        (
+            ["run", "--policy", "nope"],
+            "error: config argument --policy: invalid choice: 'nope' "
+            "(choose from 'proposed', 'baseline1', 'baseline2', 'all')",
+        ),
+        (["nope"], "error: config argument command: invalid choice: 'nope' (choose from 'run', 'validate')"),
+        ([], "error: config the following arguments are required: command"),
+        (["run", "--seed"], "error: config argument --seed: expected one argument"),
+        (["validate", "--bogus"], "error: config unrecognized arguments: --bogus"),
+        (["run", "--x\ny"], "error: config unrecognized arguments: --x\\ny"),
+    ],
+)
+def test_unparseable_flag_gives_one_config_error(tmp_path, capsys, monkeypatch, argv, line):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == line + "\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["run", "--help"], ["validate", "-h"]])
+def test_help_still_exits_zero(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage: urllc-slice")
+    assert captured.err == ""
+
+
+def test_module_exits_one_on_an_unparseable_flag(tmp_path):
+    import os
+    import subprocess
+    import sys
+
+    import urllc_slice
+
+    src = os.path.dirname(os.path.dirname(urllc_slice.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "urllc_slice.cli", "run", "--slots", "abc"],
+        cwd=tmp_path,
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == "error: config argument --slots: invalid int value: 'abc'\n"

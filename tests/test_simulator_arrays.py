@@ -1,0 +1,174 @@
+"""The proposed policy in ``simulator._simulate_range``, which passes
+``alternating.run`` the range's all-active assignment so most slots skip the
+loop, against a reference loop over the public per-slot API
+(``alternating.run`` without it, followed by ``evaluate_slot``): the same four
+arrays and the same traces, bit for bit."""
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from urllc_slice import alternating, simulator
+from urllc_slice.json_writer import _json_indented
+from urllc_slice.model import (
+    SystemConfig,
+    evaluate_slot,
+    sample_channel,
+    sample_mean_snr,
+    sample_urllc_load,
+)
+from urllc_slice.simulator import Policy, mean_snr_rng, slot_rng
+
+# slots * num_rbs * num_embb_users stays at most this
+MAX_WORK = 100_000
+
+
+def reference_range(cfg, seed, start, stop, post_round):
+    means = sample_mean_snr(cfg, mean_snr_rng(seed))
+    rates, thetas, outages, feasible, traces = [], [], [], [], []
+    for slot in range(start, stop):
+        rng = slot_rng(seed, slot)
+        chan = sample_channel(cfg, means[0], means[1], rng)
+        load = sample_urllc_load(cfg, rng)
+        binary, placement, alternation = alternating.run(cfg, chan, post_round=post_round)
+        outcome = evaluate_slot(cfg, chan, binary, placement.weights, load)
+        rates.append(outcome.embb_rate_per_user)
+        thetas.append(outcome.punctured_bw)
+        outages.append(outcome.outage)
+        feasible.append(placement.feasible)
+        traces.append({"slot": slot, **alternation.to_dict()})
+    arrays = np.array(rates), np.array(thetas), np.array(outages), np.array(feasible)
+    return (*arrays, traces)
+
+
+def outcome_of(fn, *args):
+    """``fn(*args)``, or the text of the ValueError it raised."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def assert_same_range(cfg, seed, start, stop, post_round):
+    got = outcome_of(
+        simulator._simulate_range, cfg, Policy.PROPOSED, seed, start, stop, post_round, True
+    )
+    want = outcome_of(reference_range, cfg, seed, start, stop, post_round)
+    if isinstance(want, str):
+        # a solver failure of the per-slot API must be the array path's too
+        assert got == want
+        return
+    for g, w in zip(got[:4], want[:4]):
+        assert (g.dtype, g.shape) == (w.dtype, w.shape)
+        assert g.tobytes() == w.tobytes()
+    assert got[4] == want[4]
+    assert _json_indented(got[4]) == _json_indented(want[4])
+    lists = [t["iterations"] for t in got[4]]
+    lists += [e[key] for t in got[4] for e in t["iterations"] for key in ("weights", "user_bandwidth")]
+    assert len({id(x) for x in lists}) == len(lists)  # no list is shared
+
+
+@st.composite
+def range_cases(draw):
+    users = draw(st.integers(1, 40))
+    rbs = draw(st.integers(1, 200))
+    slots = draw(st.integers(1, max(1, min(20, MAX_WORK // (users * rbs)))))
+    # near -156 dB a user is degenerate (zero efficiency) in some slots only
+    snr_min = draw(st.floats(-400.0, 30.0) | st.floats(-170.0, -150.0))
+    kw = {
+        "num_embb_users": users,
+        "num_rbs": rbs,
+        "num_minislots": draw(st.integers(1, 10)),
+        "num_urllc_users": draw(st.integers(1, 6)),
+        "snr_min_db": snr_min,
+        "snr_max_db": draw(st.floats(snr_min, 30.0)),
+        "puncture_prob": draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)),
+        "urllc_outage_budget": draw(st.sampled_from([0.1, 0.01]) | st.floats(1e-6, 0.5)),
+        "risk_weight": draw(st.floats(0.0, 1.0)),
+    }
+    if draw(st.booleans()):
+        kw["rb_bandwidth"] = draw(st.lists(st.floats(1e4, 1e6), min_size=rbs, max_size=rbs))
+    if draw(st.booleans()):
+        # below the mean load at high arrival rates, so the caps fall under 1
+        kw["l_max"] = draw(st.floats(256.0, 4096.0))
+    start = draw(st.integers(0, 1000))
+    return kw, draw(st.integers(0, 2**32 - 1)), start, start + slots, draw(st.booleans())
+
+
+@settings(max_examples=60, deadline=None)
+@given(range_cases())
+@example(({"snr_min_db": -400.0, "snr_max_db": 30.0}, 7, 0, 20, False))
+@example(({"snr_min_db": -400.0, "snr_max_db": 30.0}, 20261, 3, 23, True))
+@example(({"puncture_prob": 0.0}, 7, 0, 10, True))
+@example(({"puncture_prob": 1.0}, 7, 0, 10, False))
+@example(({"urllc_outage_budget": 0.01, "snr_min_db": -10.0, "snr_max_db": 5.0}, 7, 0, 20, False))
+@example(({"urllc_outage_budget": 0.01, "snr_min_db": -10.0, "snr_max_db": 5.0}, 7, 0, 20, True))
+@example(({"num_embb_users": 40, "num_rbs": 200}, 20261, 0, 12, True))
+def test_array_path_equals_the_per_slot_loop(case):
+    kw, seed, start, stop, post_round = case
+    cfg = SystemConfig(**kw)
+    assert cfg.validate() == []
+    assert_same_range(cfg, seed, start, stop, post_round)
+
+
+def record_calls(monkeypatch):
+    """Calls of ``alternating.run``, and per call of its shortcut whether the
+    shortcut answered (True) or left the slot to the loop (False)."""
+    calls, answered = [], []
+    run, shortcut = alternating.run, alternating._two_equal_rounds
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return run(*args, **kwargs)
+
+    def recording(*args):
+        result = shortcut(*args)
+        answered.append(result is not None)
+        return result
+
+    monkeypatch.setattr(alternating, "run", counting)
+    monkeypatch.setattr(alternating, "_two_equal_rounds", recording)
+    return calls, answered
+
+
+@pytest.mark.parametrize("post_round", [False, True])
+def test_slots_with_degenerate_users_fall_back_to_the_loop(monkeypatch, post_round):
+    # near -156 dB a user's spectral efficiency rounds to 0 in some slots only:
+    # at seed 7, 23 of these 40 slots have every user above it
+    cfg = SystemConfig(num_embb_users=3, snr_min_db=-165.0, snr_max_db=-150.0)
+    calls, answered = record_calls(monkeypatch)
+    assert_same_range(cfg, 7, 0, 40, post_round)
+    # every slot is one alternating.run call, in the range and in the reference loop
+    assert len(calls) == 40 + 40
+    assert answered.count(True) == 23 and answered.count(False) == 40 - 23
+
+
+def test_a_user_degenerate_in_every_slot_sends_every_slot_to_the_loop(monkeypatch):
+    calls, answered = record_calls(monkeypatch)
+    assert_same_range(SystemConfig(snr_min_db=-400.0, snr_max_db=30.0), 7, 0, 20, False)
+    assert len(calls) == 20 + 20
+    assert answered == [False] * 20
+
+
+@pytest.mark.parametrize("post_round", [False, True])
+def test_slots_failing_the_round_two_check_fall_back_to_the_loop(monkeypatch, post_round):
+    # valid weights always pass the check (caps keep every user active), so
+    # make every other slot fail it
+    seen = []
+
+    def every_other_fails(eff, w, load_fraction):
+        seen.append(1)
+        return eff * (1.0 - w * load_fraction) * (len(seen) % 2)
+
+    monkeypatch.setattr(alternating, "_array_rate_coefficients", every_other_fails)
+    calls, answered = record_calls(monkeypatch)
+    assert_same_range(SystemConfig(), 11, 5, 15, post_round)
+    assert len(seen) == 10
+    assert answered == [True, False] * 5
+    assert len(calls) == 10 + 10
+
+
+def test_untraced_range_returns_no_traces():
+    got = simulator._simulate_range(SystemConfig(), Policy.PROPOSED, 7, 0, 5, False, False)
+    assert got[4] == []
