@@ -19,6 +19,7 @@ from .model import (
     UrllcLoad,
     embb_rate,
     evaluate_slot,
+    evaluate_slots,
     expected_embb_rate,
     expected_urllc_rate,
     outage_indicator,
@@ -59,6 +60,7 @@ __all__ = [
     "cvar_alpha_lower",
     "embb_rate",
     "evaluate_slot",
+    "evaluate_slots",
     "expected_embb_rate",
     "expected_urllc_rate",
     "outage_indicator",

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import math
-import struct
 from dataclasses import dataclass, fields
 from typing import Union
 
@@ -20,10 +19,6 @@ import numpy as np
 from .json_writer import _fields_dict, _json_indented
 
 SLOT_DURATION_S = 1e-3
-
-# Distinct channel inputs whose spectral efficiencies are kept; a slot asks for
-# them in the scheduler, both placement problems and evaluate_slot.
-_CHANNEL_CACHE_SIZE = 4
 
 
 class ConfigError(ValueError):
@@ -340,20 +335,34 @@ def sample_channel(
 ) -> ChannelRealization:
     """Rayleigh-fading gains: exponential power fading around each user's mean
     SNR, mapped to gains so that P*g/N0 equals the realized SNR."""
-    embb_snr = np.asarray(embb_mean_snr) * rng.exponential(1.0, cfg.num_embb_users)
-    urllc_snr = np.asarray(urllc_mean_snr) * rng.exponential(1.0, cfg.num_urllc_users)
+    embb_fading = rng.exponential(1.0, cfg.num_embb_users)
+    urllc_fading = rng.exponential(1.0, cfg.num_urllc_users)
     return ChannelRealization(
-        embb_gain=embb_snr * cfg.noise_power / cfg.embb_tx_power,
-        urllc_gain=urllc_snr * cfg.noise_power / cfg.urllc_tx_power,
+        *_fading_gains(cfg, embb_mean_snr, urllc_mean_snr, embb_fading, urllc_fading)
+    )
+
+
+def _fading_gains(cfg, embb_mean_snr, urllc_mean_snr, embb_fading, urllc_fading):
+    """``sample_channel``'s broadband and URLLC gains at Exp(1) fading factors
+    given per user along the last axis; leading axes are slots."""
+    return (
+        np.asarray(embb_mean_snr) * embb_fading * cfg.noise_power / cfg.embb_tx_power,
+        np.asarray(urllc_mean_snr) * urllc_fading * cfg.noise_power / cfg.urllc_tx_power,
     )
 
 
 def sample_urllc_load(cfg: SystemConfig, rng: np.random.Generator) -> UrllcLoad:
     """One slot of URLLC traffic: an independent Bernoulli arrival per
     minislot, each carrying ``demand_quantum`` bits; total clamped to l_max."""
-    arrivals = rng.random(cfg.num_minislots) < cfg.puncture_prob
-    per_minislot = cfg.demand_quantum * arrivals.astype(float)
-    return UrllcLoad(per_minislot, min(float(per_minislot.sum()), cfg.l_max))
+    per_minislot, total = _minislot_loads(cfg, rng.random(cfg.num_minislots))
+    return UrllcLoad(per_minislot, float(total))
+
+
+def _minislot_loads(cfg: SystemConfig, uniforms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``sample_urllc_load``'s per-minislot traffic at uniform draws given per
+    minislot along the last axis, and its clamped total over that axis."""
+    per_minislot = cfg.demand_quantum * (uniforms < cfg.puncture_prob).astype(float)
+    return per_minislot, np.minimum(per_minislot.sum(axis=-1), cfg.l_max)
 
 
 # -- rate equations ----------------------------------------------------------
@@ -374,39 +383,23 @@ def _load_bits(load: LoadLike) -> float:
     return float(load)
 
 
-# Bounded by emptying it when full; entries are pure functions of their keys,
-# so callers racing on it can only repeat a computation.
-_efficiency_cache: dict[tuple, tuple[np.ndarray, float]] = {}
-
-
 def spectral_efficiencies(cfg: SystemConfig, chan: ChannelRealization) -> tuple[np.ndarray, float]:
     """``embb_spectral_eff`` (as a read-only array) and
-    ``urllc_spectral_eff_mean`` together. They are memoized on the exact bits
-    of the noise power, transmit powers and gains, so the scheduler, both
-    placement problems and ``evaluate_slot`` share one evaluation per slot."""
-    noise = float(cfg.noise_power)
-    embb_power = np.asarray(cfg.embb_tx_power, dtype=float)
-    embb_gain = np.asarray(chan.embb_gain, dtype=float)
-    urllc_power = np.asarray(cfg.urllc_tx_power, dtype=float)
-    urllc_gain = np.asarray(chan.urllc_gain, dtype=float)
-    key = (
-        (embb_power.shape, embb_gain.shape, urllc_power.shape, urllc_gain.shape),
-        struct.pack("d", noise)
-        + embb_power.tobytes()
-        + embb_gain.tobytes()
-        + urllc_power.tobytes()
-        + urllc_gain.tobytes(),
+    ``urllc_spectral_eff_mean`` together."""
+    embb, urllc = _efficiencies(
+        cfg, np.asarray(chan.embb_gain, dtype=float), np.asarray(chan.urllc_gain, dtype=float)
     )
-    terms = _efficiency_cache.get(key)
-    if terms is None:
-        embb = np.log2(1.0 + embb_power * embb_gain / noise)
-        embb.flags.writeable = False
-        urllc = np.log2(1.0 + urllc_power * urllc_gain / noise)
-        terms = (embb, float(urllc.mean()))
-        if len(_efficiency_cache) >= _CHANNEL_CACHE_SIZE:
-            _efficiency_cache.clear()
-        _efficiency_cache[key] = terms
-    return terms
+    embb.flags.writeable = False
+    return embb, float(urllc)
+
+
+def _efficiencies(cfg: SystemConfig, embb_gain: np.ndarray, urllc_gain: np.ndarray):
+    """``spectral_efficiencies`` at gains given per user along the last axis:
+    the broadband efficiencies, and the URLLC mean over that axis."""
+    noise = float(cfg.noise_power)
+    embb = np.log2(1.0 + np.asarray(cfg.embb_tx_power, dtype=float) * embb_gain / noise)
+    urllc = np.log2(1.0 + np.asarray(cfg.urllc_tx_power, dtype=float) * urllc_gain / noise)
+    return embb, urllc.mean(axis=-1)
 
 
 def embb_spectral_eff(cfg: SystemConfig, chan: ChannelRealization) -> np.ndarray:
@@ -420,29 +413,30 @@ def urllc_spectral_eff_mean(cfg: SystemConfig, chan: ChannelRealization) -> floa
     return spectral_efficiencies(cfg, chan)[1]
 
 
-def _checked_load_bits(cfg: SystemConfig, load: LoadLike) -> float:
-    load_bits = _load_bits(load)
-    if load_bits > cfg.l_max * (1 + 1e-12):
-        raise ValueError(f"load {load_bits} exceeds l_max {cfg.l_max}; clamp first")
+def _checked_load_bits(cfg: SystemConfig, load_bits):
+    """``load_bits`` (a float or an array), after checking that none exceeds l_max."""
+    if np.any(load_bits > cfg.l_max * (1 + 1e-12)):
+        raise ValueError(f"load {np.max(load_bits)} exceeds l_max {cfg.l_max}; clamp first")
     return load_bits
 
 
-def _slot_rates(
-    cfg: SystemConfig,
-    chan: ChannelRealization,
-    mat: SchedulingMatrix,
-    weights: WeightsLike,
-    load_fraction: float,
-) -> tuple[np.ndarray, np.ndarray, float]:
+def _slot_rates(phi, w, load_fraction, embb_eff, urllc_eff):
     """Per-user broadband rates, punctured bandwidth per user and aggregate
     URLLC rate at a load normalized by l_max. A user loses rate in proportion
-    to its punctured share; the URLLC users split the punctured bandwidth."""
-    phi = mat.user_bandwidth(cfg.rb_bandwidth)
-    w = _weights_vec(weights)
-    embb_eff, urllc_eff = spectral_efficiencies(cfg, chan)
+    to its punctured share; the URLLC users split the punctured bandwidth.
+    Users run along the last axis of ``phi`` (Hz), the weights ``w`` and
+    ``embb_eff``, slots along any leading axes, which ``load_fraction`` and
+    ``urllc_eff`` (one value per slot) share."""
+    load_fraction = np.expand_dims(load_fraction, -1)
     rates = phi * (1.0 - w * load_fraction) * embb_eff
     theta = phi * w * load_fraction
-    return rates, theta, float(theta.sum() * urllc_eff)
+    return rates, theta, theta.sum(axis=-1) * urllc_eff
+
+
+def _matrix_rates(cfg, chan, mat, weights, load_fraction):
+    """``_slot_rates`` of one slot's channel, assignment matrix and weights."""
+    phi = mat.user_bandwidth(cfg.rb_bandwidth)
+    return _slot_rates(phi, _weights_vec(weights), load_fraction, *spectral_efficiencies(cfg, chan))
 
 
 def punctured_bandwidth(
@@ -465,8 +459,8 @@ def embb_rate(
     load: LoadLike,
 ) -> np.ndarray:
     """Instantaneous per-user broadband rate (bits/s) after puncturing."""
-    load_fraction = _checked_load_bits(cfg, load) / cfg.l_max
-    return _slot_rates(cfg, chan, mat, weights, load_fraction)[0]
+    load_fraction = _checked_load_bits(cfg, _load_bits(load)) / cfg.l_max
+    return _matrix_rates(cfg, chan, mat, weights, load_fraction)[0]
 
 
 def expected_embb_rate(
@@ -477,7 +471,7 @@ def expected_embb_rate(
 ) -> np.ndarray:
     """Per-user rate with the load replaced by its mean (the rate is affine in
     the load, so this is the exact expectation absent clamping)."""
-    return _slot_rates(cfg, chan, mat, weights, cfg.expected_load_fraction())[0]
+    return _matrix_rates(cfg, chan, mat, weights, cfg.expected_load_fraction())[0]
 
 
 def urllc_rate(
@@ -489,7 +483,7 @@ def urllc_rate(
 ) -> float:
     """Aggregate URLLC rate (bits/s) over the punctured bandwidth, which is
     divided equally between the URLLC users."""
-    return _slot_rates(cfg, chan, mat, weights, _load_bits(load) / cfg.l_max)[2]
+    return float(_matrix_rates(cfg, chan, mat, weights, _load_bits(load) / cfg.l_max)[2])
 
 
 def expected_urllc_rate(
@@ -500,13 +494,14 @@ def expected_urllc_rate(
 ) -> float:
     """URLLC rate at the mean load; the left-hand side of the relaxed
     reliability constraint."""
-    return _slot_rates(cfg, chan, mat, weights, cfg.expected_load_fraction())[2]
+    return float(_matrix_rates(cfg, chan, mat, weights, cfg.expected_load_fraction())[2])
 
 
-def outage_indicator(urllc_rate_bps: float, load_bits: float) -> bool:
+def outage_indicator(urllc_rate_bps, load_bits):
     """True when the slot carried traffic the punctured bandwidth could not
-    cover within the slot. An empty slot is never an outage."""
-    return load_bits > 0 and urllc_rate_bps * SLOT_DURATION_S <= load_bits
+    cover within the slot. An empty slot is never an outage. Elementwise over
+    arrays of slots."""
+    return (load_bits > 0) & (urllc_rate_bps * SLOT_DURATION_S <= load_bits)
 
 
 def evaluate_slot(
@@ -517,13 +512,38 @@ def evaluate_slot(
     load: LoadLike,
 ) -> SlotOutcome:
     """Realized rates, punctured bandwidth, and outage flag for one slot."""
-    load_bits = _checked_load_bits(cfg, load)
-    rates, theta, r_urllc = _slot_rates(cfg, chan, mat, weights, load_bits / cfg.l_max)
+    load_bits = _load_bits(load)
+    rates, theta, r_urllc, outage = evaluate_slots(
+        cfg,
+        *spectral_efficiencies(cfg, chan),
+        mat.user_bandwidth(cfg.rb_bandwidth),
+        _weights_vec(weights),
+        load_bits,
+    )
     return SlotOutcome(
         realized_load=load_bits,
         embb_rate_per_user=rates,
         embb_sum_rate=float(rates.sum()),
-        urllc_rate=r_urllc,
+        urllc_rate=float(r_urllc),
         punctured_bw=theta,
-        outage=outage_indicator(r_urllc, load_bits),
+        outage=bool(outage),
     )
+
+
+def evaluate_slots(
+    cfg: SystemConfig,
+    embb_eff: np.ndarray,
+    urllc_eff: np.ndarray,
+    phi: np.ndarray,
+    weights: np.ndarray,
+    load_bits: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``evaluate_slot`` of many slots at once, from their broadband spectral
+    efficiencies, user bandwidths (Hz) and puncture weights, users along the
+    last axis and slots along the leading ones, and their mean URLLC spectral
+    efficiencies and realized loads (bits), one per slot. Returns the per-user
+    rates, the punctured bandwidth per user, the URLLC rate and the outage
+    flag of every slot."""
+    load_bits = _checked_load_bits(cfg, load_bits)
+    rates, theta, r_urllc = _slot_rates(phi, weights, load_bits / cfg.l_max, embb_eff, urllc_eff)
+    return rates, theta, r_urllc, outage_indicator(r_urllc, load_bits)

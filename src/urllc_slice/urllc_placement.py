@@ -70,7 +70,6 @@ def _build_problem(
     cfg: SystemConfig, chan: ChannelRealization, mat: SchedulingMatrix
 ) -> _Problem:
     phi = mat.user_bandwidth(cfg.rb_bandwidth)
-    # the channel terms are shared with every other matrix of the slot
     return _array_problem(cfg, phi, *spectral_efficiencies(cfg, chan))
 
 
@@ -191,6 +190,14 @@ def _solve(prob: _Problem) -> PlacementSolution:
     k = min(int(np.count_nonzero(at_bps < prob.floor)), bps.size - 1)
     lam_lo, lam_hi = (float(bps[k - 1]) if k else 0.0), float(bps[k])
     free, capped = (enter <= lam_lo) & (full >= lam_hi), full <= lam_lo
+    if not free.any():
+        # Only rounding leaves the segment without a free user: with 1/kappa
+        # far above the caps, a user's two breakpoints can coincide or swap,
+        # and active_weights cancels to 0 or to its cap. The supply then
+        # jumps at lam_hi, where every user whose cap point is reached holds
+        # its cap.
+        w[a] = np.where(full <= lam_hi, cap, 0.0)
+        return _finish(prob, w, feasible=bool(prob.floor_coeff @ w >= prob.floor), iters=0)
     s_free = s[free]
     target = d[free].sum() / kappa + d[capped] @ cap[capped] + fixed - prob.floor
     # At the root sum_free 1/(s_u + lam) = target, which is at least

@@ -506,3 +506,28 @@ def test_module_exits_one_on_an_unparseable_flag(tmp_path):
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert proc.stderr == "error: config argument --slots: invalid int value: 'abc'\n"
+
+
+def test_pool_stderr_equals_sequential_stderr(tmp_path):
+    import os
+    import subprocess
+    import sys
+
+    import urllc_slice
+
+    # -400 dB leaves users degenerate, so every policy warns on stderr
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"snr_min_db": -400, "snr_max_db": 30}))
+    src = os.path.dirname(os.path.dirname(urllc_slice.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    runs = []
+    for threads in ("1", "2"):
+        argv = ["run", "--config", str(config), "--policy", "all", "--slots", "60"]
+        argv += ["--seed", "20261", "--trace", "--threads", threads, "--out", str(tmp_path / threads)]
+        proc = subprocess.run(
+            [sys.executable, "-m", "urllc_slice.cli", *argv], env=env, capture_output=True, text=True
+        )
+        runs.append((proc.returncode, proc.stdout, proc.stderr, read_tree(tmp_path / threads)))
+    assert runs[0][0] == 0
+    assert "degenerate" in runs[0][2]
+    assert runs[1] == runs[0]

@@ -1,5 +1,6 @@
 import concurrent.futures
 import json
+import logging
 import math
 import os
 import subprocess
@@ -9,6 +10,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from urllc_slice import simulator
 from urllc_slice.embb_scheduler import round_to_binary, solve_fractional
 from urllc_slice.model import SystemConfig, embb_rate, sample_channel, sample_mean_snr
 from urllc_slice.simulator import (
@@ -305,3 +307,65 @@ def test_numpy_integer_slots_and_seed_give_the_same_json():
     cfg = quick_cfg()
     expected = run_simulation(cfg, "proposed", 5, 3).to_json()
     assert run_simulation(cfg, "proposed", np.int64(5), np.int64(3)).to_json() == expected
+
+
+class _ReversingPool(_RecordingPool):
+    """Maps in this process, running the last range first, as a pool whose
+    later worker finishes first would; results still come back in order."""
+
+    def __init__(self, max_workers=None):
+        pass
+
+    def map(self, fn, *iterables):
+        return reversed([fn(*args) for args in reversed(list(zip(*iterables)))])
+
+
+def test_pool_log_records_are_emitted_in_slot_order(monkeypatch, caplog):
+    # near -156 dB a different user is degenerate from slot to slot, so the
+    # warnings of different ranges differ
+    cfg = quick_cfg(num_embb_users=3, snr_min_db=-165.0, snr_max_db=-150.0)
+
+    def warnings(workers):
+        caplog.clear()
+        with caplog.at_level("WARNING", logger="urllc_slice"):
+            run_simulation(cfg, "baseline2", 12, 7, workers=workers)
+        return [(r.name, r.levelno, r.getMessage()) for r in caplog.records]
+
+    in_order = warnings(1)
+    assert len(set(in_order)) > 1
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _ReversingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    assert warnings(4) == in_order
+    assert logging.getLogger("urllc_slice").propagate  # restored after each range
+
+
+def test_a_failing_pooled_range_emits_its_records_before_raising(monkeypatch, caplog):
+    log = logging.getLogger("urllc_slice.simulator")
+    real_range = simulator._simulate_range
+
+    def failing_range(cfg, policy, seed, start, stop, post_round, trace):
+        log.warning("range from slot %d", start)
+        if start >= 6:
+            raise ValueError(f"range from slot {start} failed")
+        return real_range(cfg, policy, seed, start, stop, post_round, trace)
+
+    def outcome(workers):
+        caplog.clear()
+        with caplog.at_level("WARNING", logger="urllc_slice"):
+            with pytest.raises(ValueError) as err:
+                run_simulation(quick_cfg(), "baseline2", 12, 7, workers=workers)
+        return [r.getMessage() for r in caplog.records], str(err.value)
+
+    monkeypatch.setattr(simulator, "_simulate_range", failing_range)
+    # four ranges of three slots; one process stops at the third
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    in_order = outcome(4)
+    assert in_order == (
+        ["range from slot 0", "range from slot 3", "range from slot 6"],
+        "range from slot 6 failed",
+    )
+    # a pool runs them all, the last (also failing) range first
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _ReversingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    assert outcome(4) == in_order
+    assert logging.getLogger("urllc_slice").propagate

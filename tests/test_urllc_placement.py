@@ -482,3 +482,45 @@ def test_baseline1_equals_placement_at_zero_risk_weight_bit_for_bit():
         kind = "no-traffic" if cfg.puncture_prob == 0 else "feasible" if got.feasible else "infeasible"
         seen[kind] += 1
     assert sum(seen.values()) >= 48 and min(seen.values()) >= 3, seen
+
+
+# 1/kappa is about 2e138 here, so a user's entry and cap breakpoints round to
+# neighbouring floats in swapped order and the bracketing segment holds no
+# free user
+_TINY_LOAD = {
+    "num_embb_users": 1,
+    "num_rbs": 6,
+    "num_minislots": 1,
+    "num_urllc_users": 1,
+    "snr_min_db": 2,
+    "snr_max_db": 2,
+    "puncture_prob": 5.041919581508057e-139,
+    "risk_weight": 0,
+}
+
+
+@pytest.mark.parametrize("policy", ["proposed", "baseline1", "baseline2"])
+def test_a_segment_without_free_users_is_solved_at_its_breakpoint(tmp_path, policy):
+    import json
+
+    from urllc_slice.cli import main
+    from urllc_slice.embb_scheduler import round_to_binary, solve_fractional
+    from urllc_slice.model import sample_channel, sample_mean_snr
+    from urllc_slice.simulator import mean_snr_rng, slot_rng
+
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(_TINY_LOAD))
+    argv = ["run", "--config", str(path), "--policy", policy, "--slots", "1", "--seed", "0"]
+    assert main(argv + ["--threads", "1", "--out", str(tmp_path / "out")]) == 0
+
+    cfg = SystemConfig(**_TINY_LOAD)
+    means = sample_mean_snr(cfg, mean_snr_rng(0))
+    chan = sample_channel(cfg, *means, slot_rng(0, 0))
+    mat = round_to_binary(solve_fractional(cfg, chan), cfg)
+    solver = {"proposed": solve_placement, "baseline1": solve_baseline1, "baseline2": solve_baseline2}
+    sol = solver[policy](cfg, chan, mat)
+    _, _, a, floor, caps = coefficients(cfg, chan, mat)
+    w = sol.weights.weights
+    assert np.all((w >= 0.0) & (w <= caps))
+    assert sol.feasible == bool(a @ w >= floor)
+    assert sol.feasible
