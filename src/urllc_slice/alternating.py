@@ -14,7 +14,8 @@ again. Placement keeps every user active, so from zero puncturing the second
 round repeats the first and the loop stops at its fixed point after two
 rounds, having solved each block once. Given the configuration's all-active
 assignment (``all_active_assignment``), such a run returns those two rounds
-without entering the loop. Because rounding is interleaved,
+without entering the loop, and given the slot's spectral efficiencies it
+computes no channel terms either. Because rounding is interleaved,
 block ascent is monotone in the objective evaluated on the fractional
 assignment; the rounded objective is recorded alongside it.
 """
@@ -36,6 +37,8 @@ from .model import ChannelRealization, SchedulingMatrix, SystemConfig, spectral_
 from .urllc_placement import (
     PlacementSolution,
     _array_problem,
+    _config_terms,
+    _ConfigTerms,
     _problem_objective,
     _solve,
     placement_objective,
@@ -72,20 +75,29 @@ class AlternationTrace:
 @dataclass(frozen=True)
 class AllActive:
     """Round 1's assignment of a zero-initialised ``run`` in which every user
-    is active, and its user bandwidths. It depends on the configuration
-    alone, so one serves every slot of a run."""
+    is active, its user bandwidths and the placement problem's configuration
+    terms. It depends on the configuration alone, so one serves every slot of
+    a run. ``rounded_values`` holds the rounded bandwidths as floats, which
+    every trace entry's ``user_bandwidth`` list copies."""
 
     binary: SchedulingMatrix
     fractional_bandwidth: np.ndarray
     rounded_bandwidth: np.ndarray
+    rounded_values: tuple
+    placement_terms: _ConfigTerms
 
 
 def all_active_assignment(cfg: SystemConfig) -> AllActive:
     """The ``AllActive`` of ``cfg``, for ``run``'s ``all_active``."""
     frac = _equal_shares(cfg, np.ones(cfg.num_embb_users, dtype=bool))
     binary = round_to_binary(frac, cfg)
+    rounded = binary.user_bandwidth(cfg.rb_bandwidth)
     return AllActive(
-        binary, frac.user_bandwidth(cfg.rb_bandwidth), binary.user_bandwidth(cfg.rb_bandwidth)
+        binary,
+        frac.user_bandwidth(cfg.rb_bandwidth),
+        rounded,
+        tuple(rounded.tolist()),
+        _config_terms(cfg),
     )
 
 
@@ -109,6 +121,7 @@ def run(
     rng=None,
     post_round: bool = False,
     all_active: AllActive | None = None,
+    efficiencies: tuple[np.ndarray, float] | None = None,
 ) -> tuple[SchedulingMatrix, PlacementSolution, AlternationTrace]:
     """Alternate assignment and placement until neither block moves.
 
@@ -128,9 +141,11 @@ def run(
     ``init="zero"`` skip the loop (``_two_equal_rounds``) when every user has
     a positive spectral efficiency; the matrix it returns is then
     ``all_active.binary`` itself. The result is the same, bit for bit.
+    ``efficiencies``, the slot's ``spectral_efficiencies(cfg, chan)`` when the
+    caller already holds them, spares the shortcut computing them.
     """
     if all_active is not None and init == "zero" and max_iters >= 2:
-        result = _two_equal_rounds(cfg, chan, all_active, post_round)
+        result = _two_equal_rounds(cfg, chan, all_active, post_round, efficiencies)
         if result is not None:
             return result
     weights = _initial_weights(cfg, init, rng)
@@ -176,33 +191,35 @@ def run(
     return binary, placement, trace
 
 
-def _two_equal_rounds(cfg, chan, all_active, post_round):
+def _two_equal_rounds(cfg, chan, all_active, post_round, efficiencies):
     """``run``'s result from zero weights when its loop would stop after two
     equal rounds, or None.
 
     With every spectral efficiency positive, round 1 keeps every user active
     and so assigns ``all_active``. Round 2 repeats it, and the loop stops
     converged, exactly when round 1's weights keep every user active
-    (``active_user_mask``'s test).
+    (``active_user_mask``'s test). The two trace entries share their weight
+    and bandwidth floats (in distinct lists), which lets the trace writer
+    format each list once.
     """
-    eff, urllc_eff = spectral_efficiencies(cfg, chan)
+    eff, urllc_eff = spectral_efficiencies(cfg, chan) if efficiencies is None else efficiencies
     if not (eff > 0.0).all():
         return None
+    terms = all_active.placement_terms
     placed, other = all_active.fractional_bandwidth, all_active.rounded_bandwidth
     if not post_round:
         placed, other = other, placed
-    placement = _solve(_array_problem(cfg, placed, eff, urllc_eff))
+    placement = _solve(_array_problem(terms, placed, eff, urllc_eff))
     w = placement.weights.weights
-    if not (_array_rate_coefficients(eff, w, cfg.expected_load_fraction()) > 0.0).all():
+    if not (_array_rate_coefficients(eff, w, terms.load_fraction) > 0.0).all():
         return None
-    other_objective = _problem_objective(_array_problem(cfg, other, eff, urllc_eff), w)
+    other_objective = _problem_objective(_array_problem(terms, other, eff, urllc_eff), w)
     objectives = (
         (placement.objective, other_objective) if post_round else (other_objective, placement.objective)
     )
+    weights, bandwidth = w.tolist(), all_active.rounded_values
     entries = [
-        TraceEntry(
-            it, *objectives, w.tolist(), all_active.rounded_bandwidth.tolist(), placement.feasible
-        )
+        TraceEntry(it, *objectives, list(weights), list(bandwidth), placement.feasible)
         for it in (1, 2)
     ]
     return all_active.binary, placement, AlternationTrace(entries, converged=True, reason="tolerance")

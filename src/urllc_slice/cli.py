@@ -1,22 +1,27 @@
 """Command line front end: experiment orchestration and file output.
 
 Exit codes: 0 on success, 1 on configuration problems (a flag argparse
-cannot parse among them), 2 on I/O failures. Every error goes to stderr with
-a machine-parsable ``error:`` prefix.
+cannot parse among them), 2 on I/O failures, 3 on internal failures (any
+other exception a run raises, reported as ``error: internal <Type>:
+<message>`` without a traceback). Every error goes to stderr with a
+machine-parsable ``error:`` prefix.
 """
 
 from __future__ import annotations
 
 import argparse
+import logging
 import math
 import os
 import sys
 from dataclasses import fields
 from pathlib import Path
 
-from .json_writer import _csv, _json_indented
+from .json_writer import _csv, _trace_json
 from .model import ConfigError, SystemConfig
 from .simulator import Policy, RunMetrics, run_simulation, sweep
+
+logger = logging.getLogger(__name__)
 
 _COMPARISON_COLUMNS = [
     "policy",
@@ -212,16 +217,17 @@ def cmd_run(args: argparse.Namespace) -> int:
                 print(_summary_line(metrics))
                 rows.append(_comparison_row(metrics, args.sweep, value))
             if trace_sink is not None:
-                _write(
-                    args.out / f"trace_{policy.value}.json",
-                    _json_indented(trace_sink) + "\n",
-                )
+                _write(args.out / f"trace_{policy.value}.json", _trace_json(trace_sink) + "\n")
         _write(args.out / "comparison.csv", _csv(_COMPARISON_COLUMNS, rows))
     except ValueError as exc:
         return _config_error(exc)
     except IOError as exc:
         print(f"error: io {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # noqa: BLE001 - a solver or writer fault, not the user's input
+        logger.debug("internal failure", exc_info=True)
+        print(f"error: internal {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
     return 0
 
 

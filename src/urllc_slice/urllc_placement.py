@@ -19,6 +19,7 @@ spectral efficiency until the reliability floor holds.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -66,28 +67,51 @@ class _Problem:
     penalty: float             # risk weight / risk rate scale, 1/(bits/s)
 
 
+class _ConfigTerms(NamedTuple):
+    """The placement problem's terms that depend on the configuration alone,
+    so one serves every slot of a run."""
+
+    load_fraction: float       # kappa
+    floor: float
+    caps: np.ndarray           # read-only; a solution copies it
+    penalty: float
+
+
+def _config_terms(cfg: SystemConfig) -> _ConfigTerms:
+    kappa = cfg.expected_load_fraction()
+    cap = min(1.0, (1.0 - 1e-12) / kappa) if kappa > 0 else 1.0
+    caps = np.full(cfg.num_embb_users, cap)
+    caps.flags.writeable = False
+    return _ConfigTerms(
+        load_fraction=kappa,
+        floor=cfg.markov_rate_floor() if cfg.puncture_prob > 0 else 0.0,
+        caps=caps,
+        penalty=cfg.risk_weight / cfg.risk_rate_scale,
+    )
+
+
 def _build_problem(
     cfg: SystemConfig, chan: ChannelRealization, mat: SchedulingMatrix
 ) -> _Problem:
     phi = mat.user_bandwidth(cfg.rb_bandwidth)
-    return _array_problem(cfg, phi, *spectral_efficiencies(cfg, chan))
+    return _array_problem(_config_terms(cfg), phi, *spectral_efficiencies(cfg, chan))
 
 
-def _array_problem(cfg: SystemConfig, phi: np.ndarray, eff: np.ndarray, urllc_eff: float) -> _Problem:
+def _array_problem(terms: _ConfigTerms, phi: np.ndarray, eff: np.ndarray, urllc_eff: float) -> _Problem:
     """The placement problem of user bandwidths ``phi`` at broadband spectral
-    efficiencies ``eff`` and mean URLLC spectral efficiency ``urllc_eff``."""
-    kappa = cfg.expected_load_fraction()
-    cap = min(1.0, (1.0 - 1e-12) / kappa) if kappa > 0 else 1.0
+    efficiencies ``eff`` and mean URLLC spectral efficiency ``urllc_eff``,
+    under a configuration's ``_config_terms``."""
+    kappa = terms.load_fraction
     return _Problem(
         phi=phi,
         rate_per_hz=eff,
         rate=phi * eff,
         load_fraction=kappa,
-        floor=cfg.markov_rate_floor() if cfg.puncture_prob > 0 else 0.0,
+        floor=terms.floor,
         floor_coeff=phi * kappa * urllc_eff,
-        caps=np.full(cfg.num_embb_users, cap),
+        caps=terms.caps,
         active=(phi > 0.0) & (eff > 0.0),
-        penalty=cfg.risk_weight / cfg.risk_rate_scale,
+        penalty=terms.penalty,
     )
 
 

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from urllc_slice import simulator
 from urllc_slice.cli import main
 from urllc_slice.model import SystemConfig
 
@@ -146,6 +147,19 @@ def test_io_failure_exits_two(tmp_path, capsys):
     assert "error: io" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("extra", [[], ["--sweep", "p", "--values", "0.2"]])
+def test_internal_failure_exits_three_without_a_traceback(tmp_path, capsys, monkeypatch, extra):
+    def broken(*args):
+        raise RuntimeError("solver state lost")
+
+    monkeypatch.setattr(simulator, "_simulate_range", broken)
+    argv = ["run", "--slots", "4", "--seed", "7", "--threads", "1", "--out", str(tmp_path), *extra]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["error: internal RuntimeError: solver state lost"]
+    assert "Traceback" not in err
+
+
 def test_trace_flag_dumps_alternation(tmp_path):
     out = tmp_path / "out"
     code = main(
@@ -269,10 +283,22 @@ def test_malformed_field_gives_one_config_error(tmp_path, capsys, command, text,
     assert lines[0].startswith(f"error: config invalid: {field}: ")
 
 
-def test_trace_file_is_canonical_indented_json(tmp_path):
+@pytest.mark.parametrize(
+    "config, extra",
+    [
+        ({}, []),
+        ({"num_embb_users": 40, "num_rbs": 200}, ["--post-round"]),
+        # a user at zero spectral efficiency: every slot runs the alternation loop
+        ({"snr_min_db": -400, "snr_max_db": 30}, []),
+        # slots of both kinds within one run
+        ({"num_embb_users": 3, "snr_min_db": -165, "snr_max_db": -150}, ["--post-round"]),
+    ],
+)
+def test_trace_file_is_canonical_indented_json(tmp_path, config, extra):
     out = tmp_path / "out"
-    argv = ["run", "--policy", "proposed", "--slots", "4", "--seed", "5", "--threads", "1"]
-    assert main(argv + ["--trace", "--out", str(out)]) == 0
+    (tmp_path / "cfg.json").write_text(json.dumps(config))
+    argv = ["run", "--policy", "proposed", "--slots", "4", "--seed", "5", "--threads", "1", *extra]
+    assert main(argv + ["--config", str(tmp_path / "cfg.json"), "--trace", "--out", str(out)]) == 0
     text = (out / "trace_proposed.json").read_text()
     assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
 

@@ -4,7 +4,7 @@ import math
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from urllc_slice.cli import _json_indented
+from urllc_slice.json_writer import _json_indented, _trace_json
 
 scalars = (
     st.none()
@@ -40,3 +40,104 @@ def test_matches_json_dumps_byte_for_byte(doc):
 def test_non_string_keys_fall_back_to_json_dumps():
     doc = {"outer": [{1: [1.0, 2.0], 2: {"x": None}}]}
     assert _json_indented(doc) == json.dumps(doc, indent=2, sort_keys=True)
+
+
+# Trace-shaped documents for ``_trace_json``: the slot dicts ``run_simulation``
+# collects, with the shapes and values that must leave its template.
+numbers = (
+    st.floats(allow_nan=True, allow_infinity=True)
+    | st.sampled_from([0.0, -0.0, 1.0, math.nan, math.inf, -math.inf])
+    | st.integers(-3, 3)
+)
+scalar_values = numbers | st.booleans() | st.none() | st.text(max_size=3)
+float_lists = st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=6)
+
+
+def entry(iteration, weights, bandwidth, frac=1.5, rounded=-2.0, feasible=True):
+    return {
+        "iteration": iteration,
+        "fractional_objective": frac,
+        "rounded_objective": rounded,
+        "weights": weights,
+        "user_bandwidth": bandwidth,
+        "placement_feasible": feasible,
+    }
+
+
+def slot(index, entries, converged=True, reason="tolerance"):
+    return {"slot": index, "converged": converged, "reason": reason, "iterations": entries}
+
+
+@st.composite
+def list_like(draw, base):
+    """A list with the floats of ``base`` (as a trace shares them), an equal
+    list of fresh objects, or another list."""
+    kind = draw(st.sampled_from(["shared", "fresh", "other"]))
+    if kind == "shared":
+        return list(base)
+    if kind == "fresh":
+        return json.loads(json.dumps(base))
+    return draw(st.lists(numbers, max_size=6) | float_lists)
+
+
+def mangle(draw, d):
+    """Maybe add a key, drop one or give one an unusual value."""
+    action = draw(st.sampled_from(["none", "none", "none", "extra", "drop", "retype"]))
+    if action == "extra":
+        d[draw(st.text(max_size=3))] = draw(scalar_values)
+    elif action == "drop":
+        del d[draw(st.sampled_from(sorted(d)))]
+    elif action == "retype":
+        d[draw(st.sampled_from(sorted(d)))] = draw(scalar_values | st.lists(scalar_values, max_size=2))
+    return d
+
+
+@st.composite
+def traces(draw):
+    bandwidth = draw(float_lists)
+    out = []
+    for index in range(draw(st.integers(0, 4))):
+        weights = draw(float_lists)
+        entries = [
+            mangle(draw, entry(
+                it,
+                draw(list_like(weights)),
+                draw(list_like(bandwidth)),
+                draw(numbers),
+                draw(numbers),
+                draw(st.booleans()),
+            ))
+            for it in range(1, draw(st.sampled_from([2, 2, 2, 1, 3])) + 1)
+        ]
+        reason = draw(st.sampled_from(["tolerance", "max-iterations"]) | st.text(max_size=4))
+        out.append(mangle(draw, slot(index, entries, draw(st.booleans()), reason)))
+    return out
+
+
+weights_a, weights_b, bandwidth = [0.25, 0.0, 1.0], [0.25, -0.0, 1.0], [2.5e5, 1e5, 3e5]
+
+
+@given(traces())
+@example([])
+@example([slot(0, [entry(1, list(weights_a), list(bandwidth)), entry(2, list(weights_a), list(bandwidth))])])
+# -0.0 next to 0.0, an int among floats: equal lists whose text differs
+@example([slot(0, [entry(1, weights_a, bandwidth), entry(2, weights_b, list(bandwidth))])])
+@example([slot(0, [entry(1, [0.5, 1.0], bandwidth), entry(2, [0.5, 1], bandwidth)])])
+@example([slot(0, [entry(1, [], []), entry(2, [], [])]), slot(1, [entry(1, [1.0], [1.0]), entry(2, [], [])])])
+@example([slot(0, [entry(1, [], bandwidth, math.nan, math.inf), entry(2, [], bandwidth, -math.inf, 0.0)])])
+@example([slot(0, [entry(1, weights_a, bandwidth)]), slot(1, [entry(i, weights_a, bandwidth) for i in (1, 2, 3)])])
+@example([slot(0, [entry(1, weights_a, bandwidth), entry(2, weights_a, bandwidth)], converged=False)])
+@example([dict(slot(0, [entry(1, weights_a, bandwidth), entry(2, weights_a, bandwidth)]), extra=1)])
+@example([slot(0, [entry(1, weights_a, bandwidth), {"iteration": 2}])])
+@example([slot(0, [entry(1, weights_a, bandwidth), entry(2, weights_a, bandwidth)], reason="débit, 日本")])
+# a list after a string with the same (interned) characters
+@example([slot(0, [entry(1, "ab", bandwidth), entry(2, list("ab"), bandwidth)])])
+@example([slot(0, [entry(1, weights_a, (0.5, 1.0)), entry(2, weights_a, [0.5, 1.0])])])
+@example([slot(True, [entry(1, [None], [True]), entry(2, [None], [[1]])], converged=None, reason=3)])
+def test_trace_writer_matches_json_dumps_byte_for_byte(sink):
+    assert _trace_json(sink) == json.dumps(sink, indent=2, sort_keys=True)
+
+
+def test_trace_writer_writes_other_documents_as_json_dumps():
+    for doc in ([], {}, [[]], [1, 2], {"slot": 0}, "trace"):
+        assert _trace_json(doc) == json.dumps(doc, indent=2, sort_keys=True)

@@ -12,7 +12,10 @@ from hypothesis import strategies as st
 from urllc_slice import alternating, simulator
 from urllc_slice.json_writer import _json_indented
 from urllc_slice.model import (
+    ChannelRealization,
     SystemConfig,
+    _efficiencies,
+    _fading_gains,
     evaluate_slot,
     sample_channel,
     sample_mean_snr,
@@ -172,3 +175,38 @@ def test_slots_failing_the_round_two_check_fall_back_to_the_loop(monkeypatch, po
 def test_untraced_range_returns_no_traces():
     got = simulator._simulate_range(SystemConfig(), Policy.PROPOSED, 7, 0, 5, False, False)
     assert got[4] == []
+
+
+@pytest.mark.parametrize("post_round", [False, True])
+@pytest.mark.parametrize(
+    "kw, shortcut",
+    [
+        ({}, True),
+        ({"num_embb_users": 40, "num_rbs": 200}, True),
+        ({"urllc_outage_budget": 0.01, "snr_min_db": -10.0, "snr_max_db": 5.0}, True),
+        # a user at zero spectral efficiency: the loop, which ignores the row
+        ({"snr_min_db": -400.0, "snr_max_db": 30.0}, False),
+    ],
+)
+def test_a_slot_given_its_efficiency_row_equals_one_computing_it(kw, shortcut, post_round):
+    cfg = SystemConfig(**kw)
+    seed, slots = 7, 12
+    all_active = alternating.all_active_assignment(cfg)
+    fading, urllc_fading, _ = simulator._slot_draws(cfg, seed, 0, slots)
+    gains, urllc_gains = _fading_gains(cfg, *sample_mean_snr(cfg, mean_snr_rng(seed)), fading, urllc_fading)
+    eff, urllc_eff = _efficiencies(cfg, gains, urllc_gains)
+    feasible = []
+    for i in range(slots):
+        chan = ChannelRealization(gains[i], urllc_gains[i])
+        row = (eff[i], float(urllc_eff[i]))
+        given = alternating.run(cfg, chan, post_round=post_round, all_active=all_active, efficiencies=row)
+        alone = alternating.run(cfg, chan, post_round=post_round, all_active=all_active)
+        assert (given[0] is all_active.binary) == (alone[0] is all_active.binary) == shortcut
+        assert given[0].entries.tobytes() == alone[0].entries.tobytes()
+        assert given[1].weights.weights.tobytes() == alone[1].weights.weights.tobytes()
+        assert (given[1].objective, given[1].feasible) == (alone[1].objective, alone[1].feasible)
+        assert given[2].to_dict() == alone[2].to_dict()
+        assert _json_indented(given[2].to_dict()) == _json_indented(alone[2].to_dict())
+        feasible.append(given[1].feasible)
+    if cfg.urllc_outage_budget == 0.01:
+        assert not any(feasible)
