@@ -14,8 +14,8 @@ again. Placement keeps every user active, so from zero puncturing the second
 round repeats the first and the loop stops at its fixed point after two
 rounds, having solved each block once. Given the configuration's all-active
 assignment (``all_active_assignment``), such a run returns those two rounds
-without entering the loop, and given the slot's spectral efficiencies it
-computes no channel terms either. Because rounding is interleaved,
+without entering the loop; ``_all_active_rounds`` computes them for a whole
+chunk of slots at once, as arrays. Because rounding is interleaved,
 block ascent is monotone in the objective evaluated on the fractional
 assignment; the rounded objective is recorded alongside it.
 """
@@ -23,6 +23,7 @@ assignment; the rounded objective is recorded alongside it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,14 +34,20 @@ from .embb_scheduler import (
     round_to_binary,
     solve_fractional,
 )
-from .model import ChannelRealization, SchedulingMatrix, SystemConfig, spectral_efficiencies
+from .model import (
+    ChannelRealization,
+    PunctureWeights,
+    SchedulingMatrix,
+    SystemConfig,
+    spectral_efficiencies,
+)
 from .urllc_placement import (
     PlacementSolution,
-    _array_problem,
     _config_terms,
     _ConfigTerms,
-    _problem_objective,
-    _solve,
+    _row_objectives,
+    _Rows,
+    _solve_rows,
     placement_objective,
     solve_placement,
 )
@@ -121,7 +128,7 @@ def run(
     rng=None,
     post_round: bool = False,
     all_active: AllActive | None = None,
-    efficiencies: tuple[np.ndarray, float] | None = None,
+    row: tuple[AllActiveRounds, int] | None = None,
 ) -> tuple[SchedulingMatrix, PlacementSolution, AlternationTrace]:
     """Alternate assignment and placement until neither block moves.
 
@@ -138,16 +145,21 @@ def run(
     on is the placement's own objective; only the other matrix's is evaluated.
 
     ``all_active``, ``all_active_assignment(cfg)``, lets a call from
-    ``init="zero"`` skip the loop (``_two_equal_rounds``) when every user has
-    a positive spectral efficiency; the matrix it returns is then
+    ``init="zero"`` skip the loop when its two all-active rounds answer the
+    slot (``_all_active_rounds``); the matrix it returns is then
     ``all_active.binary`` itself. The result is the same, bit for bit.
-    ``efficiencies``, the slot's ``spectral_efficiencies(cfg, chan)`` when the
-    caller already holds them, spares the shortcut computing them.
+    ``row``, ``(rounds, i)``, hands over those rounds when the caller has
+    computed them for a chunk of slots, ``rounds`` being the chunk's
+    ``_all_active_rounds`` at the same ``post_round`` and this slot its row
+    ``i``; without it the call computes its own one-row case.
     """
     if all_active is not None and init == "zero" and max_iters >= 2:
-        result = _two_equal_rounds(cfg, chan, all_active, post_round, efficiencies)
-        if result is not None:
-            return result
+        if row is None:
+            eff, urllc_eff = spectral_efficiencies(cfg, chan)
+            row = _all_active_rounds(all_active, eff[None, :], np.array([urllc_eff]), post_round), 0
+        rounds, i = row
+        if rounds.answered[i]:
+            return _answered_run(all_active, rounds, i)
     weights = _initial_weights(cfg, init, rng)
     trace = AlternationTrace()
     prev_active = None
@@ -191,35 +203,59 @@ def run(
     return binary, placement, trace
 
 
-def _two_equal_rounds(cfg, chan, all_active, post_round, efficiencies):
-    """``run``'s result from zero weights when its loop would stop after two
-    equal rounds, or None.
+class AllActiveRounds(NamedTuple):
+    """``run``'s two all-active rounds from zero weights for every slot (row)
+    of a chunk, as arrays: whether they answer the slot, the placement they
+    solve, and each row's fractional and rounded trace objectives (S x 2)."""
 
-    With every spectral efficiency positive, round 1 keeps every user active
-    and so assigns ``all_active``. Round 2 repeats it, and the loop stops
-    converged, exactly when round 1's weights keep every user active
-    (``active_user_mask``'s test). The two trace entries share their weight
-    and bandwidth floats (in distinct lists), which lets the trace writer
-    format each list once.
+    answered: np.ndarray
+    placement: _Rows
+    objectives: np.ndarray
+
+
+def _all_active_rounds(all_active: AllActive, eff: np.ndarray, urllc_eff: np.ndarray, post_round: bool):
+    """The ``AllActiveRounds`` of the slots whose broadband spectral
+    efficiencies are the rows of the S x U ``eff`` and whose mean URLLC
+    spectral efficiencies are the S ``urllc_eff``.
+
+    With every spectral efficiency of a row positive, round 1 keeps every
+    user active and so assigns ``all_active``. Round 2 repeats it, and the
+    loop stops converged, exactly when round 1's weights keep every user
+    active (``active_user_mask``'s test): those rows are answered. Their
+    values equal the loop's bit for bit (``_solve_rows``).
     """
-    eff, urllc_eff = spectral_efficiencies(cfg, chan) if efficiencies is None else efficiencies
-    if not (eff > 0.0).all():
-        return None
     terms = all_active.placement_terms
     placed, other = all_active.fractional_bandwidth, all_active.rounded_bandwidth
     if not post_round:
         placed, other = other, placed
-    placement = _solve(_array_problem(terms, placed, eff, urllc_eff))
-    w = placement.weights.weights
-    if not (_array_rate_coefficients(eff, w, terms.load_fraction) > 0.0).all():
-        return None
-    other_objective = _problem_objective(_array_problem(terms, other, eff, urllc_eff), w)
-    objectives = (
-        (placement.objective, other_objective) if post_round else (other_objective, placement.objective)
+    ok = (eff > 0.0).all(axis=1)
+    if not ok.all():
+        # such a row is not answered: ones, and no URLLC efficiency (caps below
+        # the floor), keep its arithmetic finite and out of the multiplier search
+        eff, urllc_eff = np.where(ok[:, None], eff, 1.0), np.where(ok, urllc_eff, 0.0)
+    rows = _solve_rows(terms, placed, eff, urllc_eff)
+    kappa = terms.load_fraction
+    other_objective = _row_objectives(other * eff, rows.weights, kappa, terms.penalty, other > 0.0)[0]
+    objectives = (rows.objective, other_objective) if post_round else (other_objective, rows.objective)
+    answered = ok & (_array_rate_coefficients(eff, rows.weights, kappa) > 0.0).all(axis=1)
+    return AllActiveRounds(answered, rows, np.stack(objectives, axis=1))
+
+
+def _answered_run(all_active: AllActive, rounds: AllActiveRounds, i: int):
+    """``run``'s result for row ``i`` of ``rounds``, which answers it. The two
+    trace entries share their weight and bandwidth floats (in distinct
+    lists), which lets the trace writer format each list once."""
+    rows = rounds.placement
+    objectives = rounds.objectives[i].tolist()
+    feasible = rows.feasible.item(i)
+    w = rows.weights[i]
+    placement = PlacementSolution(
+        weights=PunctureWeights(weights=w, var_level=rows.var_level.item(i), excess=0.0),
+        feasible=feasible,
+        objective=rows.objective.item(i),
+        max_achievable_urllc_rate=rows.max_achievable_urllc_rate.item(i),
+        iterations=rows.iterations.item(i),
     )
     weights, bandwidth = w.tolist(), all_active.rounded_values
-    entries = [
-        TraceEntry(it, *objectives, list(weights), list(bandwidth), placement.feasible)
-        for it in (1, 2)
-    ]
+    entries = [TraceEntry(it, *objectives, list(weights), list(bandwidth), feasible) for it in (1, 2)]
     return all_active.binary, placement, AlternationTrace(entries, converged=True, reason="tolerance")

@@ -210,15 +210,12 @@ def _chunk_slots(cfg: SystemConfig) -> int:
     return max(1, _CHUNK_ENTRIES // (cfg.num_embb_users + cfg.num_urllc_users + cfg.num_minislots))
 
 
-def _policy_step(cfg, policy, chan, post_round, all_active, efficiencies):
+def _policy_step(cfg, policy, chan, post_round, all_active, row):
     """One slot's assignment matrix, placement and, for the proposed policy,
-    alternation trace (None for the baselines). ``efficiencies`` are the
-    slot's ``spectral_efficiencies``, taken from the range's arrays; the
-    proposed policy's all-active shortcut reads them."""
+    alternation trace (None for the baselines). ``row`` is the slot's row of
+    its chunk's all-active rounds (proposed policy only)."""
     if policy == Policy.PROPOSED:
-        return alternating.run(
-            cfg, chan, post_round=post_round, all_active=all_active, efficiencies=efficiencies
-        )
+        return alternating.run(cfg, chan, post_round=post_round, all_active=all_active, row=row)
     binary = round_to_binary(solve_fractional(cfg, chan, weights=None), cfg)
     if policy == Policy.BASELINE1:
         return binary, urllc_placement.solve_baseline1(cfg, chan, binary), None
@@ -229,11 +226,12 @@ def _simulate_range(cfg, policy, seed, start, stop, post_round, trace):
     """Per-slot arrays of slots ``start`` to ``stop``, and their alternation
     traces if ``trace`` is set (proposed policy only). Chunks of slots are
     drawn, turned into spectral efficiencies and evaluated as arrays; the
-    policy runs slot by slot in between, on each slot's row of the
-    efficiencies. The proposed policy's all-active assignment, with the
-    placement problem's configuration terms, is computed once per range, and
-    a slot that the all-active shortcut answers takes its rounded
-    bandwidths."""
+    policy runs slot by slot in between. The proposed policy's all-active
+    assignment, with the placement problem's configuration terms, is computed
+    once per range and its two rounds once per chunk
+    (``alternating._all_active_rounds``); each slot's ``alternating.run``
+    takes its row of them, and a slot they answer takes the assignment's
+    rounded bandwidths."""
     means = sample_mean_snr(cfg, mean_snr_rng(seed))
     all_active = alternating.all_active_assignment(cfg) if policy == Policy.PROPOSED else None
     rates = np.empty((stop - start, cfg.num_embb_users))
@@ -248,11 +246,13 @@ def _simulate_range(cfg, policy, seed, start, stop, post_round, trace):
         gains, urllc_gains = _fading_gains(cfg, *means, fading, urllc_fading)
         eff, urllc_eff = _efficiencies(cfg, gains, urllc_gains)
         phi, weights = np.empty_like(gains), np.empty_like(gains)
-        for i, (slot, slot_urllc_eff) in enumerate(zip(range(lo, hi), urllc_eff.tolist())):
+        rounds = None
+        if all_active is not None:
+            rounds = alternating._all_active_rounds(all_active, eff, urllc_eff, post_round)
+        for i, slot in enumerate(range(lo, hi)):
             chan = ChannelRealization(gains[i], urllc_gains[i])
-            binary, placement, alternation = _policy_step(
-                cfg, policy, chan, post_round, all_active, (eff[i], slot_urllc_eff)
-            )
+            row = None if rounds is None else (rounds, i)
+            binary, placement, alternation = _policy_step(cfg, policy, chan, post_round, all_active, row)
             if trace and alternation is not None:
                 traces.append({"slot": slot, **alternation.to_dict()})
             if all_active is not None and binary is all_active.binary:

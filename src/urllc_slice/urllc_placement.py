@@ -193,8 +193,7 @@ def _solve(prob: _Problem) -> PlacementSolution:
     s = kappa * prob.penalty * prob.rate[a] / d
 
     def active_weights(lam):
-        with np.errstate(divide="ignore"):  # s + lam = 0: weight clips to 0
-            return np.clip(1.0 / kappa - 1.0 / (d * (s + lam)), 0.0, cap)
+        return _weights_at(kappa, d, s, lam, cap)
 
     w[a] = active_weights(0.0)
     if prob.floor_coeff @ w >= prob.floor:
@@ -239,6 +238,80 @@ def _solve(prob: _Problem) -> PlacementSolution:
         # at least one ulp a step, in case rounding makes the Newton step vanish
         lam = max(lam + (goal - supplied) / slope, float(np.nextafter(lam, np.inf)))
     return _finish(prob, w, feasible=True, iters=iters)
+
+
+def _weights_at(kappa, d, s, lam, cap):
+    """The water-filling weights ``clip(1/kappa - 1/(d*(s + lam)), 0, cap)``,
+    elementwise. Its exceptions are expected and silenced: ``s + lam = 0``
+    (penalty off, at ``lam = 0``) divides by zero and the weight clips to 0,
+    and a load fraction near the smallest float overflows ``1/(d*(s + lam))``,
+    where ``inf - inf`` leaves a NaN weight that meets no floor test."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        return np.clip(1.0 / kappa - 1.0 / (d * (s + lam)), 0.0, cap)
+
+
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a[i] @ b[i]`` (or ``a[i] @ b`` for a vector ``b``) for every row i of
+    ``a``, through a batched ``np.matmul`` that reduces each row as ``@``
+    reduces one vector, bit for bit."""
+    return np.matmul(a[:, None, :], b[..., None])[:, 0, 0]
+
+
+def _row_objectives(rate, w, kappa, penalty, active):
+    """``_problem_objective`` and the mean total rate of every row of the S x U
+    ``rate`` and ``w``, the users in the log objective being the columns in
+    ``active``. Rows are summed only C-contiguous, as ``sum`` sums one vector:
+    summing a column selection in place changes the last bit of some rows."""
+    rates = rate * (1.0 - kappa * w)
+    if not active.all():
+        rates = np.ascontiguousarray(rates[:, active])
+    total = rates.sum(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):  # such rows read -inf
+        objective = np.log(rates).sum(axis=1) - penalty * total
+    return np.where((rates <= 0.0).any(axis=1), -np.inf, objective), total
+
+
+class _Rows(NamedTuple):
+    """``_solve``'s solutions of many placement problems, one row each."""
+
+    weights: np.ndarray        # S x U
+    feasible: np.ndarray
+    objective: np.ndarray
+    var_level: np.ndarray      # the mean total rate
+    max_achievable_urllc_rate: np.ndarray
+    iterations: np.ndarray
+
+
+def _solve_rows(terms: _ConfigTerms, phi: np.ndarray, eff: np.ndarray, urllc_eff: np.ndarray) -> _Rows:
+    """``_solve(_array_problem(terms, phi, eff[i], urllc_eff[i]))`` for every
+    row i of the S x U ``eff``, all of whose entries are positive, and the S
+    ``urllc_eff``: the same values, bit for bit. The rows that ``_solve``
+    decides in closed form (no floor, caps below the floor, or the
+    ``lam = 0`` weights meeting it) are computed together as arrays, with
+    every ``@`` of ``_solve`` and ``_finish`` a ``_row_dots``; a row that
+    needs the multiplier goes through ``_solve``."""
+    kappa, floor, caps, penalty = terms
+    rate = phi * eff
+    floor_coeff = phi * kappa * urllc_eff[:, None]
+    max_rate = _row_dots(floor_coeff, caps)
+    w = np.zeros(eff.shape)
+    feasible = np.ones(len(eff), dtype=bool)
+    iterations = np.zeros(len(eff), dtype=int)
+    if floor > 0.0:
+        short = max_rate < floor
+        active = phi > 0.0
+        with np.errstate(divide="ignore", invalid="ignore"):  # d = 0: a user or row not used
+            s = kappa * penalty * rate / floor_coeff
+        w = np.where(active, _weights_at(kappa, floor_coeff, s, 0.0, caps), 0.0)
+        # not (supply >= floor), as in _solve: a NaN supply goes on to the multiplier
+        multiplier = ~short & ~(_row_dots(floor_coeff, w) >= floor)
+        w[short] = caps
+        feasible = ~short
+        for i in np.flatnonzero(multiplier):
+            solution = _solve(_array_problem(terms, phi, eff[i], urllc_eff[i]))
+            w[i], feasible[i], iterations[i] = solution.weights.weights, solution.feasible, solution.iterations
+    objective, var_level = _row_objectives(rate, w, kappa, penalty, phi > 0.0)
+    return _Rows(w, feasible, objective, var_level, max_rate, iterations)
 
 
 def solve_baseline1(

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -158,6 +159,31 @@ def test_internal_failure_exits_three_without_a_traceback(tmp_path, capsys, monk
     err = capsys.readouterr().err
     assert err.splitlines() == ["error: internal RuntimeError: solver state lost"]
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("extra", [[], ["--post-round", "--trace"]])
+def test_vanishing_load_fraction_runs_without_numpy_warnings(tmp_path, capsys, extra):
+    # a load fraction of 5e-324 with the penalty off: the water-filling meets
+    # 1/0, an overflow to inf and inf - inf, none of which may warn
+    cfg = {
+        "num_embb_users": 1,
+        "num_rbs": 5,
+        "num_minislots": 1,
+        "num_urllc_users": 1,
+        "snr_min_db": 3,
+        "snr_max_db": 3,
+        "puncture_prob": 5e-324,
+        "risk_weight": 0,
+    }
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    argv = ["run", "--config", str(path), "--policy", "all", "--slots", "1", "--seed", "0", "--threads", "1"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a warning raised inside the run exits 3
+        assert main(argv + ["--out", str(tmp_path / "out"), *extra]) == 0
+    assert capsys.readouterr().err == ""
+    metrics = json.loads((tmp_path / "out" / "metrics_baseline1.json").read_text())
+    assert metrics["n_infeasible_slots"] == 0
 
 
 def test_trace_flag_dumps_alternation(tmp_path):

@@ -1,15 +1,15 @@
-"""The proposed policy in ``simulator._simulate_range``, which passes
-``alternating.run`` the range's all-active assignment so most slots skip the
-loop, against a reference loop over the public per-slot API
-(``alternating.run`` without it, followed by ``evaluate_slot``): the same four
-arrays and the same traces, bit for bit."""
+"""The proposed policy in ``simulator._simulate_range``, which solves each
+chunk's all-active rounds as arrays and passes every slot's ``alternating.run``
+its row of them, so most slots skip the loop, against a reference loop over
+the public per-slot API (``alternating.run`` without them, followed by
+``evaluate_slot``): the same four arrays and the same traces, bit for bit."""
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from urllc_slice import alternating, simulator
+from urllc_slice import alternating, simulator, urllc_placement
 from urllc_slice.json_writer import _json_indented
 from urllc_slice.model import (
     ChannelRealization,
@@ -108,6 +108,26 @@ def range_cases(draw):
 @example(({"urllc_outage_budget": 0.01, "snr_min_db": -10.0, "snr_max_db": 5.0}, 7, 0, 20, False))
 @example(({"urllc_outage_budget": 0.01, "snr_min_db": -10.0, "snr_max_db": 5.0}, 7, 0, 20, True))
 @example(({"num_embb_users": 40, "num_rbs": 200}, 20261, 0, 12, True))
+# a load fraction of 5e-324 with the penalty off: NaN weights at lam = 0, so
+# the row goes on to the multiplier
+@example(
+    (
+        {
+            "num_embb_users": 1,
+            "num_rbs": 5,
+            "num_minislots": 1,
+            "num_urllc_users": 1,
+            "snr_min_db": 3.0,
+            "snr_max_db": 3.0,
+            "puncture_prob": 5e-324,
+            "risk_weight": 0.0,
+        },
+        0,
+        0,
+        3,
+        False,
+    )
+)
 def test_array_path_equals_the_per_slot_loop(case):
     kw, seed, start, stop, post_round = case
     cfg = SystemConfig(**kw)
@@ -116,22 +136,23 @@ def test_array_path_equals_the_per_slot_loop(case):
 
 
 def record_calls(monkeypatch):
-    """Calls of ``alternating.run``, and per call of its shortcut whether the
-    shortcut answered (True) or left the slot to the loop (False)."""
+    """Calls of ``alternating.run``, and per slot of every chunk's all-active
+    rounds whether they answered the slot (True) or left it to the loop
+    (False)."""
     calls, answered = [], []
-    run, shortcut = alternating.run, alternating._two_equal_rounds
+    run, rounds_of = alternating.run, alternating._all_active_rounds
 
     def counting(*args, **kwargs):
         calls.append(1)
         return run(*args, **kwargs)
 
     def recording(*args):
-        result = shortcut(*args)
-        answered.append(result is not None)
-        return result
+        rounds = rounds_of(*args)
+        answered.extend(rounds.answered.tolist())
+        return rounds
 
     monkeypatch.setattr(alternating, "run", counting)
-    monkeypatch.setattr(alternating, "_two_equal_rounds", recording)
+    monkeypatch.setattr(alternating, "_all_active_rounds", recording)
     return calls, answered
 
 
@@ -157,19 +178,55 @@ def test_a_user_degenerate_in_every_slot_sends_every_slot_to_the_loop(monkeypatc
 @pytest.mark.parametrize("post_round", [False, True])
 def test_slots_failing_the_round_two_check_fall_back_to_the_loop(monkeypatch, post_round):
     # valid weights always pass the check (caps keep every user active), so
-    # make every other slot fail it
+    # make every other slot of the chunk fail it
     seen = []
 
     def every_other_fails(eff, w, load_fraction):
-        seen.append(1)
-        return eff * (1.0 - w * load_fraction) * (len(seen) % 2)
+        seen.append(len(eff))
+        coeff = eff * (1.0 - w * load_fraction)
+        coeff[1::2] = 0.0
+        return coeff
 
     monkeypatch.setattr(alternating, "_array_rate_coefficients", every_other_fails)
     calls, answered = record_calls(monkeypatch)
     assert_same_range(SystemConfig(), 11, 5, 15, post_round)
-    assert len(seen) == 10
+    assert seen == [10]  # one chunk of 10 slots
     assert answered == [True, False] * 5
     assert len(calls) == 10 + 10
+
+
+@pytest.mark.parametrize("post_round", [False, True])
+def test_a_range_of_many_chunks_mixing_every_kind_of_row(monkeypatch, post_round):
+    # seed 153 draws one broadband user near -156 dB and one URLLC user whose
+    # fading sometimes leaves the floor out of reach, so these 60 slots mix
+    # degenerate-user rows with answered rows of every kind: lam = 0 weights,
+    # the multiplier (through _solve) and caps below the floor
+    cfg = SystemConfig(snr_min_db=-158.0, snr_max_db=30.0, num_urllc_users=1)
+    per_slot = cfg.num_embb_users + cfg.num_urllc_users + cfg.num_minislots
+    monkeypatch.setattr(simulator, "_CHUNK_ENTRIES", 7 * per_slot)
+    solved, chunks = [], []
+    solve, rounds_of = urllc_placement._solve, alternating._all_active_rounds
+
+    def counting(prob):
+        solved.append(1)
+        return solve(prob)
+
+    def recording(all_active, eff, urllc_eff, post_round):
+        before = len(solved)
+        rounds = rounds_of(all_active, eff, urllc_eff, post_round)
+        ok = (eff > 0.0).all(axis=1)
+        multiplier = len(solved) - before
+        infeasible = int((ok & ~rounds.placement.feasible).sum())
+        lam_zero = int((ok & rounds.placement.feasible).sum()) - multiplier
+        chunks.append((len(eff), multiplier, infeasible, lam_zero, int((~ok).sum())))
+        return rounds
+
+    monkeypatch.setattr(urllc_placement, "_solve", counting)
+    monkeypatch.setattr(alternating, "_all_active_rounds", recording)
+    assert_same_range(cfg, 153, 0, 60, post_round)
+    sizes, multiplier, infeasible, lam_zero, degenerate = map(list, zip(*chunks))
+    assert sizes == [7] * 8 + [4]
+    assert (sum(multiplier), sum(infeasible), sum(lam_zero), sum(degenerate)) == (29, 2, 8, 21)
 
 
 def test_untraced_range_returns_no_traces():
@@ -184,27 +241,29 @@ def test_untraced_range_returns_no_traces():
         ({}, True),
         ({"num_embb_users": 40, "num_rbs": 200}, True),
         ({"urllc_outage_budget": 0.01, "snr_min_db": -10.0, "snr_max_db": 5.0}, True),
-        # a user at zero spectral efficiency: the loop, which ignores the row
+        # a user at zero spectral efficiency: the loop
         ({"snr_min_db": -400.0, "snr_max_db": 30.0}, False),
     ],
 )
-def test_a_slot_given_its_efficiency_row_equals_one_computing_it(kw, shortcut, post_round):
+def test_a_slot_given_its_chunk_row_equals_one_computing_it(kw, shortcut, post_round):
     cfg = SystemConfig(**kw)
     seed, slots = 7, 12
     all_active = alternating.all_active_assignment(cfg)
     fading, urllc_fading, _ = simulator._slot_draws(cfg, seed, 0, slots)
     gains, urllc_gains = _fading_gains(cfg, *sample_mean_snr(cfg, mean_snr_rng(seed)), fading, urllc_fading)
-    eff, urllc_eff = _efficiencies(cfg, gains, urllc_gains)
+    rounds = alternating._all_active_rounds(all_active, *_efficiencies(cfg, gains, urllc_gains), post_round)
+    assert rounds.answered.tolist() == [shortcut] * slots
     feasible = []
     for i in range(slots):
         chan = ChannelRealization(gains[i], urllc_gains[i])
-        row = (eff[i], float(urllc_eff[i]))
-        given = alternating.run(cfg, chan, post_round=post_round, all_active=all_active, efficiencies=row)
+        given = alternating.run(cfg, chan, post_round=post_round, all_active=all_active, row=(rounds, i))
         alone = alternating.run(cfg, chan, post_round=post_round, all_active=all_active)
         assert (given[0] is all_active.binary) == (alone[0] is all_active.binary) == shortcut
         assert given[0].entries.tobytes() == alone[0].entries.tobytes()
         assert given[1].weights.weights.tobytes() == alone[1].weights.weights.tobytes()
-        assert (given[1].objective, given[1].feasible) == (alone[1].objective, alone[1].feasible)
+        fields = ("objective", "feasible", "max_achievable_urllc_rate", "iterations")
+        assert [getattr(given[1], f) for f in fields] == [getattr(alone[1], f) for f in fields]
+        assert given[1].weights.var_level == alone[1].weights.var_level
         assert given[2].to_dict() == alone[2].to_dict()
         assert _json_indented(given[2].to_dict()) == _json_indented(alone[2].to_dict())
         feasible.append(given[1].feasible)

@@ -524,3 +524,41 @@ def test_a_segment_without_free_users_is_solved_at_its_breakpoint(tmp_path, poli
     assert np.all((w >= 0.0) & (w <= caps))
     assert sol.feasible == bool(a @ w >= floor)
     assert sol.feasible
+
+
+@pytest.mark.parametrize(
+    "kw",
+    [
+        {},
+        {"num_embb_users": 40, "num_rbs": 200},
+        # fewer RBs than users: rounding leaves some users without bandwidth
+        {"num_embb_users": 12, "num_rbs": 5},
+        {"urllc_outage_budget": 0.01, "snr_min_db": -10.0, "snr_max_db": 5.0},
+        {"urllc_outage_budget": 0.03, "num_urllc_users": 1, "risk_weight": 0.0},
+        {"puncture_prob": 0.0},
+        # NaN weights at lam = 0, and a segment without free users
+        {**_TINY_LOAD, "puncture_prob": 5e-324},
+        _TINY_LOAD,
+    ],
+)
+@pytest.mark.parametrize("rounded", [False, True])
+def test_solve_rows_equals_solve_row_by_row(kw, rounded):
+    from urllc_slice.alternating import all_active_assignment
+    from urllc_slice.model import _efficiencies, _fading_gains, sample_mean_snr
+    from urllc_slice.simulator import _slot_draws, mean_snr_rng
+    from urllc_slice.urllc_placement import _array_problem, _solve, _solve_rows
+
+    cfg = SystemConfig(**kw)
+    all_active = all_active_assignment(cfg)
+    phi = all_active.rounded_bandwidth if rounded else all_active.fractional_bandwidth
+    fading, urllc_fading, _ = _slot_draws(cfg, 7, 0, 100)
+    gains, urllc_gains = _fading_gains(cfg, *sample_mean_snr(cfg, mean_snr_rng(7)), fading, urllc_fading)
+    eff, urllc_eff = _efficiencies(cfg, gains, urllc_gains)
+    assert (eff > 0.0).all()
+    rows = _solve_rows(all_active.placement_terms, phi, eff, urllc_eff)
+    for i in range(len(eff)):
+        want = _solve(_array_problem(all_active.placement_terms, phi, eff[i], float(urllc_eff[i])))
+        assert rows.weights[i].tobytes() == want.weights.weights.tobytes()
+        got = [rows.feasible[i], rows.objective[i], rows.var_level[i], rows.max_achievable_urllc_rate[i]]
+        assert got == [want.feasible, want.objective, want.weights.var_level, want.max_achievable_urllc_rate]
+        assert rows.iterations[i] == want.iterations
