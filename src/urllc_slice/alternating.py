@@ -85,7 +85,8 @@ class AllActive:
     is active, its user bandwidths and the placement problem's configuration
     terms. It depends on the configuration alone, so one serves every slot of
     a run. ``rounded_values`` holds the rounded bandwidths as floats, which
-    every trace entry's ``user_bandwidth`` list copies."""
+    every answered trace entry's ``user_bandwidth`` list copies, so an
+    answered slot makes no new float objects for them."""
 
     binary: SchedulingMatrix
     fractional_bandwidth: np.ndarray
@@ -242,9 +243,8 @@ def _all_active_rounds(all_active: AllActive, eff: np.ndarray, urllc_eff: np.nda
 
 
 def _answered_run(all_active: AllActive, rounds: AllActiveRounds, i: int):
-    """``run``'s result for row ``i`` of ``rounds``, which answers it. The two
-    trace entries share their weight and bandwidth floats (in distinct
-    lists), which lets the trace writer format each list once."""
+    """``run``'s result for row ``i`` of ``rounds``, which answers it: its
+    two trace entries hold the same values, in distinct lists."""
     rows = rounds.placement
     objectives = rounds.objectives[i].tolist()
     feasible = rows.feasible.item(i)

@@ -15,9 +15,10 @@ import math
 import os
 import sys
 from dataclasses import fields
+from itertools import chain
 from pathlib import Path
 
-from .json_writer import _csv, _trace_json
+from .json_writer import _csv, _trace_pieces, _TraceRecords
 from .model import ConfigError, SystemConfig
 from .simulator import Policy, RunMetrics, run_simulation, sweep
 
@@ -110,10 +111,12 @@ def _config_error(message: object) -> int:
     return 1
 
 
-def _write(path: Path, text: str) -> None:
+def _write(path: Path, text) -> None:
+    """Write ``text``, a string or an iterable of strings written in turn."""
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text)
+        with path.open("w") as f:
+            f.writelines([text] if isinstance(text, str) else text)
     except OSError as exc:
         raise IOError(f"cannot write {path}: {exc}") from exc
 
@@ -185,7 +188,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     rows = []
     try:
         for policy in policies:
-            trace_sink = [] if (args.trace and policy == Policy.PROPOSED) else None
+            trace_sink = _TraceRecords() if (args.trace and policy == Policy.PROPOSED) else None
             if values is None:
                 metrics = run_simulation(
                     cfg,
@@ -217,7 +220,7 @@ def cmd_run(args: argparse.Namespace) -> int:
                 print(_summary_line(metrics))
                 rows.append(_comparison_row(metrics, args.sweep, value))
             if trace_sink is not None:
-                _write(args.out / f"trace_{policy.value}.json", _trace_json(trace_sink) + "\n")
+                _write(args.out / f"trace_{policy.value}.json", chain(_trace_pieces(trace_sink), ["\n"]))
         _write(args.out / "comparison.csv", _csv(_COMPARISON_COLUMNS, rows))
     except ValueError as exc:
         return _config_error(exc)

@@ -1,7 +1,9 @@
-"""Output text: every JSON file goes through ``_json_indented`` (exactly
+"""Output text: every JSON file has the text of ``_json_indented`` (exactly
 ``json.dumps(obj, indent=2, sort_keys=True)``, without its pure-Python
-encoder) or, for a trace, ``_trace_json``, every CSV file through ``_csv``,
-and dataclasses through ``_fields_dict``."""
+encoder); a trace file is written in pieces by ``_trace_pieces``, which
+fills the slots of the simulator's chunk records into one template straight
+from their arrays. Every CSV file goes through ``_csv``, and dataclasses
+through ``_fields_dict``."""
 
 from __future__ import annotations
 
@@ -9,7 +11,7 @@ import json
 import math
 from dataclasses import fields
 from json.encoder import encode_basestring_ascii
-from operator import is_
+from typing import NamedTuple
 
 import numpy as np
 
@@ -75,79 +77,84 @@ def _json_indented(obj, newline: str = "\n") -> str:
     return _encode_flat(obj)
 
 
-# One slot of a trace: ``{"slot": ..., **AlternationTrace.to_dict()}`` with two
-# entries, as ``_json_indented`` writes it inside the trace's list, with a
-# ``%s`` hole for each value in key order. A list's text is laid out from the
-# depth of the entry's keys, ``_ENTRY_NEWLINE``.
-_ENTRY_KEYS = {
-    "fractional_objective", "iteration", "placement_feasible", "rounded_objective", "user_bandwidth", "weights"
-}
-_SLOT_KEYS = {"converged", "iterations", "reason", "slot"}
-_ENTRY_NEWLINE = "\n        "
-_SLOT_TEMPLATE = _json_indented(
-    {**dict.fromkeys(_SLOT_KEYS, "\0"), "iterations": [dict.fromkeys(_ENTRY_KEYS, "\0")] * 2}, "\n  "
-).replace('"\\u0000"', "%s")
+class _TraceRecord(NamedTuple):
+    """The traces of the proposed slots of one chunk, from slot ``start``
+    on, in slot order. A row that ``rounds`` (the chunk's
+    ``alternating.AllActiveRounds``) answers is the converged two-entry trace
+    of ``alternating._answered_run``: both entries hold the row's weights,
+    objectives and feasibility and ``all_active.rounded_bandwidth``. Every
+    other row is the next slot dict of ``fallback``."""
+
+    start: int
+    all_active: object
+    rounds: object
+    fallback: list
 
 
-class _ListText:
-    """The text of a list at the entries' depth. A list holding the very same
-    objects as the last list written has the same text, whatever their types
-    or signs, so it reuses that text."""
-
-    def __init__(self):
-        self.items, self.text = (), "[]"  # the text of an empty list
-
-    def __call__(self, values) -> str:
-        if type(values) is not list:
-            return _json_indented(values, _ENTRY_NEWLINE)
-        if len(values) != len(self.items) or not all(map(is_, values, self.items)):
-            self.items, self.text = tuple(values), _json_indented(values, _ENTRY_NEWLINE)
-        return self.text
+class _TraceRecords(list):
+    """A ``run_simulation`` trace sink that is extended with the simulator's
+    ``_TraceRecord``s instead of one dict per slot."""
 
 
-def _scalar_text(x) -> str:
-    """What json writes for a scalar of a type ``_SCALAR_TEXT`` names; a
-    KeyError for any other value."""
-    return _SCALAR_TEXT[type(x)](x)
+# An answered slot as ``_json_indented`` writes it inside the trace's list,
+# with a ``%s`` hole per value that varies from slot to slot, in key order:
+# per entry the fractional objective, feasibility, rounded objective and
+# weights, then the slot. The weights' hole sits inside its list's brackets.
+_HOLE = "\0"
+_ENTRY = dict.fromkeys(["fractional_objective", "placement_feasible", "rounded_objective"], _HOLE)
+_ENTRY["weights"] = [_HOLE]
+_WEIGHT_SEP = ",\n          "  # between the items of an entry's list
 
 
-def _slot_text(slot, weights: _ListText, bandwidth: _ListText) -> str | None:
-    """``slot`` through ``_SLOT_TEMPLATE``, or None when it has another shape
-    or a scalar of a type ``_SCALAR_TEXT`` does not name."""
-    if type(slot) is not dict or slot.keys() != _SLOT_KEYS:
-        return None
-    entries = slot["iterations"]
-    if type(entries) is not list or len(entries) != 2:
-        return None
-    try:
-        values = [_scalar_text(slot["converged"])]
-        for e in entries:
-            if type(e) is not dict or e.keys() != _ENTRY_KEYS:
-                return None
-            scalars = e["fractional_objective"], e["iteration"], e["placement_feasible"], e["rounded_objective"]
-            values += map(_scalar_text, scalars)
-            values += bandwidth(e["user_bandwidth"]), weights(e["weights"])
-        values += _scalar_text(slot["reason"]), _scalar_text(slot["slot"])
-    except KeyError:
-        return None
-    return _SLOT_TEMPLATE % tuple(values)
+def _answered_template(bandwidth: list) -> str:
+    entries = [{**_ENTRY, "iteration": it, "user_bandwidth": bandwidth} for it in (1, 2)]
+    slot = {"converged": True, "iterations": entries, "reason": "tolerance", "slot": _HOLE}
+    return _json_indented(slot, "\n  ").replace("%", "%%").replace('"\\u0000"', "%s")
+
+
+def _record_text(record: _TraceRecord, templates: dict) -> str:
+    """The slots of ``record`` as ``_json_indented`` writes them inside the
+    trace's list, joined. The answered rows fill the template of the run's
+    bandwidths (kept in ``templates``): all their weights go through one
+    encoder call, split per row, and so do all their objectives."""
+    bandwidth = record.all_active.rounded_bandwidth
+    key = bandwidth.tobytes()
+    if key not in templates:
+        templates[key] = _answered_template(bandwidth.tolist())
+    template = templates[key]
+    answered, rows = record.rounds.answered, record.rounds.placement
+    slots = (np.flatnonzero(answered) + record.start).tolist()
+    # with no row answered, each split gives [""] and zip stops at once
+    weights = _encode_flat(rows.weights[answered].tolist())[2:-2].replace(", ", _WEIGHT_SEP)
+    weights = weights.split("]" + _WEIGHT_SEP + "[")
+    objectives = _encode_flat(record.rounds.objectives[answered].ravel().tolist())[1:-1].split(", ")
+    feasible = map(("false", "true").__getitem__, rows.feasible[answered].tolist())
+    zipped = zip(slots, weights, objectives[::2], objectives[1::2], feasible)
+    texts = iter([template % (f, b, r, w, f, b, r, w, slot) for slot, w, f, r, b in zipped])
+    fallback = iter(record.fallback)
+    rows_text = [next(texts) if a else _json_indented(next(fallback), "\n  ") for a in answered.tolist()]
+    return ",\n  ".join(rows_text)
+
+
+def _trace_pieces(slots):
+    """``_json_indented(slots)`` in pieces, one per item of the list
+    ``slots``: a slot dict, or a ``_TraceRecord`` standing for the dicts of
+    its slots. Anything but a non-empty list is one piece."""
+    if not isinstance(slots, list) or not slots:
+        yield _json_indented(slots)
+        return
+    templates = {}
+    sep = "[\n  "
+    for item in slots:
+        text = _record_text(item, templates) if type(item) is _TraceRecord else _json_indented(item, "\n  ")
+        yield sep + text
+        sep = ",\n  "
+    yield "\n]"
 
 
 def _trace_json(slots) -> str:
-    """Exactly ``_json_indented(slots)``, for the list of per-slot traces that
-    ``run_simulation`` collects. A two-entry slot is written from one fixed
-    template: its scalars by type, each list through a ``_ListText`` for its
-    key, so a slot's second weight list and every bandwidth list after the
-    first reuse the text of a list with the same float objects. Any other
-    value goes through ``_json_indented``."""
-    if type(slots) is not list or not slots:
-        return _json_indented(slots)
-    weights, bandwidth = _ListText(), _ListText()
-    texts = []
-    for slot in slots:
-        text = _slot_text(slot, weights, bandwidth)
-        texts.append(_json_indented(slot, "\n  ") if text is None else text)
-    return "[\n  " + ",\n  ".join(texts) + "\n]"
+    """Exactly ``_json_indented`` of ``slots`` with every record expanded."""
+    return "".join(_trace_pieces(slots))
 
 
 def _fields_dict(obj) -> dict:

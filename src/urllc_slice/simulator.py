@@ -26,7 +26,7 @@ import numpy as np
 
 from . import alternating, urllc_placement
 from .embb_scheduler import round_to_binary, solve_fractional
-from .json_writer import _csv, _fields_dict, _json_indented
+from .json_writer import _csv, _fields_dict, _json_indented, _TraceRecord, _TraceRecords
 from .model import (  # noqa: F401  (perfbench's tracer wraps the per-slot names bound here)
     MAX_ASSIGNMENT_ENTRIES,
     ChannelRealization,
@@ -224,8 +224,10 @@ def _policy_step(cfg, policy, chan, post_round, all_active, row):
 
 def _simulate_range(cfg, policy, seed, start, stop, post_round, trace):
     """Per-slot arrays of slots ``start`` to ``stop``, and their alternation
-    traces if ``trace`` is set (proposed policy only). Chunks of slots are
-    drawn, turned into spectral efficiencies and evaluated as arrays; the
+    traces if ``trace`` is set (proposed policy only): one ``_TraceRecord``
+    per chunk, whose rounds stand for the slots they answer and which holds
+    the other slots' trace dicts (``_trace_dicts`` expands it). Chunks of
+    slots are drawn, turned into spectral efficiencies and evaluated as arrays; the
     policy runs slot by slot in between. The proposed policy's all-active
     assignment, with the placement problem's configuration terms, is computed
     once per range and its two rounds once per chunk
@@ -246,19 +248,21 @@ def _simulate_range(cfg, policy, seed, start, stop, post_round, trace):
         gains, urllc_gains = _fading_gains(cfg, *means, fading, urllc_fading)
         eff, urllc_eff = _efficiencies(cfg, gains, urllc_gains)
         phi, weights = np.empty_like(gains), np.empty_like(gains)
-        rounds = None
+        rounds, fallback = None, []
         if all_active is not None:
             rounds = alternating._all_active_rounds(all_active, eff, urllc_eff, post_round)
+            if trace:  # the slot loop fills in ``fallback``
+                traces.append(_TraceRecord(lo, all_active, rounds, fallback))
         for i, slot in enumerate(range(lo, hi)):
             chan = ChannelRealization(gains[i], urllc_gains[i])
             row = None if rounds is None else (rounds, i)
             binary, placement, alternation = _policy_step(cfg, policy, chan, post_round, all_active, row)
-            if trace and alternation is not None:
-                traces.append({"slot": slot, **alternation.to_dict()})
             if all_active is not None and binary is all_active.binary:
                 phi[i] = all_active.rounded_bandwidth
             else:
                 phi[i] = binary.user_bandwidth(cfg.rb_bandwidth)
+                if trace and alternation is not None:
+                    fallback.append({"slot": slot, **alternation.to_dict()})
             weights[i] = placement.weights.weights
             feasible[slot - start] = placement.feasible
         part = slice(lo - start, hi - start)
@@ -271,6 +275,18 @@ def _simulate_range(cfg, policy, seed, start, stop, post_round, trace):
             _minislot_loads(cfg, uniforms)[1],
         )
     return rates, thetas, outages, feasible, traces
+
+
+def _trace_dicts(records):
+    """The slot dicts of ``_TraceRecord``s, in slot order."""
+    for record in records:
+        fallback = iter(record.fallback)
+        for i, answered in enumerate(record.rounds.answered.tolist()):
+            if answered:
+                trace = alternating._answered_run(record.all_active, record.rounds, i)[2]
+                yield {"slot": record.start + i, **trace.to_dict()}
+            else:
+                yield next(fallback)
 
 
 class _HeldRecords(logging.Handler):
@@ -322,8 +338,9 @@ def run_simulation(
     results (or the exception a range raised) for this process to emit in
     slot order.
     ``trace_sink``, if given, is extended with one alternation-trace dict per
-    slot (proposed policy only). ``num_slots * cfg.num_embb_users`` may be at
-    most ``MAX_ASSIGNMENT_ENTRIES``.
+    slot (proposed policy only), or, if it is a ``json_writer._TraceRecords``,
+    with the per-chunk ``_TraceRecord``s those dicts expand from.
+    ``num_slots * cfg.num_embb_users`` may be at most ``MAX_ASSIGNMENT_ENTRIES``.
     """
     policy = Policy(policy)
     if num_slots < 1:
@@ -363,7 +380,8 @@ def run_simulation(
     rates, thetas, outages, feasible, traces = zip(*parts)
     rates, thetas, outages, feasible = map(np.concatenate, (rates, thetas, outages, feasible))
     if trace_sink is not None:
-        trace_sink.extend(t for part in traces for t in part)
+        records = [r for part in traces for r in part]
+        trace_sink.extend(records if isinstance(trace_sink, _TraceRecords) else _trace_dicts(records))
 
     sum_rates = rates.sum(axis=1)
     values, counts = np.unique(sum_rates, return_counts=True)

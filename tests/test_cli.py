@@ -148,6 +148,16 @@ def test_io_failure_exits_two(tmp_path, capsys):
     assert "error: io" in capsys.readouterr().err
 
 
+def test_unwritable_trace_file_gives_one_io_error(tmp_path, capsys):
+    out = tmp_path / "out"
+    (out / "trace_proposed.json").mkdir(parents=True)  # a directory where the trace goes
+    argv = ["run", "--policy", "proposed", "--slots", "3", "--seed", "7", "--threads", "1", "--trace"]
+    assert main(argv + ["--out", str(out)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"error: io cannot write {out / 'trace_proposed.json'}: ")
+
+
 @pytest.mark.parametrize("extra", [[], ["--sweep", "p", "--values", "0.2"]])
 def test_internal_failure_exits_three_without_a_traceback(tmp_path, capsys, monkeypatch, extra):
     def broken(*args):

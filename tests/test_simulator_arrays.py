@@ -4,12 +4,15 @@ its row of them, so most slots skip the loop, against a reference loop over
 the public per-slot API (``alternating.run`` without them, followed by
 ``evaluate_slot``): the same four arrays and the same traces, bit for bit."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from urllc_slice import alternating, simulator, urllc_placement
+from urllc_slice.cli import main
 from urllc_slice.json_writer import _json_indented
 from urllc_slice.model import (
     ChannelRealization,
@@ -65,10 +68,13 @@ def assert_same_range(cfg, seed, start, stop, post_round):
     for g, w in zip(got[:4], want[:4]):
         assert (g.dtype, g.shape) == (w.dtype, w.shape)
         assert g.tobytes() == w.tobytes()
-    assert got[4] == want[4]
-    assert _json_indented(got[4]) == _json_indented(want[4])
-    lists = [t["iterations"] for t in got[4]]
-    lists += [e[key] for t in got[4] for e in t["iterations"] for key in ("weights", "user_bandwidth")]
+    # one record per chunk, expanded into the dicts a list sink receives
+    assert [r.start for r in got[4]] == list(range(start, stop, simulator._chunk_slots(cfg)))
+    traces = list(simulator._trace_dicts(got[4]))
+    assert traces == want[4]
+    assert _json_indented(traces) == _json_indented(want[4])
+    lists = [t["iterations"] for t in traces]
+    lists += [e[key] for t in traces for e in t["iterations"] for key in ("weights", "user_bandwidth")]
     assert len({id(x) for x in lists}) == len(lists)  # no list is shared
 
 
@@ -227,6 +233,52 @@ def test_a_range_of_many_chunks_mixing_every_kind_of_row(monkeypatch, post_round
     sizes, multiplier, infeasible, lam_zero, degenerate = map(list, zip(*chunks))
     assert sizes == [7] * 8 + [4]
     assert (sum(multiplier), sum(infeasible), sum(lam_zero), sum(degenerate)) == (29, 2, 8, 21)
+
+
+VANISHING_LOAD = {
+    "num_embb_users": 1,
+    "num_rbs": 5,
+    "num_minislots": 1,
+    "num_urllc_users": 1,
+    "snr_min_db": 3.0,
+    "snr_max_db": 3.0,
+    "puncture_prob": 5e-324,
+    "risk_weight": 0.0,
+}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("post_round", [False, True])
+@pytest.mark.parametrize(
+    "kw, seed, slots",
+    [
+        # the range of the test above: answered rows of every kind and
+        # degenerate-user rows, in chunks of 7 slots
+        ({"snr_min_db": -158.0, "snr_max_db": 30.0, "num_urllc_users": 1}, 153, 60),
+        (VANISHING_LOAD, 0, 20),
+        # fewer RBs than users: some users get no bandwidth
+        ({"num_embb_users": 12, "num_rbs": 5}, 7, 30),
+    ],
+)
+def test_cli_trace_file_is_json_dumps_of_the_library_sink(
+    tmp_path, monkeypatch, kw, seed, slots, post_round, workers
+):
+    # the CLI writes the trace from the chunks' records, the library sink
+    # receives their slot dicts
+    cfg = SystemConfig(**kw)
+    per_slot = cfg.num_embb_users + cfg.num_urllc_users + cfg.num_minislots
+    monkeypatch.setattr(simulator, "_CHUNK_ENTRIES", 7 * per_slot)
+    sink = []
+    simulator.run_simulation(
+        cfg, "proposed", slots, seed, workers=workers, post_round=post_round, trace_sink=sink
+    )
+    assert [t["slot"] for t in sink] == list(range(slots))
+    (tmp_path / "cfg.json").write_text(json.dumps(kw))
+    argv = ["run", "--config", str(tmp_path / "cfg.json"), "--policy", "proposed", "--slots", str(slots)]
+    argv += ["--seed", str(seed), "--threads", str(workers), "--trace", "--out", str(tmp_path / "out")]
+    assert main(argv + (["--post-round"] if post_round else [])) == 0
+    text = (tmp_path / "out" / "trace_proposed.json").read_text()
+    assert text == json.dumps(sink, indent=2, sort_keys=True) + "\n"
 
 
 def test_untraced_range_returns_no_traces():
