@@ -1,10 +1,10 @@
 """Command line front end: experiment orchestration and file output.
 
-Exit codes: 0 on success, 1 on configuration problems (a flag argparse
-cannot parse among them), 2 on I/O failures, 3 on internal failures (any
-other exception a run raises, reported as ``error: internal <Type>:
-<message>`` without a traceback). Every error goes to stderr with a
-machine-parsable ``error:`` prefix.
+Exit codes: 0 on success, 1 on configuration problems (a ``ConfigError``
+or a flag argparse cannot parse), 2 on I/O failures, 3 on internal failures
+(any other exception a run raises, a plain ``ValueError`` among them,
+reported as ``error: internal <Type>: <message>`` without a traceback).
+Every error goes to stderr with a machine-parsable ``error:`` prefix.
 """
 
 from __future__ import annotations
@@ -222,7 +222,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             if trace_sink is not None:
                 _write(args.out / f"trace_{policy.value}.json", chain(_trace_pieces(trace_sink), ["\n"]))
         _write(args.out / "comparison.csv", _csv(_COMPARISON_COLUMNS, rows))
-    except ValueError as exc:
+    except ConfigError as exc:
         return _config_error(exc)
     except IOError as exc:
         print(f"error: io {exc}", file=sys.stderr)

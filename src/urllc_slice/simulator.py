@@ -7,8 +7,10 @@ so runs are reproducible bit for bit and curves across parameter sweeps are
 directly comparable.
 
 A range of slots is drawn, turned into channel terms and evaluated as arrays
-over its slots; only the policy step (``alternating.run``, or the baselines'
-assignment and placement) runs slot by slot. Each slot's stream is NumPy's
+over its slots, and baseline 2 is solved a chunk of slots at a time. The rest
+of the policy step (``alternating.run``, baseline 1's assignment and
+placement, and a baseline-2 slot with a user at zero spectral efficiency)
+runs slot by slot. Each slot's stream is NumPy's
 ``default_rng(SeedSequence((seed, 1, slot)))``: its SeedSequence hashing is
 done for every slot of a range at once, and one reused ``PCG64`` is seeded
 from each slot's words in turn, so the draws are those of ``slot_rng``, bit
@@ -30,6 +32,7 @@ from .json_writer import _csv, _fields_dict, _json_indented, _TraceRecord, _Trac
 from .model import (  # noqa: F401  (perfbench's tracer wraps the per-slot names bound here)
     MAX_ASSIGNMENT_ENTRIES,
     ChannelRealization,
+    ConfigError,
     SystemConfig,
     _efficiencies,
     _fading_gains,
@@ -227,15 +230,18 @@ def _simulate_range(cfg, policy, seed, start, stop, post_round, trace):
     traces if ``trace`` is set (proposed policy only): one ``_TraceRecord``
     per chunk, whose rounds stand for the slots they answer and which holds
     the other slots' trace dicts (``_trace_dicts`` expands it). Chunks of
-    slots are drawn, turned into spectral efficiencies and evaluated as arrays; the
-    policy runs slot by slot in between. The proposed policy's all-active
-    assignment, with the placement problem's configuration terms, is computed
-    once per range and its two rounds once per chunk
-    (``alternating._all_active_rounds``); each slot's ``alternating.run``
-    takes its row of them, and a slot they answer takes the assignment's
-    rounded bandwidths."""
+    slots are drawn, turned into spectral efficiencies and evaluated as
+    arrays; the policy step runs in between. The proposed policy and
+    baseline 2 compute the all-active assignment, with the placement
+    problem's configuration terms, once per range. Proposed solves its two
+    rounds once per chunk (``alternating._all_active_rounds``); each slot's
+    ``alternating.run`` takes its row of them, and a slot they answer takes
+    the assignment's rounded bandwidths. Baseline 2 solves the chunk at that
+    assignment (``urllc_placement._baseline2_rows``), which every slot whose
+    efficiencies are all positive keeps; a slot with a zero efficiency runs
+    its own assignment and ``solve_baseline2``. Baseline 1 runs slot by slot."""
     means = sample_mean_snr(cfg, mean_snr_rng(seed))
-    all_active = alternating.all_active_assignment(cfg) if policy == Policy.PROPOSED else None
+    all_active = None if policy == Policy.BASELINE1 else alternating.all_active_assignment(cfg)
     rates = np.empty((stop - start, cfg.num_embb_users))
     thetas = np.empty_like(rates)
     outages = np.empty(stop - start, dtype=bool)
@@ -248,12 +254,20 @@ def _simulate_range(cfg, policy, seed, start, stop, post_round, trace):
         gains, urllc_gains = _fading_gains(cfg, *means, fading, urllc_fading)
         eff, urllc_eff = _efficiencies(cfg, gains, urllc_gains)
         phi, weights = np.empty_like(gains), np.empty_like(gains)
-        rounds, fallback = None, []
-        if all_active is not None:
+        rounds, fallback, answered = None, [], np.zeros(hi - lo, dtype=bool)
+        if policy == Policy.PROPOSED:
             rounds = alternating._all_active_rounds(all_active, eff, urllc_eff, post_round)
             if trace:  # the slot loop fills in ``fallback``
                 traces.append(_TraceRecord(lo, all_active, rounds, fallback))
-        for i, slot in enumerate(range(lo, hi)):
+        elif policy == Policy.BASELINE2:
+            # a row without a zero efficiency keeps every user active
+            answered = (eff > 0.0).all(axis=1)
+            phi[:] = all_active.rounded_bandwidth
+            weights[:], feasible[lo - start : hi - start] = urllc_placement._baseline2_rows(
+                all_active.placement_terms, all_active.rounded_bandwidth, eff, urllc_eff
+            )
+        for i in np.flatnonzero(~answered).tolist():
+            slot = lo + i
             chan = ChannelRealization(gains[i], urllc_gains[i])
             row = None if rounds is None else (rounds, i)
             binary, placement, alternation = _policy_step(cfg, policy, chan, post_round, all_active, row)
@@ -344,14 +358,14 @@ def run_simulation(
     """
     policy = Policy(policy)
     if num_slots < 1:
-        raise ValueError("num_slots must be >= 1")
+        raise ConfigError("num_slots must be >= 1")
     if workers < 1:
-        raise ValueError("workers must be >= 1")
+        raise ConfigError("workers must be >= 1")
     bad = cfg.validate()
     if bad:
-        raise ValueError("config invalid: " + "; ".join(bad))
+        raise ConfigError("config invalid: " + "; ".join(bad))
     if num_slots * cfg.num_embb_users > MAX_ASSIGNMENT_ENTRIES:
-        raise ValueError(
+        raise ConfigError(
             f"num_slots * num_embb_users must be at most {MAX_ASSIGNMENT_ENTRIES}, "
             f"got {num_slots * cfg.num_embb_users}"
         )
@@ -426,13 +440,13 @@ def sweep(
     """One run per parameter value, sharing the same random draws so the
     resulting curves differ only through the parameter."""
     if parameter not in _SWEEP_FIELDS:
-        raise ValueError(f"unknown sweep parameter {parameter!r}; use p, epsilon, or beta")
+        raise ConfigError(f"unknown sweep parameter {parameter!r}; use p, epsilon, or beta")
     field_name = _SWEEP_FIELDS[parameter]
     cfgs = [replace(cfg, **{field_name: float(v)}) for v in values]
     for v, swept in zip(values, cfgs):
         bad = [b for b in swept.validate() if b.startswith(field_name)]
         if bad:
-            raise ValueError(f"sweep value {v} rejected: " + "; ".join(bad))
+            raise ConfigError(f"sweep value {v} rejected: " + "; ".join(bad))
     return [
         run_simulation(swept, policy, num_slots, seed, workers=workers, post_round=post_round)
         for swept in cfgs

@@ -331,21 +331,45 @@ def solve_baseline2(
     Puncturing user u costs mean rate in proportion to its spectral
     efficiency but buys floor coverage in proportion to its bandwidth alone,
     so the exact optimum loads users in ascending spectral-efficiency order
-    (low-rate users first), stable by index, until the floor is met.
+    (low-rate users first), stable by index, until the floor is met. This is
+    ``_baseline2_rows`` on the slot's one row.
     """
-    prob = _build_problem(cfg, chan, mat)
-    w = np.zeros(cfg.num_embb_users)
-    if prob.floor <= 0.0:
-        return _finish(prob, w, feasible=True, iters=0)
-    if float(prob.floor_coeff @ prob.caps) < prob.floor:
-        return _finish(prob, prob.caps.copy(), feasible=False, iters=0)
+    terms = _config_terms(cfg)
+    eff, urllc_eff = spectral_efficiencies(cfg, chan)
+    prob = _array_problem(terms, mat.user_bandwidth(cfg.rb_bandwidth), eff, urllc_eff)
+    w, feasible = _baseline2_rows(terms, prob.phi, eff[None, :], np.array([urllc_eff]))
+    return _finish(prob, w[0], feasible=bool(feasible[0]), iters=0)
 
-    need = prob.floor
-    for u in np.argsort(prob.rate_per_hz, kind="stable"):
-        if need <= 0.0:
+
+def _baseline2_rows(terms: _ConfigTerms, phi: np.ndarray, eff: np.ndarray, urllc_eff: np.ndarray):
+    """``solve_baseline2``'s weights (S x U) and feasibility (S) for every row
+    i of the S x U ``eff`` and the S ``urllc_eff``, at user bandwidths
+    ``phi``. The greedy takes one position of every row's stable ``argsort``
+    at a time, on the rows whose need is not yet met, with the scalar
+    operations of a sequential loop: a row often goes on past its partial
+    user, whose share leaves a need of a few ulps, and gives the next user a
+    tiny weight. A NaN takes the branch it takes in ``min(cap, need / d)``
+    and ``<= 0``."""
+    kappa, floor, caps, _ = terms
+    d = phi * kappa * urllc_eff[:, None]
+    w = np.zeros(d.shape)
+    if floor <= 0.0:
+        return w, np.ones(len(d), dtype=bool)
+    feasible = ~(_row_dots(d, caps) < floor)
+    w[~feasible] = caps
+    need = np.full(len(d), floor)
+    walking = np.flatnonzero(feasible)
+    order = np.argsort(eff, axis=1, kind="stable")
+    for k in range(d.shape[1]):
+        if walking.size == 0:
             break
-        if prob.floor_coeff[u] <= 0.0:
-            continue
-        w[u] = min(prob.caps[u], need / prob.floor_coeff[u])
-        need -= prob.floor_coeff[u] * w[u]
-    return _finish(prob, w, feasible=True, iters=0)
+        u = order[walking, k]
+        du = d[walking, u]
+        take = ~(du <= 0.0)
+        r, u, du = walking[take], u[take], du[take]
+        share = need[r] / du
+        weight = np.where(share < caps[u], share, caps[u])  # min(cap, share)
+        w[r, u] = weight
+        need[r] -= du * weight
+        walking = walking[~(need[walking] <= 0.0)]
+    return w, feasible

@@ -171,6 +171,18 @@ def test_internal_failure_exits_three_without_a_traceback(tmp_path, capsys, monk
     assert "Traceback" not in err
 
 
+def test_a_solver_value_error_is_internal_not_config(tmp_path, capsys, monkeypatch):
+    def broken(*args):
+        raise ValueError("zero-size array to reduction operation")
+
+    monkeypatch.setattr(simulator, "_simulate_range", broken)
+    argv = ["run", "--policy", "baseline2", "--slots", "4", "--seed", "7", "--threads", "1"]
+    assert main([*argv, "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["error: internal ValueError: zero-size array to reduction operation"]
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("extra", [[], ["--post-round", "--trace"]])
 def test_vanishing_load_fraction_runs_without_numpy_warnings(tmp_path, capsys, extra):
     # a load fraction of 5e-324 with the penalty off: the water-filling meets

@@ -298,6 +298,25 @@ def test_oversized_slot_count_rejected_before_allocating(monkeypatch):
     assert str(exc.value) == line
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda cfg: run_simulation(cfg, "baseline2", 0, 1),
+        lambda cfg: run_simulation(cfg, "baseline2", 4, 1, workers=0),
+        lambda cfg: run_simulation(replace(cfg, urllc_outage_budget=0.0), "baseline2", 4, 1),
+        lambda cfg: run_simulation(cfg, "baseline2", 10**12, 1),
+        lambda cfg: sweep(cfg, "baseline2", "alpha", [0.5], 4, 1),
+        lambda cfg: sweep(cfg, "baseline2", "p", [1.5], 4, 1),
+    ],
+)
+def test_argument_checks_raise_config_errors(call):
+    # a ValueError subclass, so callers catching ValueError still do
+    from urllc_slice.model import ConfigError
+
+    with pytest.raises(ConfigError):
+        call(quick_cfg())
+
+
 def test_nonpositive_worker_count_rejected():
     with pytest.raises(ValueError, match="workers must be >= 1"):
         run_simulation(quick_cfg(), "baseline1", 4, 1, workers=0)

@@ -20,6 +20,7 @@ from urllc_slice.model import (
     sample_channel,
     sample_mean_snr,
     sample_urllc_load,
+    spectral_efficiencies,
 )
 from urllc_slice.simulator import Policy, mean_snr_rng, slot_rng
 from urllc_slice.urllc_placement import solve_baseline1, solve_baseline2
@@ -71,6 +72,25 @@ def test_array_path_equals_the_per_slot_loop(policy, case):
     cfg = SystemConfig(**kw)
     assert cfg.validate() == []
     assert_same_range(cfg, policy, seed, start, stop)
+
+
+def test_only_baseline2_slots_with_a_zero_efficiency_run_per_slot(monkeypatch):
+    # every other slot takes the range's all-active assignment and its row of
+    # the chunk kernel, without a ChannelRealization or a per-slot solve
+    real_step, chans = simulator._policy_step, []
+
+    def counting(cfg, policy, chan, *rest):
+        chans.append(chan)
+        return real_step(cfg, policy, chan, *rest)
+
+    monkeypatch.setattr(simulator, "_policy_step", counting)
+    simulator._simulate_range(SystemConfig(), Policy.BASELINE2, 7, 0, 100, False, False)
+    assert chans == []
+    # near -156 dB a user is degenerate in some slots only
+    cfg = SystemConfig(num_embb_users=3, snr_min_db=-165.0, snr_max_db=-150.0)
+    simulator._simulate_range(cfg, Policy.BASELINE2, 7, 0, 100, False, False)
+    assert 0 < len(chans) < 100
+    assert all((spectral_efficiencies(cfg, chan)[0] <= 0.0).any() for chan in chans)
 
 
 @pytest.mark.parametrize("policy", list(Policy))

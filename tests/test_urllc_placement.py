@@ -562,3 +562,129 @@ def test_solve_rows_equals_solve_row_by_row(kw, rounded):
         got = [rows.feasible[i], rows.objective[i], rows.var_level[i], rows.max_achievable_urllc_rate[i]]
         assert got == [want.feasible, want.objective, want.weights.var_level, want.max_achievable_urllc_rate]
         assert rows.iterations[i] == want.iterations
+
+
+def sequential_baseline2(terms, phi, eff, urllc_eff):
+    """The baseline-2 greedy of one slot as a plain loop over its users."""
+    kappa, floor, caps, _ = terms
+    d = phi * kappa * urllc_eff
+    w = np.zeros(len(phi))
+    if floor <= 0.0:
+        return w, True
+    if float(d @ caps) < floor:
+        return caps.copy(), False
+    need = floor
+    for u in np.argsort(eff, kind="stable"):
+        if need <= 0.0:
+            break
+        if d[u] <= 0.0:
+            continue
+        w[u] = min(caps[u], need / d[u])
+        need -= d[u] * w[u]
+    return w, True
+
+
+def baseline2_rows_case(kw, seed, slots, tie=False):
+    """The range arrays ``_simulate_range`` hands to ``_baseline2_rows``; with
+    ``tie``, efficiencies rounded to whole bits/s/Hz so that most rows tie."""
+    from urllc_slice.alternating import all_active_assignment
+    from urllc_slice.model import _efficiencies, _fading_gains, sample_mean_snr
+    from urllc_slice.simulator import _slot_draws, mean_snr_rng
+
+    cfg = SystemConfig(**kw)
+    all_active = all_active_assignment(cfg)
+    fading, urllc_fading, _ = _slot_draws(cfg, seed, 0, slots)
+    gains, urllc_gains = _fading_gains(cfg, *sample_mean_snr(cfg, mean_snr_rng(seed)), fading, urllc_fading)
+    eff, urllc_eff = _efficiencies(cfg, gains, urllc_gains)
+    if tie:
+        eff = np.ceil(eff)
+    return all_active.placement_terms, all_active.rounded_bandwidth, eff, urllc_eff
+
+
+def rows_past_the_partial_user(w, eff, cap):
+    """Rows whose greedy gave a positive weight to a user after its first
+    partial (positive, below the cap) one."""
+    ordered = np.take_along_axis(w, np.argsort(eff, axis=1, kind="stable"), axis=1)
+    count = 0
+    for row in ordered:
+        partial = np.flatnonzero((row > 0.0) & (row < cap))
+        count += bool(partial.size) and bool((row[partial[0] + 1 :] > 0.0).any())
+    return count
+
+
+@pytest.mark.parametrize(
+    "kw, seed, slots, tie, past_partial",
+    [
+        # at seed 7, 45 of 1 000 default rows and 77 of 1 000 wide-cell rows
+        # go on past the partial user, to weights of a few ulps of the need
+        ({}, 7, 1000, False, 45),
+        ({"num_embb_users": 40, "num_rbs": 200}, 7, 1000, False, 77),
+        # fewer RBs than users: users without bandwidth, so d = 0 columns;
+        # every row is infeasible at the default budget, so only the looser
+        # one walks the greedy past them
+        ({"num_embb_users": 12, "num_rbs": 5}, 7, 300, False, None),
+        ({"num_embb_users": 12, "num_rbs": 5, "urllc_outage_budget": 0.5}, 7, 300, False, None),
+        # most rows infeasible
+        ({"urllc_outage_budget": 0.01, "snr_min_db": -10.0, "snr_max_db": 5.0}, 7, 300, False, None),
+        # no floor
+        ({"puncture_prob": 0.0}, 7, 100, False, None),
+        ({"puncture_prob": 1.0}, 20261, 300, False, None),
+        ({**_TINY_LOAD, "puncture_prob": 5e-324}, 0, 100, False, None),
+        (_TINY_LOAD, 0, 100, False, None),
+        # tied efficiencies: the stable order breaks ties by user index
+        ({}, 20261, 300, True, None),
+        ({"num_embb_users": 12, "num_rbs": 5, "urllc_outage_budget": 0.5}, 20261, 300, True, None),
+    ],
+)
+def test_baseline2_rows_equal_the_sequential_greedy_bit_for_bit(kw, seed, slots, tie, past_partial):
+    from urllc_slice.urllc_placement import _baseline2_rows
+
+    terms, phi, eff, urllc_eff = baseline2_rows_case(kw, seed, slots, tie)
+    with np.errstate(divide="raise", over="raise", invalid="raise"):  # d = 0 columns are skipped
+        w, feasible = _baseline2_rows(terms, phi, eff, urllc_eff)
+    assert (w.shape, feasible.shape) == (eff.shape, (slots,))
+    for i in range(slots):
+        want_w, want_feasible = sequential_baseline2(terms, phi, eff[i], urllc_eff[i])
+        assert w[i].tobytes() == want_w.tobytes()
+        assert feasible[i] == want_feasible
+    if past_partial is not None:
+        assert rows_past_the_partial_user(w, eff, terms.caps[0]) == past_partial
+    if tie:
+        assert any(len(np.unique(row)) < len(row) for row in eff)
+
+
+@pytest.mark.parametrize("kw", [{}, {"num_embb_users": 12, "num_rbs": 5}])
+def test_baseline2_rows_treat_nan_as_the_scalar_loop_does(kw):
+    # a mean SNR beyond the float range gives infinite efficiencies: d = inf,
+    # or NaN where a user has no bandwidth; min(cap, NaN) is the cap
+    from urllc_slice.urllc_placement import _baseline2_rows
+
+    with np.errstate(all="ignore"):
+        terms, phi, eff, urllc_eff = baseline2_rows_case({**kw, "snr_min_db": 3000.0, "snr_max_db": 4000.0}, 7, 50)
+        w, feasible = _baseline2_rows(terms, phi, eff, urllc_eff)
+        want = [sequential_baseline2(terms, phi, eff[i], urllc_eff[i]) for i in range(len(eff))]
+    assert np.isinf(urllc_eff).any() and feasible.all()
+    assert w.tobytes() == np.array([row for row, _ in want]).tobytes()
+
+
+@pytest.mark.parametrize(
+    "kw", [{}, {"num_embb_users": 12, "num_rbs": 5}, {"snr_min_db": -400.0, "snr_max_db": 30.0}]
+)
+def test_solve_baseline2_equals_the_sequential_greedy(kw):
+    # a slot's own assignment and efficiencies, zero ones among them
+    from urllc_slice.embb_scheduler import round_to_binary, solve_fractional
+    from urllc_slice.model import sample_channel, sample_mean_snr, spectral_efficiencies
+    from urllc_slice.simulator import mean_snr_rng, slot_rng
+    from urllc_slice.urllc_placement import _config_terms
+
+    cfg = SystemConfig(**kw)
+    means = sample_mean_snr(cfg, mean_snr_rng(3))
+    for slot in range(40):
+        chan = sample_channel(cfg, *means, slot_rng(3, slot))
+        mat = round_to_binary(solve_fractional(cfg, chan), cfg)
+        eff, urllc_eff = spectral_efficiencies(cfg, chan)
+        phi = mat.user_bandwidth(cfg.rb_bandwidth)
+        want_w, want_feasible = sequential_baseline2(_config_terms(cfg), phi, eff, urllc_eff)
+        sol = solve_baseline2(cfg, chan, mat)
+        assert sol.weights.weights.tobytes() == want_w.tobytes()
+        assert sol.feasible == want_feasible
