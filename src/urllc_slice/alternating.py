@@ -229,16 +229,12 @@ def _all_active_rounds(all_active: AllActive, eff: np.ndarray, urllc_eff: np.nda
     placed, other = all_active.fractional_bandwidth, all_active.rounded_bandwidth
     if not post_round:
         placed, other = other, placed
-    ok = (eff > 0.0).all(axis=1)
-    if not ok.all():
-        # such a row is not answered: ones, and no URLLC efficiency (caps below
-        # the floor), keep its arithmetic finite and out of the multiplier search
-        eff, urllc_eff = np.where(ok[:, None], eff, 1.0), np.where(ok, urllc_eff, 0.0)
     rows = _solve_rows(terms, placed, eff, urllc_eff)
     kappa = terms.load_fraction
     other_objective = _row_objectives(other * eff, rows.weights, kappa, terms.penalty, other > 0.0)[0]
     objectives = (rows.objective, other_objective) if post_round else (other_objective, rows.objective)
-    answered = ok & (_array_rate_coefficients(eff, rows.weights, kappa) > 0.0).all(axis=1)
+    # a zero efficiency is a zero rate coefficient: its row is not answered
+    answered = (_array_rate_coefficients(eff, rows.weights, kappa) > 0.0).all(axis=1)
     return AllActiveRounds(answered, rows, np.stack(objectives, axis=1))
 
 

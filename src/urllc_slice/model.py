@@ -25,6 +25,9 @@ class ConfigError(ValueError):
     """Invalid or unparseable system configuration."""
 
 
+# Largest accepted mean SNR, in dB: 10**100 linear, far beyond any physical
+# SNR and far below where 10 ** (dB / 10) or the fading product overflows.
+MAX_SNR_DB = 1000.0
 # Scalar float fields of SystemConfig: (name, rule, check of a finite value).
 _SCALAR_RULES = (
     ("noise_power", "must be > 0", lambda v: v > 0),
@@ -35,8 +38,8 @@ _SCALAR_RULES = (
     ("urllc_outage_budget", "must lie in (0, 1)", lambda v: 0.0 < v < 1.0),
     ("target_rate", "must be > 0", lambda v: v > 0),
     ("demand_quantum", "must be > 0", lambda v: v > 0),
-    ("snr_min_db", "", lambda v: True),
-    ("snr_max_db", "", lambda v: True),
+    ("snr_min_db", f"must be at most {MAX_SNR_DB:g}", lambda v: v <= MAX_SNR_DB),
+    ("snr_max_db", f"must be at most {MAX_SNR_DB:g}", lambda v: v <= MAX_SNR_DB),
     ("risk_rate_scale", "must be > 0", lambda v: v > 0),
 )
 
@@ -360,9 +363,12 @@ def sample_urllc_load(cfg: SystemConfig, rng: np.random.Generator) -> UrllcLoad:
 
 def _minislot_loads(cfg: SystemConfig, uniforms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``sample_urllc_load``'s per-minislot traffic at uniform draws given per
-    minislot along the last axis, and its clamped total over that axis."""
+    minislot along the last axis, and its clamped total over that axis (a
+    float for one slot's draws: ``sum``'s wrapper and a scalar
+    ``np.minimum`` took a third of a per-slot call)."""
     per_minislot = cfg.demand_quantum * (uniforms < cfg.puncture_prob).astype(float)
-    return per_minislot, np.minimum(per_minislot.sum(axis=-1), cfg.l_max)
+    total = np.add.reduce(per_minislot, axis=-1)
+    return per_minislot, np.minimum(total, cfg.l_max) if total.ndim else min(float(total), cfg.l_max)
 
 
 # -- rate equations ----------------------------------------------------------

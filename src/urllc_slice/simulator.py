@@ -7,10 +7,9 @@ so runs are reproducible bit for bit and curves across parameter sweeps are
 directly comparable.
 
 A range of slots is drawn, turned into channel terms and evaluated as arrays
-over its slots, and baseline 2 is solved a chunk of slots at a time. The rest
-of the policy step (``alternating.run``, baseline 1's assignment and
-placement, and a baseline-2 slot with a user at zero spectral efficiency)
-runs slot by slot. Each slot's stream is NumPy's
+over its slots, and both baselines are solved a chunk of slots at a time. The
+rest of the policy step (``alternating.run`` and a baseline slot with a user
+at zero spectral efficiency) runs slot by slot. Each slot's stream is NumPy's
 ``default_rng(SeedSequence((seed, 1, slot)))``: its SeedSequence hashing is
 done for every slot of a range at once, and one reused ``PCG64`` is seeded
 from each slot's words in turn, so the draws are those of ``slot_rng``, bit
@@ -231,17 +230,17 @@ def _simulate_range(cfg, policy, seed, start, stop, post_round, trace):
     per chunk, whose rounds stand for the slots they answer and which holds
     the other slots' trace dicts (``_trace_dicts`` expands it). Chunks of
     slots are drawn, turned into spectral efficiencies and evaluated as
-    arrays; the policy step runs in between. The proposed policy and
-    baseline 2 compute the all-active assignment, with the placement
-    problem's configuration terms, once per range. Proposed solves its two
-    rounds once per chunk (``alternating._all_active_rounds``); each slot's
-    ``alternating.run`` takes its row of them, and a slot they answer takes
-    the assignment's rounded bandwidths. Baseline 2 solves the chunk at that
-    assignment (``urllc_placement._baseline2_rows``), which every slot whose
-    efficiencies are all positive keeps; a slot with a zero efficiency runs
-    its own assignment and ``solve_baseline2``. Baseline 1 runs slot by slot."""
+    arrays; the policy step runs in between. The all-active assignment, with
+    the placement problem's configuration terms, is computed once per range.
+    Proposed solves its two rounds once per chunk
+    (``alternating._all_active_rounds``); each slot's ``alternating.run``
+    takes its row of them, and a slot they answer takes the assignment's
+    rounded bandwidths. A baseline solves the chunk at that assignment
+    (``urllc_placement._baseline2_rows``, or ``_solve_rows`` with the
+    penalty off), which every slot whose efficiencies are all positive
+    keeps; a slot with a zero efficiency runs its own assignment and solve."""
     means = sample_mean_snr(cfg, mean_snr_rng(seed))
-    all_active = None if policy == Policy.BASELINE1 else alternating.all_active_assignment(cfg)
+    all_active = alternating.all_active_assignment(cfg)
     rates = np.empty((stop - start, cfg.num_embb_users))
     thetas = np.empty_like(rates)
     outages = np.empty(stop - start, dtype=bool)
@@ -259,19 +258,22 @@ def _simulate_range(cfg, policy, seed, start, stop, post_round, trace):
             rounds = alternating._all_active_rounds(all_active, eff, urllc_eff, post_round)
             if trace:  # the slot loop fills in ``fallback``
                 traces.append(_TraceRecord(lo, all_active, rounds, fallback))
-        elif policy == Policy.BASELINE2:
+        else:
             # a row without a zero efficiency keeps every user active
             answered = (eff > 0.0).all(axis=1)
-            phi[:] = all_active.rounded_bandwidth
-            weights[:], feasible[lo - start : hi - start] = urllc_placement._baseline2_rows(
-                all_active.placement_terms, all_active.rounded_bandwidth, eff, urllc_eff
-            )
+            phi[:] = bandwidth = all_active.rounded_bandwidth
+            terms = all_active.placement_terms
+            if policy == Policy.BASELINE2:
+                solved = urllc_placement._baseline2_rows(terms, bandwidth, eff, urllc_eff)
+            else:
+                solved = urllc_placement._solve_rows(terms._replace(penalty=0.0), bandwidth, eff, urllc_eff)
+            weights[:], feasible[lo - start : hi - start] = solved[:2]
         for i in np.flatnonzero(~answered).tolist():
             slot = lo + i
             chan = ChannelRealization(gains[i], urllc_gains[i])
             row = None if rounds is None else (rounds, i)
             binary, placement, alternation = _policy_step(cfg, policy, chan, post_round, all_active, row)
-            if all_active is not None and binary is all_active.binary:
+            if binary is all_active.binary:
                 phi[i] = all_active.rounded_bandwidth
             else:
                 phi[i] = binary.user_bandwidth(cfg.rb_bandwidth)

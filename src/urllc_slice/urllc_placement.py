@@ -18,7 +18,7 @@ spectral efficiency until the reliability floor holds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -284,13 +284,18 @@ class _Rows(NamedTuple):
 
 def _solve_rows(terms: _ConfigTerms, phi: np.ndarray, eff: np.ndarray, urllc_eff: np.ndarray) -> _Rows:
     """``_solve(_array_problem(terms, phi, eff[i], urllc_eff[i]))`` for every
-    row i of the S x U ``eff``, all of whose entries are positive, and the S
+    row i of the S x U ``eff`` whose entries are all positive, and the S
     ``urllc_eff``: the same values, bit for bit. The rows that ``_solve``
     decides in closed form (no floor, caps below the floor, or the
     ``lam = 0`` weights meeting it) are computed together as arrays, with
     every ``@`` of ``_solve`` and ``_finish`` a ``_row_dots``; a row that
-    needs the multiplier goes through ``_solve``."""
+    needs the multiplier goes through ``_solve``. A row with a zero (or NaN)
+    efficiency, for the caller to discard, is solved at efficiencies of ones
+    and no URLLC efficiency: finite, and out of the multiplier search."""
     kappa, floor, caps, penalty = terms
+    ok = (eff > 0.0).all(axis=1)
+    if not ok.all():
+        eff, urllc_eff = np.where(ok[:, None], eff, 1.0), np.where(ok, urllc_eff, 0.0)
     rate = phi * eff
     floor_coeff = phi * kappa * urllc_eff[:, None]
     max_rate = _row_dots(floor_coeff, caps)
@@ -320,7 +325,8 @@ def solve_baseline1(
     """Placement without the risk penalty (risk weight zero): pure
     proportional fairness, which punctures everyone as little and as evenly
     as the reliability floor allows."""
-    return _solve(replace(_build_problem(cfg, chan, mat), penalty=0.0))
+    terms = _config_terms(cfg)._replace(penalty=0.0)
+    return _solve(_array_problem(terms, mat.user_bandwidth(cfg.rb_bandwidth), *spectral_efficiencies(cfg, chan)))
 
 
 def solve_baseline2(

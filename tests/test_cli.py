@@ -400,11 +400,44 @@ def test_unknown_key_with_line_break_stays_on_one_line(tmp_path, capsys):
     assert capsys.readouterr().err == "error: config has unknown keys: 'bad\\nkey'\n"
 
 
-def test_validate_accepts_snr_beyond_float_range(tmp_path, capsys):
+def test_validate_rejects_snr_beyond_float_range(tmp_path, capsys):
+    # 10 ** (1e300 / 10) is no float: rejected as above MAX_SNR_DB, not raised on
     path = tmp_path / "cfg.json"
     path.write_text('{"snr_max_db": 1e300}')
-    assert main(["validate", "--config", str(path)]) == 0
-    assert capsys.readouterr().out == "config ok\n"
+    assert main(["validate", "--config", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: config invalid: snr_max_db: must be at most 1000\n"
+
+
+@pytest.mark.parametrize("command", ["run", "validate"])
+def test_snr_that_would_overflow_is_one_config_error(tmp_path, capsys, command):
+    # at 3000-4000 dB a mean SNR or its faded gain overflows to inf; the run
+    # used to exit 0 with a NaN mean sum rate and thousands of NumPy warnings
+    path = tmp_path / "cfg.json"
+    path.write_text('{"num_embb_users": 12, "num_rbs": 5, "snr_min_db": 3000, "snr_max_db": 4000}')
+    argv = [command, "--config", str(path)]
+    if command == "run":
+        argv += ["--policy", "all", "--slots", "300", "--seed", "7", "--out", str(tmp_path / "out")]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: config invalid: snr_min_db: must be at most 1000; snr_max_db: must be at most 1000\n"
+    )
+    assert not (tmp_path / "out").exists()
+
+
+def test_snr_of_1000_db_runs_without_numpy_warnings(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text('{"num_embb_users": 12, "num_rbs": 5, "snr_min_db": 900, "snr_max_db": 1000}')
+    argv = ["run", "--config", str(path), "--policy", "all", "--slots", "100", "--seed", "7"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(argv + ["--threads", "1", "--out", str(tmp_path / "out")]) == 0
+    for policy in ("proposed", "baseline1", "baseline2"):
+        metrics = json.loads((tmp_path / "out" / f"metrics_{policy}.json").read_text())
+        assert np.isfinite(metrics["mean_sum_rate"]) and metrics["mean_sum_rate"] > 0
 
 
 def test_validate_prints_two_violations_on_one_line(tmp_path, capsys):

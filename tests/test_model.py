@@ -394,6 +394,33 @@ def test_config_validation_rejects_non_finite(field):
             SystemConfig.from_dict({field: value})
 
 
+@pytest.mark.parametrize(
+    "kw, bad",
+    [
+        ({"snr_max_db": 1000.0}, []),
+        ({"snr_min_db": 1000.0, "snr_max_db": 1000.0}, []),
+        ({"snr_min_db": -1e300}, []),  # a vanishing SNR is a degenerate user, not an overflow
+        ({"snr_max_db": np.nextafter(1000.0, np.inf)}, ["snr_max_db: must be at most 1000"]),
+        (
+            {"snr_min_db": 3000.0, "snr_max_db": 4000.0},
+            ["snr_min_db: must be at most 1000", "snr_max_db: must be at most 1000"],
+        ),
+        (
+            {"snr_min_db": 2000.0},
+            ["snr_min_db: must be at most 1000", "snr_min_db: must not exceed snr_max_db"],
+        ),
+    ],
+)
+def test_config_validation_bounds_the_mean_snr(kw, bad):
+    cfg = SystemConfig(**kw)
+    assert cfg.validate() == bad
+    if not bad:
+        # the largest accepted mean SNR and its faded gains stay finite
+        means = sample_mean_snr(cfg, np.random.default_rng(0))
+        chan = sample_channel(cfg, *means, np.random.default_rng(1))
+        assert np.isfinite(means[0]).all() and np.isfinite(chan.embb_gain).all()
+
+
 def test_evaluate_slot_equals_rate_functions_bit_for_bit():
     cfg = small_cfg()
     rng = np.random.default_rng(17)

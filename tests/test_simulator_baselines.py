@@ -93,6 +93,32 @@ def test_only_baseline2_slots_with_a_zero_efficiency_run_per_slot(monkeypatch):
     assert all((spectral_efficiencies(cfg, chan)[0] <= 0.0).any() for chan in chans)
 
 
+def test_only_baseline1_slots_with_a_zero_efficiency_run_per_slot(monkeypatch):
+    # every other slot takes the range's all-active assignment and its row of
+    # _solve_rows with the penalty off, without a ChannelRealization, a
+    # per-slot assignment or a solve_baseline1 call
+    real_step, chans, solved = simulator._policy_step, [], []
+
+    def counting(cfg, policy, chan, *rest):
+        chans.append(chan)
+        return real_step(cfg, policy, chan, *rest)
+
+    def counting_solve(cfg, chan, mat):
+        solved.append(chan)
+        return solve_baseline1(cfg, chan, mat)
+
+    monkeypatch.setattr(simulator, "_policy_step", counting)
+    monkeypatch.setattr(simulator.urllc_placement, "solve_baseline1", counting_solve)
+    simulator._simulate_range(SystemConfig(), Policy.BASELINE1, 7, 0, 100, False, False)
+    assert chans == solved == []
+    # near -156 dB a user is degenerate in some slots only
+    cfg = SystemConfig(num_embb_users=3, snr_min_db=-165.0, snr_max_db=-150.0)
+    simulator._simulate_range(cfg, Policy.BASELINE1, 7, 0, 100, False, False)
+    assert 0 < len(chans) < 100
+    assert solved == chans
+    assert all((spectral_efficiencies(cfg, chan)[0] <= 0.0).any() for chan in chans)
+
+
 @pytest.mark.parametrize("policy", list(Policy))
 def test_ranges_longer_than_a_chunk_join_in_slot_order(monkeypatch, policy):
     # three chunks, the last one short

@@ -564,6 +564,59 @@ def test_solve_rows_equals_solve_row_by_row(kw, rounded):
         assert rows.iterations[i] == want.iterations
 
 
+@pytest.mark.parametrize(
+    "kw",
+    [
+        {},
+        {"num_embb_users": 40, "num_rbs": 200},
+        {"num_embb_users": 12, "num_rbs": 5},
+        {"urllc_outage_budget": 0.01, "snr_min_db": -10.0, "snr_max_db": 5.0},
+        {"urllc_outage_budget": 0.03, "num_urllc_users": 1, "risk_weight": 0.0},
+        {"puncture_prob": 0.0},
+        {**_TINY_LOAD, "puncture_prob": 5e-324},
+        _TINY_LOAD,
+    ],
+)
+@pytest.mark.parametrize("rounded", [False, True])
+def test_solve_rows_without_penalty_equals_solve_baseline1(kw, rounded):
+    # the simulator's baseline-1 chunk path; a row with a zero (or NaN)
+    # efficiency is masked, solved without warnings and left to the caller
+    import warnings
+
+    from urllc_slice.alternating import all_active_assignment
+    from urllc_slice.embb_scheduler import _equal_shares
+    from urllc_slice.model import _efficiencies, _fading_gains, sample_mean_snr
+    from urllc_slice.simulator import _slot_draws, mean_snr_rng
+    from urllc_slice.urllc_placement import _solve_rows
+
+    cfg = SystemConfig(**kw)
+    all_active = all_active_assignment(cfg)
+    mat = all_active.binary if rounded else _equal_shares(cfg, np.ones(cfg.num_embb_users, dtype=bool))
+    phi = mat.user_bandwidth(cfg.rb_bandwidth)
+    fading, urllc_fading, _ = _slot_draws(cfg, 7, 0, 100)
+    gains, urllc_gains = _fading_gains(cfg, *sample_mean_snr(cfg, mean_snr_rng(7)), fading, urllc_fading)
+    eff, urllc_eff = _efficiencies(cfg, gains, urllc_gains)
+    eff[::9, -1], eff[4::9, 0] = 0.0, np.nan
+    masked = np.zeros(len(eff), dtype=bool)
+    masked[::9] = masked[4::9] = True
+    terms = all_active.placement_terms._replace(penalty=0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = _solve_rows(terms, phi, eff, urllc_eff)
+    for i in np.flatnonzero(~masked):
+        want = solve_baseline1(cfg, ChannelRealization(gains[i], urllc_gains[i]), mat)
+        assert rows.weights[i].tobytes() == want.weights.weights.tobytes()
+        got = [rows.feasible[i], rows.objective[i], rows.var_level[i], rows.max_achievable_urllc_rate[i]]
+        assert got == [want.feasible, want.objective, want.weights.var_level, want.max_achievable_urllc_rate]
+        assert (rows.iterations[i], want.weights.excess) == (want.iterations, 0.0)
+    # ones and no URLLC efficiency: caps below any floor, so no multiplier
+    floor = all_active.placement_terms.floor
+    want_w = np.broadcast_to(terms.caps if floor > 0.0 else 0.0, (masked.sum(), cfg.num_embb_users))
+    assert rows.weights[masked].tobytes() == want_w.tobytes()
+    assert (rows.feasible[masked] == (floor <= 0.0)).all()
+    assert (rows.iterations[masked] == 0).all() and (rows.max_achievable_urllc_rate[masked] == 0.0).all()
+
+
 def sequential_baseline2(terms, phi, eff, urllc_eff):
     """The baseline-2 greedy of one slot as a plain loop over its users."""
     kappa, floor, caps, _ = terms
