@@ -20,7 +20,14 @@ from pathlib import Path
 
 from .json_writer import _csv, _trace_pieces, _TraceRecords
 from .model import ConfigError, SystemConfig
-from .simulator import Policy, RunMetrics, run_simulation, sweep
+from .simulator import (  # noqa: F401  (perfbench's tracer wraps run_simulation and sweep here)
+    Policy,
+    RunMetrics,
+    run_simulation,
+    run_simulations,
+    sweep,
+    sweep_configs,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -122,9 +129,10 @@ def _write(path: Path, text) -> None:
 
 
 def _emit_run(out: Path, tag: str, metrics: RunMetrics) -> None:
-    _write(out / f"metrics_{tag}.json", metrics.to_json() + "\n")
-    _write(out / f"ecdf_{tag}.csv", metrics.ecdf_csv())
-    _write(out / f"users_{tag}.csv", metrics.per_user_csv())
+    metrics_json, ecdf_csv, users_csv = metrics.texts()
+    _write(out / f"metrics_{tag}.json", metrics_json + "\n")
+    _write(out / f"ecdf_{tag}.csv", ecdf_csv)
+    _write(out / f"users_{tag}.csv", users_csv)
 
 
 def _comparison_row(metrics: RunMetrics, sweep_param: str | None, sweep_value) -> list:
@@ -185,42 +193,33 @@ def cmd_run(args: argparse.Namespace) -> int:
         if not values:
             return _config_error("--values is empty")
 
-    rows = []
     try:
-        for policy in policies:
-            trace_sink = _TraceRecords() if (args.trace and policy == Policy.PROPOSED) else None
-            if values is None:
-                metrics = run_simulation(
-                    cfg,
-                    policy,
-                    args.slots,
-                    seed,
-                    workers=args.threads,
-                    post_round=args.post_round,
-                    trace_sink=trace_sink,
-                )
-                runs = [(policy.value, None, metrics)]
-            else:
-                results = sweep(
-                    cfg,
-                    policy,
-                    args.sweep,
-                    values,
-                    args.slots,
-                    seed,
-                    workers=args.threads,
-                    post_round=args.post_round,
-                )
-                runs = [
-                    (f"{policy.value}_{args.sweep}{idx}", value, metrics)
-                    for idx, (value, metrics) in enumerate(zip(values, results))
-                ]
-            for tag, value, metrics in runs:
-                _emit_run(args.out, tag, metrics)
-                print(_summary_line(metrics))
-                rows.append(_comparison_row(metrics, args.sweep, value))
-            if trace_sink is not None:
-                _write(args.out / f"trace_{policy.value}.json", chain(_trace_pieces(trace_sink), ["\n"]))
+        # (tag, sweep value, config, policy) of every run, policy by policy
+        if values is None:
+            runs = [(policy.value, None, cfg, policy) for policy in policies]
+        else:
+            cfgs = sweep_configs(cfg, args.sweep, values)
+            runs = [
+                (f"{policy.value}_{args.sweep}{idx}", value, swept, policy)
+                for policy in policies
+                for idx, (value, swept) in enumerate(zip(values, cfgs))
+            ]
+        sinks = [_TraceRecords() if args.trace and policy == Policy.PROPOSED else None for *_, policy in runs]
+        results = run_simulations(
+            [(swept, policy) for _, _, swept, policy in runs],
+            args.slots,
+            seed,
+            workers=args.threads,
+            post_round=args.post_round,
+            trace_sinks=sinks,
+        )
+        rows = []
+        for (tag, value, _, policy), metrics, sink in zip(runs, results, sinks):
+            _emit_run(args.out, tag, metrics)
+            print(_summary_line(metrics))
+            rows.append(_comparison_row(metrics, args.sweep, value))
+            if sink is not None:
+                _write(args.out / f"trace_{policy.value}.json", chain(_trace_pieces(sink), ["\n"]))
         _write(args.out / "comparison.csv", _csv(_COMPARISON_COLUMNS, rows))
     except ConfigError as exc:
         return _config_error(exc)

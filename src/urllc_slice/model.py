@@ -28,6 +28,12 @@ class ConfigError(ValueError):
 # Largest accepted mean SNR, in dB: 10**100 linear, far beyond any physical
 # SNR and far below where 10 ** (dB / 10) or the fading product overflows.
 MAX_SNR_DB = 1000.0
+# Largest accepted |10 log10(P / noise_power)| of a transmit power P, in dB:
+# 10**200 either way. noise_power / P and its inverse are then finite and
+# normal, and with any accepted mean SNR and Exp(1) fading factor (below 45)
+# a gain, mean SNR * fading * noise_power / P, stays below 1e302. At 10**300
+# either way every gain underflows to zero or a gain overflows.
+MAX_POWER_RATIO_DB = 2000.0
 # Scalar float fields of SystemConfig: (name, rule, check of a finite value).
 _SCALAR_RULES = (
     ("noise_power", "must be > 0", lambda v: v > 0),
@@ -177,6 +183,7 @@ class SystemConfig:
                     f"num_rbs: num_rbs * num_embb_users must be at most "
                     f"{MAX_ASSIGNMENT_ENTRIES}, got {entries}"
                 )
+        powers = []  # transmit powers that are valid vectors
         for name, count in _VECTOR_FIELDS:
             v, length = getattr(self, name), getattr(self, count)
             if not _is_count(length):
@@ -186,6 +193,8 @@ class SystemConfig:
                 bad.append(f"{name}: {problem}")
             elif not np.all(np.isfinite(v) & (v > 0)):
                 bad.append(f"{name}: all entries must be finite and > 0")
+            elif name != "rb_bandwidth":
+                powers.append(name)
         not_finite = set()
         for name, rule, ok in _SCALAR_RULES:
             v = getattr(self, name)
@@ -198,6 +207,11 @@ class SystemConfig:
                 bad.append(f"{name}: {rule}")
         if not not_finite & {"snr_min_db", "snr_max_db"} and self.snr_min_db > self.snr_max_db:
             bad.append("snr_min_db: must not exceed snr_max_db")
+        if "noise_power" not in not_finite and self.noise_power > 0:
+            noise_db = 10.0 * math.log10(self.noise_power)
+            for name in powers:
+                if np.any(np.abs(10.0 * np.log10(getattr(self, name)) - noise_db) > MAX_POWER_RATIO_DB):
+                    bad.append(f"{name}: must lie within {MAX_POWER_RATIO_DB:g} dB of noise_power")
         return bad
 
     def to_dict(self) -> dict:

@@ -4,7 +4,10 @@ All three policies of a comparison see identical per-slot random draws
 (common random numbers): every random stream is derived deterministically
 from ``(seed, slot_index)``, and per-user mean SNRs from ``(seed,)`` alone,
 so runs are reproducible bit for bit and curves across parameter sweeps are
-directly comparable.
+directly comparable. ``run_simulations`` makes those draws once for a whole
+batch of runs (every policy and sweep value of a comparison): each chunk of
+slots is drawn and turned into channel terms once, and every run takes its
+policy step and evaluation on the same arrays.
 
 A range of slots is drawn, turned into channel terms and evaluated as arrays
 over its slots, and both baselines are solved a chunk of slots at a time. The
@@ -20,14 +23,24 @@ from __future__ import annotations
 
 import logging
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
 from . import alternating, urllc_placement
 from .embb_scheduler import round_to_binary, solve_fractional
-from .json_writer import _csv, _fields_dict, _json_indented, _TraceRecord, _TraceRecords
+from .json_writer import (
+    _csv,
+    _csv_numbers,
+    _fields_dict,
+    _json_indented,
+    _number_texts,
+    _TraceRecord,
+    _TraceRecords,
+)
 from .model import (  # noqa: F401  (perfbench's tracer wraps the per-slot names bound here)
     MAX_ASSIGNMENT_ENTRIES,
     ChannelRealization,
@@ -94,15 +107,30 @@ class RunMetrics:
         out["sum_rate_ecdf"] = {"values": out.pop("ecdf_values"), "cum_probs": out.pop("ecdf_probs")}
         return out
 
+    def texts(self) -> tuple[str, str, str]:
+        """``to_json()``, ``ecdf_csv()`` and ``per_user_csv()`` together. Each
+        float of the four arrays is formatted once, for the JSON and the CSV
+        text alike; a run's files are written from one call."""
+        arrays = (self.ecdf_values, self.ecdf_probs, self.per_user_mean_rate, self.per_user_mean_theta)
+        texts = [_number_texts(a) for a in arrays]
+        out = self.to_dict()
+        out["sum_rate_ecdf"] = {"values": texts[0], "cum_probs": texts[1]}
+        out["per_user_mean_rate"], out["per_user_mean_theta"] = texts[2:]
+        values, probs, rates, thetas = map(_csv_numbers, texts, arrays)
+        return (
+            _json_indented(out),
+            _csv(["value", "cum_prob"], zip(values, probs)),
+            _csv(["user", "mean_rate", "mean_theta"], zip(range(len(rates)), rates, thetas)),
+        )
+
     def to_json(self) -> str:
-        return _json_indented(self.to_dict())
+        return self.texts()[0]
 
     def ecdf_csv(self) -> str:
-        return _csv(["value", "cum_prob"], zip(self.ecdf_values.tolist(), self.ecdf_probs.tolist()))
+        return self.texts()[1]
 
     def per_user_csv(self) -> str:
-        rates, thetas = self.per_user_mean_rate.tolist(), self.per_user_mean_theta.tolist()
-        return _csv(["user", "mean_rate", "mean_theta"], zip(range(len(rates)), rates, thetas))
+        return self.texts()[2]
 
 
 def slot_rng(seed: int, slot: int) -> np.random.Generator:
@@ -195,21 +223,46 @@ def _slot_draws(cfg: SystemConfig, seed: int, start: int, stop: int):
     """The broadband and URLLC fading factors and minislot uniforms of slots
     ``start`` to ``stop``, as S x U, S x C and S x M arrays: row i holds what
     ``sample_channel`` and ``sample_urllc_load`` draw from
-    ``slot_rng(seed, start + i)``."""
-    slots = stop - start
-    fading = np.empty((slots, cfg.num_embb_users))
-    urllc_fading = np.empty((slots, cfg.num_urllc_users))
+    ``slot_rng(seed, start + i)``. One ``standard_exponential`` call per slot
+    fills both kinds of fading factor, the URLLC ones following on in the
+    stream as they do after ``sample_channel``'s broadband call."""
+    slots, users = stop - start, cfg.num_embb_users
+    fading = np.empty((slots, users + cfg.num_urllc_users))
     uniforms = np.empty((slots, cfg.num_minislots))
     for i, rng in enumerate(_slot_rngs(seed, start, stop)):
         rng.standard_exponential(out=fading[i])
-        rng.standard_exponential(out=urllc_fading[i])
         rng.random(out=uniforms[i])
-    return fading, urllc_fading, uniforms
+    return fading[:, :users], fading[:, users:], uniforms
 
 
 def _chunk_slots(cfg: SystemConfig) -> int:
     """Slots per chunk: as many as hold ``_CHUNK_ENTRIES`` draws, at least one."""
     return max(1, _CHUNK_ENTRIES // (cfg.num_embb_users + cfg.num_urllc_users + cfg.num_minislots))
+
+
+class _Chunk(NamedTuple):
+    """What every run of a batch takes alike from the slots of one chunk,
+    from slot ``start`` on: the S x U and S x C fading gains, the S x U
+    broadband spectral efficiencies and the S mean URLLC spectral
+    efficiencies."""
+
+    start: int
+    gains: np.ndarray
+    urllc_gains: np.ndarray
+    eff: np.ndarray
+    urllc_eff: np.ndarray
+
+
+class _ChunkRows(NamedTuple):
+    """One run's outcome on the slots of a chunk: the per-user rates and
+    punctured bandwidths (S x U), the outage and feasibility flags (S), and
+    its ``_TraceRecord``, or None when the run is not traced."""
+
+    rates: np.ndarray
+    thetas: np.ndarray
+    outages: np.ndarray
+    feasible: np.ndarray
+    record: _TraceRecord | None
 
 
 def _policy_step(cfg, policy, chan, post_round, all_active, row):
@@ -224,73 +277,85 @@ def _policy_step(cfg, policy, chan, post_round, all_active, row):
     return binary, urllc_placement.solve_baseline2(cfg, chan, binary), None
 
 
-def _simulate_range(cfg, policy, seed, start, stop, post_round, trace):
-    """Per-slot arrays of slots ``start`` to ``stop``, and their alternation
-    traces if ``trace`` is set (proposed policy only): one ``_TraceRecord``
-    per chunk, whose rounds stand for the slots they answer and which holds
-    the other slots' trace dicts (``_trace_dicts`` expands it). Chunks of
-    slots are drawn, turned into spectral efficiencies and evaluated as
-    arrays; the policy step runs in between. The all-active assignment, with
-    the placement problem's configuration terms, is computed once per range.
-    Proposed solves its two rounds once per chunk
-    (``alternating._all_active_rounds``); each slot's ``alternating.run``
-    takes its row of them, and a slot they answer takes the assignment's
-    rounded bandwidths. A baseline solves the chunk at that assignment
-    (``urllc_placement._baseline2_rows``, or ``_solve_rows`` with the
-    penalty off), which every slot whose efficiencies are all positive
+def _policy_rows(cfg, policy, all_active, chunk: _Chunk, post_round, traced):
+    """One run's user bandwidths and weights (S x U) and feasibility (S) on
+    the slots of ``chunk``, and, if ``traced`` (proposed policy only), its
+    ``_TraceRecord``, whose rounds stand for the slots they answer and which
+    holds the other slots' trace dicts (``_trace_dicts`` expands it).
+    ``all_active`` is ``alternating.all_active_assignment(cfg)``, with the
+    placement problem's configuration terms. Proposed solves its two rounds
+    once per chunk (``alternating._all_active_rounds``); each slot's
+    ``alternating.run`` takes its row of them, and a slot they answer takes
+    the assignment's rounded bandwidths. A baseline solves the chunk at that
+    assignment (``urllc_placement._baseline2_rows``, or ``_solve_rows`` with
+    the penalty off), which every slot whose efficiencies are all positive
     keeps; a slot with a zero efficiency runs its own assignment and solve."""
-    means = sample_mean_snr(cfg, mean_snr_rng(seed))
-    all_active = alternating.all_active_assignment(cfg)
-    rates = np.empty((stop - start, cfg.num_embb_users))
-    thetas = np.empty_like(rates)
-    outages = np.empty(stop - start, dtype=bool)
-    feasible = np.empty(stop - start, dtype=bool)
-    traces = []
-    chunk = _chunk_slots(cfg)
-    for lo in range(start, stop, chunk):
-        hi = min(lo + chunk, stop)
-        fading, urllc_fading, uniforms = _slot_draws(cfg, seed, lo, hi)
-        gains, urllc_gains = _fading_gains(cfg, *means, fading, urllc_fading)
-        eff, urllc_eff = _efficiencies(cfg, gains, urllc_gains)
-        phi, weights = np.empty_like(gains), np.empty_like(gains)
-        rounds, fallback, answered = None, [], np.zeros(hi - lo, dtype=bool)
-        if policy == Policy.PROPOSED:
-            rounds = alternating._all_active_rounds(all_active, eff, urllc_eff, post_round)
-            if trace:  # the slot loop fills in ``fallback``
-                traces.append(_TraceRecord(lo, all_active, rounds, fallback))
+    gains, eff, urllc_eff = chunk.gains, chunk.eff, chunk.urllc_eff
+    phi, weights = np.empty_like(gains), np.empty_like(gains)
+    feasible = np.empty(len(gains), dtype=bool)
+    rounds, record, answered = None, None, np.zeros(len(gains), dtype=bool)
+    if policy == Policy.PROPOSED:
+        rounds = alternating._all_active_rounds(all_active, eff, urllc_eff, post_round)
+        if traced:  # the slot loop fills in its fallback list
+            record = _TraceRecord(chunk.start, all_active, rounds, [])
+    else:
+        # a row without a zero efficiency keeps every user active
+        answered = (eff > 0.0).all(axis=1)
+        phi[:] = bandwidth = all_active.rounded_bandwidth
+        terms = all_active.placement_terms
+        if policy == Policy.BASELINE2:
+            solved = urllc_placement._baseline2_rows(terms, bandwidth, eff, urllc_eff)
         else:
-            # a row without a zero efficiency keeps every user active
-            answered = (eff > 0.0).all(axis=1)
-            phi[:] = bandwidth = all_active.rounded_bandwidth
-            terms = all_active.placement_terms
-            if policy == Policy.BASELINE2:
-                solved = urllc_placement._baseline2_rows(terms, bandwidth, eff, urllc_eff)
-            else:
-                solved = urllc_placement._solve_rows(terms._replace(penalty=0.0), bandwidth, eff, urllc_eff)
-            weights[:], feasible[lo - start : hi - start] = solved[:2]
-        for i in np.flatnonzero(~answered).tolist():
-            slot = lo + i
-            chan = ChannelRealization(gains[i], urllc_gains[i])
-            row = None if rounds is None else (rounds, i)
-            binary, placement, alternation = _policy_step(cfg, policy, chan, post_round, all_active, row)
-            if binary is all_active.binary:
-                phi[i] = all_active.rounded_bandwidth
-            else:
-                phi[i] = binary.user_bandwidth(cfg.rb_bandwidth)
-                if trace and alternation is not None:
-                    fallback.append({"slot": slot, **alternation.to_dict()})
-            weights[i] = placement.weights.weights
-            feasible[slot - start] = placement.feasible
-        part = slice(lo - start, hi - start)
-        rates[part], thetas[part], _, outages[part] = evaluate_slots(
-            cfg,
-            eff,
-            urllc_eff,
-            phi,
-            weights,
-            _minislot_loads(cfg, uniforms)[1],
-        )
-    return rates, thetas, outages, feasible, traces
+            solved = urllc_placement._solve_rows(terms._replace(penalty=0.0), bandwidth, eff, urllc_eff)
+        weights[:], feasible[:] = solved[:2]
+    for i in np.flatnonzero(~answered).tolist():
+        chan = ChannelRealization(gains[i], chunk.urllc_gains[i])
+        row = None if rounds is None else (rounds, i)
+        binary, placement, alternation = _policy_step(cfg, policy, chan, post_round, all_active, row)
+        if binary is all_active.binary:
+            phi[i] = all_active.rounded_bandwidth
+        else:
+            phi[i] = binary.user_bandwidth(cfg.rb_bandwidth)
+            if record is not None:
+                record.fallback.append({"slot": chunk.start + i, **alternation.to_dict()})
+        weights[i] = placement.weights.weights
+        feasible[i] = placement.feasible
+    return phi, weights, feasible, record
+
+
+def _simulate_range(runs, seed, start, stop, post_round, held):
+    """Yields, for each chunk of slots ``start`` to ``stop`` in turn, a list
+    of one ``_ChunkRows`` per run of ``runs``: (config, policy, traced)
+    triples whose configs differ at most in the swept fields. A chunk's
+    draws, fading gains and spectral efficiencies are computed once for all
+    the runs, and its minislot loads once per distinct ``puncture_prob``;
+    each run then takes its policy step (``_policy_rows``) and
+    ``evaluate_slots`` on them. ``held``, a ``_HeldRecords``, receives the
+    package's log records of a chunk, filed under the run whose step made
+    them (the first run's when none did)."""
+    cfg = runs[0][0]
+    means = sample_mean_snr(cfg, mean_snr_rng(seed))
+    assignments = [alternating.all_active_assignment(run_cfg) for run_cfg, _, _ in runs]
+    step = _chunk_slots(cfg)
+    for lo in range(start, stop, step):
+        rows, loads = [], {}
+        with _holding(held):
+            fading, urllc_fading, uniforms = _slot_draws(cfg, seed, lo, min(lo + step, stop))
+            gains, urllc_gains = _fading_gains(cfg, *means, fading, urllc_fading)
+            chunk = _Chunk(lo, gains, urllc_gains, *_efficiencies(cfg, gains, urllc_gains))
+            for i, ((run_cfg, policy, traced), all_active) in enumerate(zip(runs, assignments)):
+                held.run = i
+                phi, weights, feasible, record = _policy_rows(
+                    run_cfg, policy, all_active, chunk, post_round, traced
+                )
+                p = run_cfg.puncture_prob
+                if p not in loads:
+                    loads[p] = _minislot_loads(run_cfg, uniforms)[1]
+                rates, thetas, _, outages = evaluate_slots(
+                    run_cfg, chunk.eff, chunk.urllc_eff, phi, weights, loads[p]
+                )
+                rows.append(_ChunkRows(rates, thetas, outages, feasible, record))
+        yield rows
 
 
 def _trace_dicts(records):
@@ -306,33 +371,253 @@ def _trace_dicts(records):
 
 
 class _HeldRecords(logging.Handler):
-    """Keeps every record it is handed, its message formatted so it pickles."""
+    """Keeps what ``_emit`` needs to make every record it is handed again, in
+    one list per run of a batch (the list of the run numbered ``run``): its
+    logger, level, source line and formatted message, one string object per
+    distinct message. A batch holds every later run's records until its
+    last chunk, where a whole record would take about 0.5 kB; the record
+    made again carries the time, thread and process of its emission."""
 
-    def __init__(self):
+    def __init__(self, runs: int):
         super().__init__()
-        self.records = []
+        self.records = [[] for _ in range(runs)]
+        self.run = 0
+        self.messages = {}
 
     def emit(self, record):
-        record.msg, record.args, record.exc_info = record.getMessage(), None, None
-        self.records.append(record)
+        message = record.getMessage()
+        message = self.messages.setdefault(message, message)
+        held = (record.name, record.levelno, record.pathname, record.lineno, message, record.funcName)
+        self.records[self.run].append(held)
+
+    def take(self) -> list[list]:
+        """The records held so far, one list per run; the handler starts afresh."""
+        records, self.records, self.run = self.records, [[] for _ in self.records], 0
+        return records
 
 
-def _pooled_range(*args):
-    """``_simulate_range`` in a pool worker, with the package's log records
-    it produced held back instead of emitted, so that the parent can emit them
-    in slot order. An exception the range raises comes back in place of its
-    results, with the records held before it."""
+@contextmanager
+def _holding(held: _HeldRecords):
+    """Hands the package's log records to ``held`` instead of emitting them."""
     package = logging.getLogger(__package__)
-    held = _HeldRecords()
     propagate, package.propagate = package.propagate, False
     package.addHandler(held)
     try:
-        return _simulate_range(*args), held.records
-    except Exception as err:
-        return err, held.records
+        yield
     finally:
         package.removeHandler(held)
         package.propagate = propagate
+
+
+def _emit(records) -> None:
+    """Emits ``_HeldRecords``' records through their loggers."""
+    for name, level, path, line, message, func in records:
+        logger = logging.getLogger(name)
+        if logger.isEnabledFor(level):
+            logger.handle(logger.makeRecord(name, level, path, line, message, None, None, func))
+
+
+def _held_chunks(runs, seed, start, stop, post_round):
+    """``_simulate_range``'s chunks as (list of the chunk's rows, records)
+    pairs, the package's log records of the chunk held back per run. An
+    exception the range raises comes in place of the rows, with the records
+    held before it, and ends the pairs."""
+    held = _HeldRecords(len(runs))
+    try:
+        for rows in _simulate_range(runs, seed, start, stop, post_round, held):
+            yield [rows], held.take()
+    except Exception as err:
+        yield err, held.take()
+
+
+def _pooled_range(batch, seed, start, stop, post_round):
+    """``_held_chunks`` of one range in a pool worker, joined into one pair:
+    every chunk's rows (or the exception the range raised) and every run's
+    records, for the parent to fold and emit in slot order."""
+    chunks, records = [], [[] for _ in batch]
+    for part, held in _held_chunks(batch, seed, start, stop, post_round):
+        for mine, theirs in zip(records, held):
+            mine += theirs
+        if isinstance(part, Exception):
+            return part, records
+        chunks += part
+    return chunks, records
+
+
+class _ColumnMeans:
+    """``rows.mean(axis=0)`` of an S x U array handed over a chunk of rows at a
+    time, in slot order, without keeping the rows. NumPy's axis-0 sum of more
+    than one column adds the rows one after another, so each chunk is added to
+    the running sum as the sum stacked on the chunk's rows: the same additions
+    in the same order. A single column is summed pairwise, as a vector is, so
+    its chunks (one value per slot) are kept and summed at the end."""
+
+    def __init__(self):
+        self.parts, self.count = [], 0
+
+    def add(self, rows: np.ndarray) -> None:
+        self.count += len(rows)
+        self.parts.append(rows)
+        if rows.shape[1] > 1:
+            self.parts = [np.add.reduce(np.concatenate(self.parts), axis=0, keepdims=True)]
+
+    def mean(self) -> np.ndarray:
+        return np.add.reduce(np.concatenate(self.parts), axis=0) / self.count
+
+
+class _RunTotals:
+    """One run's outcome, folded a chunk at a time in slot order: each slot's
+    sum rate, the counts behind its rates, the per-user means of its rates and
+    punctured bandwidths, and its trace records."""
+
+    def __init__(self, target_rate: float):
+        self.target_rate = target_rate
+        self.sum_rates, self.records = [], []
+        self.rates, self.thetas = _ColumnMeans(), _ColumnMeans()
+        self.reliable = self.outages = self.infeasible = 0
+
+    def add(self, rows: _ChunkRows) -> None:
+        self.sum_rates.append(rows.rates.sum(axis=1))
+        self.reliable += int(np.count_nonzero(rows.rates >= self.target_rate))
+        self.outages += int(np.count_nonzero(rows.outages))
+        self.infeasible += int(np.count_nonzero(~rows.feasible))
+        self.rates.add(rows.rates)
+        self.thetas.add(rows.thetas)
+        if rows.record is not None:
+            self.records.append(rows.record)
+
+    def metrics(self, cfg: SystemConfig, policy: Policy, num_slots: int, seed: int) -> RunMetrics:
+        # the counts over their totals are the means of the boolean arrays, bit for bit
+        sum_rates = np.concatenate(self.sum_rates)
+        values, counts = np.unique(sum_rates, return_counts=True)
+        dist = EmpiricalDistribution(sum_rates)
+        return RunMetrics(
+            policy=policy.value,
+            slots=num_slots,
+            seed=seed,
+            puncture_prob=cfg.puncture_prob,
+            urllc_outage_budget=cfg.urllc_outage_budget,
+            risk_weight=cfg.risk_weight,
+            embb_reliability=float(self.reliable / (num_slots * cfg.num_embb_users)),
+            urllc_outage_rate=float(self.outages / num_slots),
+            mean_sum_rate=float(sum_rates.mean()),
+            sum_rate_cvar_upper=cvar_alpha(dist, cfg.cvar_level),
+            sum_rate_cvar_lower=cvar_alpha_lower(dist, cfg.cvar_level),
+            ecdf_values=values,
+            ecdf_probs=np.cumsum(counts) / num_slots,
+            per_user_mean_rate=self.rates.mean(),
+            per_user_mean_theta=self.thetas.mean(),
+            n_infeasible_slots=self.infeasible,
+        )
+
+
+_SWEEP_FIELDS = {
+    "p": "puncture_prob",
+    "epsilon": "urllc_outage_budget",
+    "beta": "risk_weight",
+}
+
+
+def _draw_fields(cfg: SystemConfig) -> dict:
+    """The fields of ``cfg`` that its draws, gains and efficiencies depend on:
+    all but the swept ones."""
+    return {k: v for k, v in cfg.to_dict().items() if k not in _SWEEP_FIELDS.values()}
+
+
+def run_simulations(
+    runs: list,
+    num_slots: int,
+    seed: int,
+    workers: int = 1,
+    post_round: bool = False,
+    trace_sinks: list | None = None,
+) -> list[RunMetrics]:
+    """Simulate ``num_slots`` independent slots under each (config, policy)
+    pair of ``runs``, all over one pass of draws.
+
+    The configs may differ only in the swept fields (``_SWEEP_FIELDS``), so
+    every run sees the same draws, fading gains and spectral efficiencies:
+    each chunk of slots computes them once, and its minislot loads once per
+    distinct ``puncture_prob``, for every run to take its policy step on
+    (``_simulate_range``). Each run's rows are folded chunk by chunk in slot
+    order (``_RunTotals``), so its metrics equal those of its own
+    ``run_simulation`` call, bit for bit.
+
+    The slots are split into at most ``workers`` contiguous ranges, run on
+    ``min(workers, ranges, os.cpu_count())`` processes: in this process when
+    that is one, else on one process pool for all the runs. Results, traces
+    included, are joined in slot order, so the output is identical for every
+    worker count. So are the package's log records, in run order: the first
+    run's are emitted as its chunks (or pool ranges) come in, every later
+    run's are held and emitted after them, also when a range raises.
+    ``trace_sinks``, if given, holds a sink or None per run. A sink is
+    extended with one alternation-trace dict per slot (proposed policy
+    only), or, if it is a ``json_writer._TraceRecords``, with the per-chunk
+    ``_TraceRecord``s those dicts expand from.
+    ``num_slots * num_embb_users`` may be at most ``MAX_ASSIGNMENT_ENTRIES``.
+    """
+    runs = [(cfg, Policy(policy)) for cfg, policy in runs]
+    sinks = [None] * len(runs) if trace_sinks is None else list(trace_sinks)
+    if not runs or len(sinks) != len(runs):
+        raise ConfigError("runs must be non-empty, with one trace_sinks entry per run")
+    if num_slots < 1:
+        raise ConfigError("num_slots must be >= 1")
+    if workers < 1:
+        raise ConfigError("workers must be >= 1")
+    for cfg, _ in runs:
+        bad = cfg.validate()
+        if bad:
+            raise ConfigError("config invalid: " + "; ".join(bad))
+    cfg = runs[0][0]
+    if num_slots * cfg.num_embb_users > MAX_ASSIGNMENT_ENTRIES:
+        raise ConfigError(
+            f"num_slots * num_embb_users must be at most {MAX_ASSIGNMENT_ENTRIES}, "
+            f"got {num_slots * cfg.num_embb_users}"
+        )
+    shared = _draw_fields(cfg)
+    if any(_draw_fields(other) != shared for other, _ in runs[1:]):
+        raise ConfigError("the configs of one batch may differ only in " + ", ".join(_SWEEP_FIELDS.values()))
+
+    batch = [(cfg, policy, sink is not None) for (cfg, policy), sink in zip(runs, sinks)]
+    totals = [_RunTotals(cfg.target_rate) for cfg, _ in runs]
+    chunk = -(-num_slots // workers)
+    spans = [(s, min(s + chunk, num_slots)) for s in range(0, num_slots, chunk)]
+    later = [[] for _ in runs]  # the held records of every run but the first
+    try:
+        for part, records in _range_parts(batch, seed, spans, post_round):
+            _emit(records[0])
+            for mine, theirs in zip(later[1:], records[1:]):
+                mine += theirs
+            if isinstance(part, Exception):
+                raise part
+            for rows in part:
+                for total, run_rows in zip(totals, rows):
+                    total.add(run_rows)
+    finally:
+        for records in later[1:]:
+            _emit(records)
+    for total, sink in zip(totals, sinks):
+        if sink is not None:
+            sink.extend(total.records if isinstance(sink, _TraceRecords) else _trace_dicts(total.records))
+    return [total.metrics(cfg, policy, num_slots, seed) for total, (cfg, policy) in zip(totals, runs)]
+
+
+def _range_parts(batch, seed, spans, post_round):
+    """(rows of chunks, records per run) pairs of every range in slot order,
+    from ``_held_chunks`` in this process or from ``_pooled_range`` on a pool;
+    an exception comes in place of the rows of the range that raised it."""
+    # len(spans) <= workers; the pool starts all its processes at once
+    procs = min(len(spans), os.cpu_count() or 1)
+    if procs == 1:
+        for start, stop in spans:
+            yield from _held_chunks(batch, seed, start, stop, post_round)
+        return
+    # imported here: it loads multiprocessing, which one-process runs never use
+    from concurrent.futures import ProcessPoolExecutor
+
+    jobs = zip(*[(batch, seed, start, stop, post_round) for start, stop in spans])
+    with ProcessPoolExecutor(max_workers=procs) as pool:
+        yield from pool.map(_pooled_range, *jobs)
 
 
 def run_simulation(
@@ -344,89 +629,23 @@ def run_simulation(
     post_round: bool = False,
     trace_sink: list | None = None,
 ) -> RunMetrics:
-    """Simulate ``num_slots`` independent slots under one policy.
-
-    The slots are split into at most ``workers`` contiguous ranges, run on
-    ``min(workers, ranges, os.cpu_count())`` processes: in this process when
-    that is one, else on a process pool. Results, traces included, are joined
-    in slot order, so the output is identical for every worker count; so are
-    the package's log records, which pool workers hand back with their
-    results (or the exception a range raised) for this process to emit in
-    slot order.
-    ``trace_sink``, if given, is extended with one alternation-trace dict per
-    slot (proposed policy only), or, if it is a ``json_writer._TraceRecords``,
-    with the per-chunk ``_TraceRecord``s those dicts expand from.
-    ``num_slots * cfg.num_embb_users`` may be at most ``MAX_ASSIGNMENT_ENTRIES``.
-    """
-    policy = Policy(policy)
-    if num_slots < 1:
-        raise ConfigError("num_slots must be >= 1")
-    if workers < 1:
-        raise ConfigError("workers must be >= 1")
-    bad = cfg.validate()
-    if bad:
-        raise ConfigError("config invalid: " + "; ".join(bad))
-    if num_slots * cfg.num_embb_users > MAX_ASSIGNMENT_ENTRIES:
-        raise ConfigError(
-            f"num_slots * num_embb_users must be at most {MAX_ASSIGNMENT_ENTRIES}, "
-            f"got {num_slots * cfg.num_embb_users}"
-        )
-
-    chunk = -(-num_slots // workers)
-    spans = [(s, min(s + chunk, num_slots)) for s in range(0, num_slots, chunk)]
-    jobs = zip(*[(cfg, policy, seed, a, b, post_round, trace_sink is not None) for a, b in spans])
-    # len(spans) <= workers; the pool starts all its processes at once
-    procs = min(len(spans), os.cpu_count() or 1)
-    if procs == 1:
-        parts = list(map(_simulate_range, *jobs))
-    else:
-        # imported here: it loads multiprocessing, which one-process runs never use
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=procs) as pool:
-            parts = []
-            for part, records in pool.map(_pooled_range, *jobs):
-                for record in records:
-                    logger = logging.getLogger(record.name)
-                    if logger.isEnabledFor(record.levelno):
-                        logger.handle(record)
-                if isinstance(part, Exception):
-                    raise part
-                parts.append(part)
-    rates, thetas, outages, feasible, traces = zip(*parts)
-    rates, thetas, outages, feasible = map(np.concatenate, (rates, thetas, outages, feasible))
-    if trace_sink is not None:
-        records = [r for part in traces for r in part]
-        trace_sink.extend(records if isinstance(trace_sink, _TraceRecords) else _trace_dicts(records))
-
-    sum_rates = rates.sum(axis=1)
-    values, counts = np.unique(sum_rates, return_counts=True)
-    dist = EmpiricalDistribution(sum_rates)
-    return RunMetrics(
-        policy=policy.value,
-        slots=num_slots,
-        seed=seed,
-        puncture_prob=cfg.puncture_prob,
-        urllc_outage_budget=cfg.urllc_outage_budget,
-        risk_weight=cfg.risk_weight,
-        embb_reliability=float((rates >= cfg.target_rate).mean()),
-        urllc_outage_rate=float(outages.mean()),
-        mean_sum_rate=float(sum_rates.mean()),
-        sum_rate_cvar_upper=cvar_alpha(dist, cfg.cvar_level),
-        sum_rate_cvar_lower=cvar_alpha_lower(dist, cfg.cvar_level),
-        ecdf_values=values,
-        ecdf_probs=np.cumsum(counts) / num_slots,
-        per_user_mean_rate=rates.mean(axis=0),
-        per_user_mean_theta=thetas.mean(axis=0),
-        n_infeasible_slots=int((~feasible).sum()),
-    )
+    """Simulate ``num_slots`` independent slots under one policy: the one run
+    of ``run_simulations``, whose ``trace_sinks`` entry is ``trace_sink``."""
+    return run_simulations([(cfg, policy)], num_slots, seed, workers, post_round, [trace_sink])[0]
 
 
-_SWEEP_FIELDS = {
-    "p": "puncture_prob",
-    "epsilon": "urllc_outage_budget",
-    "beta": "risk_weight",
-}
+def sweep_configs(cfg: SystemConfig, parameter: str, values: list[float]) -> list[SystemConfig]:
+    """``cfg`` with the field that ``parameter`` names set to each value in
+    turn; a value that field rejects is a ``ConfigError``."""
+    if parameter not in _SWEEP_FIELDS:
+        raise ConfigError(f"unknown sweep parameter {parameter!r}; use p, epsilon, or beta")
+    field_name = _SWEEP_FIELDS[parameter]
+    cfgs = [replace(cfg, **{field_name: float(v)}) for v in values]
+    for v, swept in zip(values, cfgs):
+        bad = [b for b in swept.validate() if b.startswith(field_name)]
+        if bad:
+            raise ConfigError(f"sweep value {v} rejected: " + "; ".join(bad))
+    return cfgs
 
 
 def sweep(
@@ -439,17 +658,8 @@ def sweep(
     workers: int = 1,
     post_round: bool = False,
 ) -> list[RunMetrics]:
-    """One run per parameter value, sharing the same random draws so the
-    resulting curves differ only through the parameter."""
-    if parameter not in _SWEEP_FIELDS:
-        raise ConfigError(f"unknown sweep parameter {parameter!r}; use p, epsilon, or beta")
-    field_name = _SWEEP_FIELDS[parameter]
-    cfgs = [replace(cfg, **{field_name: float(v)}) for v in values]
-    for v, swept in zip(values, cfgs):
-        bad = [b for b in swept.validate() if b.startswith(field_name)]
-        if bad:
-            raise ConfigError(f"sweep value {v} rejected: " + "; ".join(bad))
-    return [
-        run_simulation(swept, policy, num_slots, seed, workers=workers, post_round=post_round)
-        for swept in cfgs
-    ]
+    """One run per parameter value, all over one pass of draws
+    (``run_simulations``), so the resulting curves differ only through the
+    parameter."""
+    runs = [(swept, policy) for swept in sweep_configs(cfg, parameter, values)]
+    return run_simulations(runs, num_slots, seed, workers, post_round)

@@ -410,21 +410,46 @@ def test_validate_rejects_snr_beyond_float_range(tmp_path, capsys):
     assert captured.err == "error: config invalid: snr_max_db: must be at most 1000\n"
 
 
+POWER_LINE = "{}: must lie within 2000 dB of noise_power"
+
+
 @pytest.mark.parametrize("command", ["run", "validate"])
-def test_snr_that_would_overflow_is_one_config_error(tmp_path, capsys, command):
-    # at 3000-4000 dB a mean SNR or its faded gain overflows to inf; the run
-    # used to exit 0 with a NaN mean sum rate and thousands of NumPy warnings
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        # at 3000-4000 dB a mean SNR or its faded gain overflows to inf; the run
+        # used to exit 0 with a NaN mean sum rate and thousands of NumPy warnings
+        (
+            '{"num_embb_users": 12, "num_rbs": 5, "snr_min_db": 3000, "snr_max_db": 4000}',
+            "snr_min_db: must be at most 1000; snr_max_db: must be at most 1000",
+        ),
+        # a power-to-noise ratio of 1e600 left every gain 0 (all users
+        # degenerate, a mean sum rate of 0); one of 1e-600 an infinite gain
+        # (NaN rates and NumPy warnings)
+        (
+            '{"embb_tx_power": 1e300, "noise_power": 1e-300}',
+            POWER_LINE.format("embb_tx_power") + "; " + POWER_LINE.format("urllc_tx_power"),
+        ),
+        (
+            '{"embb_tx_power": 1e-300, "noise_power": 1e300}',
+            POWER_LINE.format("embb_tx_power") + "; " + POWER_LINE.format("urllc_tx_power"),
+        ),
+        (
+            '{"urllc_tx_power": 1e-300, "noise_power": 1e300, "embb_tx_power": 1e300}',
+            POWER_LINE.format("urllc_tx_power"),
+        ),
+    ],
+)
+def test_snr_that_would_overflow_is_one_config_error(tmp_path, capsys, command, text, line):
     path = tmp_path / "cfg.json"
-    path.write_text('{"num_embb_users": 12, "num_rbs": 5, "snr_min_db": 3000, "snr_max_db": 4000}')
+    path.write_text(text)
     argv = [command, "--config", str(path)]
     if command == "run":
         argv += ["--policy", "all", "--slots", "300", "--seed", "7", "--out", str(tmp_path / "out")]
     assert main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == (
-        "error: config invalid: snr_min_db: must be at most 1000; snr_max_db: must be at most 1000\n"
-    )
+    assert captured.err == f"error: config invalid: {line}\n"
     assert not (tmp_path / "out").exists()
 
 
@@ -615,26 +640,86 @@ def test_module_exits_one_on_an_unparseable_flag(tmp_path):
     assert proc.stderr == "error: config argument --slots: invalid int value: 'abc'\n"
 
 
-def test_pool_stderr_equals_sequential_stderr(tmp_path):
+def run_module(tmp_path, name, argv):
+    """``python -m urllc_slice.cli run`` in a fresh interpreter, writing to
+    ``tmp_path / name``: its exit code, stdout, stderr and files."""
     import os
     import subprocess
     import sys
 
     import urllc_slice
 
-    # -400 dB leaves users degenerate, so every policy warns on stderr
-    config = tmp_path / "cfg.json"
-    config.write_text(json.dumps({"snr_min_db": -400, "snr_max_db": 30}))
     src = os.path.dirname(os.path.dirname(urllc_slice.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    runs = []
-    for threads in ("1", "2"):
-        argv = ["run", "--config", str(config), "--policy", "all", "--slots", "60"]
-        argv += ["--seed", "20261", "--trace", "--threads", threads, "--out", str(tmp_path / threads)]
-        proc = subprocess.run(
-            [sys.executable, "-m", "urllc_slice.cli", *argv], env=env, capture_output=True, text=True
-        )
-        runs.append((proc.returncode, proc.stdout, proc.stderr, read_tree(tmp_path / threads)))
-    assert runs[0][0] == 0
-    assert "degenerate" in runs[0][2]
-    assert runs[1] == runs[0]
+    out = tmp_path / name
+    proc = subprocess.run(
+        [sys.executable, "-m", "urllc_slice.cli", "run", *argv, "--out", str(out)],
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+    return proc.returncode, proc.stdout, proc.stderr, read_tree(out)
+
+
+def joined_runs(results, tags):
+    """The output of separate runs as one batch run writes it: their
+    stdout and stderr in turn, and their files, each run's renamed from its
+    own tag to its tag in the batch, with one comparison.csv of all rows."""
+    code, out, err, tree, rows = 0, "", "", {}, []
+    for (run_code, run_out, run_err, run_tree), (own, tag) in zip(results, tags):
+        code, out, err = max(code, run_code), out + run_out, err + run_err
+        header, *run_rows = run_tree.pop("comparison.csv").decode().splitlines(keepends=True)
+        rows += run_rows
+        tree.update({name.replace(f"_{own}.", f"_{tag}."): text for name, text in run_tree.items()})
+    tree["comparison.csv"] = (header + "".join(rows)).encode()
+    return code, out, err, dict(sorted(tree.items()))
+
+
+# at seed 7, 4 631 of the first 5 000 slots have one user degenerate, 362 two
+# and 7 two others: three kinds of warning line, one per slot and policy
+WARNS = {"snr_min_db": -200, "snr_max_db": 30}
+
+
+@pytest.mark.parametrize(
+    "config, argv, values, lines",
+    [
+        # -400 dB leaves users degenerate, so every policy warns on stderr
+        ({"snr_min_db": -400, "snr_max_db": 30}, ["--slots", "60", "--seed", "20261", "--trace"], None, 180),
+        # more slots than one chunk holds (3 120 at this size)
+        (WARNS, ["--slots", "5000", "--seed", "7"], None, 15_000),
+        (WARNS, ["--slots", "3200", "--seed", "7", "--sweep", "p"], ["0.1", "0.9"], 6 * 3200),
+    ],
+)
+def test_pool_stderr_equals_sequential_stderr(tmp_path, config, argv, values, lines):
+    # a --policy all run, sweep or not, draws every slot once for all its
+    # runs, on one or two processes; its files, stdout and stderr (the
+    # warnings in run order) are those of the separate single-policy,
+    # single-value runs
+    from concurrent.futures import ThreadPoolExecutor
+
+    (tmp_path / "cfg.json").write_text(json.dumps(config))
+    argv = ["--config", str(tmp_path / "cfg.json"), *argv]
+    jobs = {
+        f"all_{threads}": [*argv, "--policy", "all", "--threads", threads]
+        + (["--values", ",".join(values)] if values else [])
+        for threads in ("1", "2")
+    }
+    tags = []
+    for policy in ("proposed", "baseline1", "baseline2"):
+        for idx, value in enumerate(values or [None]):
+            name = f"{policy}_{idx}"
+            traced = [a for a in argv if a != "--trace" or policy == "proposed"]
+            jobs[name] = [*traced, "--policy", policy, "--threads", "1"]
+            jobs[name] += ["--values", value] if values else []
+            tags.append((f"{policy}_p0", f"{policy}_p{idx}") if values else (policy, policy))
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        results = dict(zip(jobs, pool.map(lambda name: run_module(tmp_path, name, jobs[name]), jobs)))
+    batch = results["all_1"]
+    assert batch[0] == 0
+    stderr = batch[2].splitlines()
+    assert len(stderr) == lines and all("degenerate" in line for line in stderr)
+    if config == WARNS:
+        assert len(set(stderr)) == 3
+    assert results["all_2"] == batch
+    separate = [results[name] for name in jobs if not name.startswith("all_")]
+    assert joined_runs(separate, tags) == batch

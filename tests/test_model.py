@@ -455,6 +455,25 @@ def test_direct_construction_defers_malformed_fields_to_validate(kw, line):
     assert SystemConfig(**kw).validate() == [line]
 
 
+@pytest.mark.parametrize(
+    "kw, bad",
+    [
+        # 2000 dB either way is accepted, one ulp of a dB beyond it is not
+        ({"embb_tx_power": 1e100, "urllc_tx_power": 1e100, "noise_power": 1e-100}, []),
+        ({"embb_tx_power": 1e-100, "urllc_tx_power": 1e-100, "noise_power": 1e100}, []),
+        ({"embb_tx_power": 1e101, "noise_power": 1e-100}, ["embb_tx_power"]),
+        ({"urllc_tx_power": 1e-300, "noise_power": 1e300}, ["embb_tx_power", "urllc_tx_power"]),
+        # one entry of a vector is enough
+        ({"urllc_tx_power": [1.0, 1.0, 1.0, 1e201]}, ["urllc_tx_power"]),
+        # a subnormal power is finite and > 0; its ratio is what fails
+        ({"embb_tx_power": 5e-324}, ["embb_tx_power"]),
+    ],
+)
+def test_transmit_powers_lie_within_2000_db_of_the_noise_power(kw, bad):
+    lines = [f"{name}: must lie within 2000 dB of noise_power" for name in bad]
+    assert SystemConfig(**kw).validate() == lines
+
+
 def test_vector_fields_broadcast_one_entry_or_take_full_length():
     cfg = SystemConfig(num_rbs=3, rb_bandwidth=[2e5], embb_tx_power=np.arange(1.0, 11.0))
     np.testing.assert_array_equal(cfg.rb_bandwidth, [2e5, 2e5, 2e5])

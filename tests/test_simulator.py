@@ -71,6 +71,37 @@ def test_reproducible_metrics():
     assert a.to_json() == b.to_json()
 
 
+def test_each_slot_is_drawn_once_per_invocation(tmp_path, monkeypatch):
+    # three policies at two sweep values share each chunk's draws
+    from urllc_slice.cli import main
+
+    drawn, real_draws = [], simulator._slot_draws
+
+    def counting(cfg, seed, start, stop):
+        drawn.append(stop - start)
+        return real_draws(cfg, seed, start, stop)
+
+    monkeypatch.setattr(simulator, "_slot_draws", counting)
+    monkeypatch.setattr(simulator, "_CHUNK_ENTRIES", 7 * 21)
+    argv = ["run", "--policy", "all", "--sweep", "p", "--values", "0.2,0.7", "--slots", "30"]
+    assert main(argv + ["--seed", "7", "--threads", "1", "--out", str(tmp_path)]) == 0
+    assert drawn == [7, 7, 7, 7, 2]
+    assert len(list(tmp_path.glob("metrics_*.json"))) == 6
+
+
+def test_a_batch_checks_its_runs():
+    from urllc_slice.model import ConfigError
+
+    cfg = quick_cfg()
+    with pytest.raises(ConfigError, match="may differ only in puncture_prob"):
+        simulator.run_simulations([(cfg, "proposed"), (replace(cfg, snr_max_db=20.0), "proposed")], 4, 1)
+    got = simulator.run_simulations([(cfg, "proposed"), (replace(cfg, risk_weight=0.0), "baseline2")], 4, 1)
+    assert [m.policy for m in got] == ["proposed", "baseline2"]
+    for runs, sinks in [([], None), ([(cfg, "proposed")], [None, None])]:
+        with pytest.raises(ConfigError, match="one trace_sinks entry per run"):
+            simulator.run_simulations(runs, 4, 1, trace_sinks=sinks)
+
+
 def test_worker_pool_matches_sequential():
     cfg = quick_cfg()
     seq = run_simulation(cfg, "baseline1", 40, 23, workers=1)
@@ -360,28 +391,30 @@ def test_pool_log_records_are_emitted_in_slot_order(monkeypatch, caplog):
 
 def test_a_failing_pooled_range_emits_its_records_before_raising(monkeypatch, caplog):
     log = logging.getLogger("urllc_slice.simulator")
-    real_range = simulator._simulate_range
+    real_rows = simulator._policy_rows
 
-    def failing_range(cfg, policy, seed, start, stop, post_round, trace):
-        log.warning("range from slot %d", start)
-        if start >= 6:
-            raise ValueError(f"range from slot {start} failed")
-        return real_range(cfg, policy, seed, start, stop, post_round, trace)
+    def failing_rows(cfg, policy, all_active, chunk, post_round, traced):
+        log.warning("%s from slot %d", policy.value, chunk.start)
+        if policy == Policy.BASELINE1 and chunk.start >= 6:
+            raise ValueError(f"{policy.value} from slot {chunk.start} failed")
+        return real_rows(cfg, policy, all_active, chunk, post_round, traced)
 
     def outcome(workers):
         caplog.clear()
         with caplog.at_level("WARNING", logger="urllc_slice"):
             with pytest.raises(ValueError) as err:
-                run_simulation(quick_cfg(), "baseline2", 12, 7, workers=workers)
+                runs = [(quick_cfg(), "baseline2"), (quick_cfg(), "baseline1")]
+                simulator.run_simulations(runs, 12, 7, workers=workers)
         return [r.getMessage() for r in caplog.records], str(err.value)
 
-    monkeypatch.setattr(simulator, "_simulate_range", failing_range)
-    # four ranges of three slots; one process stops at the third
+    monkeypatch.setattr(simulator, "_policy_rows", failing_rows)
+    # four ranges of three slots; one process stops at the third. The first
+    # run's records come as its ranges do, the second run's after them
     monkeypatch.setattr(os, "cpu_count", lambda: 1)
     in_order = outcome(4)
     assert in_order == (
-        ["range from slot 0", "range from slot 3", "range from slot 6"],
-        "range from slot 6 failed",
+        [f"{policy} from slot {start}" for policy in ("baseline2", "baseline1") for start in (0, 3, 6)],
+        "baseline1 from slot 6 failed",
     )
     # a pool runs them all, the last (also failing) range first
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _ReversingPool)

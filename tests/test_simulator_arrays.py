@@ -48,6 +48,17 @@ def reference_range(cfg, seed, start, stop, post_round):
     return (*arrays, traces)
 
 
+def simulate_range(cfg, policy, seed, start, stop, post_round, trace):
+    """One run's ``simulator._simulate_range``, its chunks' rows joined in
+    slot order: the rates, punctured bandwidths, outage and feasibility flags
+    of every slot, and the run's trace records."""
+    runs = [(cfg, policy, trace)]
+    held = simulator._HeldRecords(1)
+    chunks = [rows for [rows] in simulator._simulate_range(runs, seed, start, stop, post_round, held)]
+    arrays = [np.concatenate(parts) for parts in zip(*[chunk[:4] for chunk in chunks])]
+    return (*arrays, [chunk.record for chunk in chunks if chunk.record is not None])
+
+
 def outcome_of(fn, *args):
     """``fn(*args)``, or the text of the ValueError it raised."""
     try:
@@ -57,9 +68,7 @@ def outcome_of(fn, *args):
 
 
 def assert_same_range(cfg, seed, start, stop, post_round):
-    got = outcome_of(
-        simulator._simulate_range, cfg, Policy.PROPOSED, seed, start, stop, post_round, True
-    )
+    got = outcome_of(simulate_range, cfg, Policy.PROPOSED, seed, start, stop, post_round, True)
     want = outcome_of(reference_range, cfg, seed, start, stop, post_round)
     if isinstance(want, str):
         # a solver failure of the per-slot API must be the array path's too
@@ -282,7 +291,7 @@ def test_cli_trace_file_is_json_dumps_of_the_library_sink(
 
 
 def test_untraced_range_returns_no_traces():
-    got = simulator._simulate_range(SystemConfig(), Policy.PROPOSED, 7, 0, 5, False, False)
+    got = simulate_range(SystemConfig(), Policy.PROPOSED, 7, 0, 5, False, False)
     assert got[4] == []
 
 

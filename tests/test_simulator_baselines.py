@@ -6,11 +6,13 @@ over the public per-slot API (``slot_rng``, ``sample_channel``,
 counterpart is in ``test_simulator_arrays.py``, whose config strategy this
 shares."""
 
+import os
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from test_simulator_arrays import assert_same_range as assert_same_proposed_range
-from test_simulator_arrays import outcome_of, range_cases
+from test_simulator_arrays import outcome_of, range_cases, simulate_range
 
 from urllc_slice import simulator
 from urllc_slice.embb_scheduler import round_to_binary, solve_fractional
@@ -46,7 +48,7 @@ def reference_range(cfg, policy, seed, start, stop):
 
 
 def assert_same_range(cfg, policy, seed, start, stop):
-    got = outcome_of(simulator._simulate_range, cfg, policy, seed, start, stop, False, False)
+    got = outcome_of(simulate_range, cfg, policy, seed, start, stop, False, False)
     want = outcome_of(reference_range, cfg, policy, seed, start, stop)
     if isinstance(want, str):
         assert got == want
@@ -84,11 +86,11 @@ def test_only_baseline2_slots_with_a_zero_efficiency_run_per_slot(monkeypatch):
         return real_step(cfg, policy, chan, *rest)
 
     monkeypatch.setattr(simulator, "_policy_step", counting)
-    simulator._simulate_range(SystemConfig(), Policy.BASELINE2, 7, 0, 100, False, False)
+    simulate_range(SystemConfig(), Policy.BASELINE2, 7, 0, 100, False, False)
     assert chans == []
     # near -156 dB a user is degenerate in some slots only
     cfg = SystemConfig(num_embb_users=3, snr_min_db=-165.0, snr_max_db=-150.0)
-    simulator._simulate_range(cfg, Policy.BASELINE2, 7, 0, 100, False, False)
+    simulate_range(cfg, Policy.BASELINE2, 7, 0, 100, False, False)
     assert 0 < len(chans) < 100
     assert all((spectral_efficiencies(cfg, chan)[0] <= 0.0).any() for chan in chans)
 
@@ -109,27 +111,58 @@ def test_only_baseline1_slots_with_a_zero_efficiency_run_per_slot(monkeypatch):
 
     monkeypatch.setattr(simulator, "_policy_step", counting)
     monkeypatch.setattr(simulator.urllc_placement, "solve_baseline1", counting_solve)
-    simulator._simulate_range(SystemConfig(), Policy.BASELINE1, 7, 0, 100, False, False)
+    simulate_range(SystemConfig(), Policy.BASELINE1, 7, 0, 100, False, False)
     assert chans == solved == []
     # near -156 dB a user is degenerate in some slots only
     cfg = SystemConfig(num_embb_users=3, snr_min_db=-165.0, snr_max_db=-150.0)
-    simulator._simulate_range(cfg, Policy.BASELINE1, 7, 0, 100, False, False)
+    simulate_range(cfg, Policy.BASELINE1, 7, 0, 100, False, False)
     assert 0 < len(chans) < 100
     assert solved == chans
     assert all((spectral_efficiencies(cfg, chan)[0] <= 0.0).any() for chan in chans)
 
 
+@pytest.mark.parametrize("users", [10, 2, 1])
 @pytest.mark.parametrize("policy", list(Policy))
-def test_ranges_longer_than_a_chunk_join_in_slot_order(monkeypatch, policy):
+def test_ranges_longer_than_a_chunk_join_in_slot_order(monkeypatch, policy, users):
     # three chunks, the last one short
-    cfg = SystemConfig()
+    cfg = SystemConfig(num_embb_users=users)
     draws_per_slot = cfg.num_embb_users + cfg.num_urllc_users + cfg.num_minislots
     monkeypatch.setattr(simulator, "_CHUNK_ENTRIES", 7 * draws_per_slot)
     assert simulator._chunk_slots(cfg) == 7
     if policy == Policy.PROPOSED:
-        assert_same_proposed_range(SystemConfig(), 11, 3, 20, False)
+        assert_same_proposed_range(cfg, 11, 3, 20, False)
     else:
-        assert_same_range(SystemConfig(), policy, 11, 3, 20)
+        assert_same_range(cfg, policy, 11, 3, 20)
+    # a run folds its chunks and ranges (here three of 14, 14 and 12 slots in
+    # one process) in slot order: its metrics are those of the joined rows,
+    # bit for bit, a single user's column included, which NumPy sums pairwise
+    rates, thetas, outages, feasible, _ = simulate_range(cfg, policy, 11, 0, 40, False, False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    metrics = simulator.run_simulation(cfg, policy, 40, 11, workers=3)
+    assert metrics.per_user_mean_rate.tobytes() == rates.mean(axis=0).tobytes()
+    assert metrics.per_user_mean_theta.tobytes() == thetas.mean(axis=0).tobytes()
+    sum_rates = rates.sum(axis=1)
+    assert metrics.mean_sum_rate == float(sum_rates.mean())
+    assert metrics.ecdf_values.tobytes() == np.unique(sum_rates).tobytes()
+    assert metrics.embb_reliability == float((rates >= cfg.target_rate).mean())
+    assert metrics.urllc_outage_rate == float(outages.mean())
+    assert metrics.n_infeasible_slots == int((~feasible).sum())
+
+
+@pytest.mark.parametrize(
+    "shape, chunk",
+    [((1000, 10), 7), ((5000, 40), 3120), ((10007, 3), 1000), ((300, 2), 1), ((300, 1), 7), ((1, 4), 1)],
+)
+def test_column_means_of_chunks_equal_the_mean_of_the_whole(shape, chunk):
+    rng = np.random.default_rng(shape[0] * shape[1])
+    rows = rng.exponential(size=shape) * 1e6
+    rows[rng.random(shape) < 0.1] = 0.0
+    if shape[1] > 1:
+        rows[:, 0] = -0.0  # a column of negative zeros keeps its sign as the whole's does
+    means = simulator._ColumnMeans()
+    for lo in range(0, shape[0], chunk):
+        means.add(rows[lo : lo + chunk])
+    assert means.mean().tobytes() == rows.mean(axis=0).tobytes()
 
 
 @pytest.mark.parametrize(
@@ -155,7 +188,7 @@ def test_a_range_of_wide_slots_allocates_about_one_slot_at_a_time(wide):
     cfg = SystemConfig(**{wide: 100_000})
     tracemalloc.start()
     try:
-        simulator._simulate_range(cfg, Policy.BASELINE2, 7, 0, 40, False, False)
+        simulate_range(cfg, Policy.BASELINE2, 7, 0, 40, False, False)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

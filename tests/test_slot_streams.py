@@ -93,6 +93,13 @@ def test_range_streams_equal_numpy(seed, start, length, users, urllc_users, mini
     assert_draws_equal_numpy(cfg, seed, start, stop)
 
 
+def test_one_exponential_call_per_slot_draws_both_fading_kinds():
+    # _slot_draws fills a slot's broadband and URLLC fading factors with one
+    # standard_exponential call; the stream is that of sample_channel's two
+    for seed in range(200):
+        assert_draws_equal_numpy(CFG, seed, 0, 3)
+
+
 def recorded_slot_rng(monkeypatch):
     """The slots ``slot_rng`` is called for from here on."""
     calls = []
