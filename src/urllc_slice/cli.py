@@ -129,10 +129,9 @@ def _write(path: Path, text) -> None:
 
 
 def _emit_run(out: Path, tag: str, metrics: RunMetrics) -> None:
-    metrics_json, ecdf_csv, users_csv = metrics.texts()
-    _write(out / f"metrics_{tag}.json", metrics_json + "\n")
-    _write(out / f"ecdf_{tag}.csv", ecdf_csv)
-    _write(out / f"users_{tag}.csv", users_csv)
+    _write(out / f"metrics_{tag}.json", metrics.to_json() + "\n")
+    _write(out / f"ecdf_{tag}.csv", metrics.ecdf_csv())
+    _write(out / f"users_{tag}.csv", metrics.per_user_csv())
 
 
 def _comparison_row(metrics: RunMetrics, sweep_param: str | None, sweep_value) -> list:

@@ -3,8 +3,7 @@
 encoder); a trace file is written in pieces by ``_trace_pieces``, which
 fills the slots of the simulator's chunk records into one template straight
 from their arrays. Every CSV file goes through ``_csv``, and dataclasses
-through ``_fields_dict``. A list of floats written to a JSON and a CSV file
-alike is formatted once: ``_number_texts`` and ``_csv_numbers``."""
+through ``_fields_dict``."""
 
 from __future__ import annotations
 
@@ -70,35 +69,12 @@ def _json_indented(obj, newline: str = "\n") -> str:
         )
         return "{" + inner + body + newline + "}"
     if isinstance(obj, (list, tuple)) and obj:
-        if type(obj) is _NumberTexts:
-            body = ("," + inner).join(obj)
-        elif set(map(type, obj)) <= _NUMBER_TYPES:
+        if set(map(type, obj)) <= _NUMBER_TYPES:
             body = _encode_flat(obj)[1:-1].replace(", ", "," + inner)
         else:
             body = ("," + inner).join([_json_indented(x, inner) for x in obj])
         return "[" + inner + body + newline + "]"
     return _encode_flat(obj)
-
-
-class _NumberTexts(list):
-    """The texts json writes for a list of floats, one per float, which
-    ``_json_indented`` lays out as it lays out the floats themselves."""
-
-
-def _number_texts(values: np.ndarray) -> _NumberTexts:
-    """json's text of every float of ``values``, from one encoder call."""
-    if not values.size:
-        return _NumberTexts()
-    return _NumberTexts(_encode_flat(values.tolist())[1:-1].split(", "))
-
-
-def _csv_numbers(texts: _NumberTexts, values: np.ndarray) -> list[str]:
-    """``texts`` of ``values`` as ``_csv`` writes the floats: json's text
-    of a finite float is its repr, ``_fmt``'s; a NaN or an infinity, which
-    json spells ``NaN`` or ``Infinity``, goes through ``_fmt``."""
-    if np.isfinite(values).all():
-        return texts
-    return [t if math.isfinite(v) else _fmt(v) for t, v in zip(texts, values.tolist())]
 
 
 class _TraceRecord(NamedTuple):

@@ -28,15 +28,24 @@ class ConfigError(ValueError):
 # Largest accepted mean SNR, in dB: 10**100 linear, far beyond any physical
 # SNR and far below where 10 ** (dB / 10) or the fading product overflows.
 MAX_SNR_DB = 1000.0
+# Accepted noise powers, in W: within 1000 dB of 1 W.
+NOISE_POWER_RANGE = (1e-100, 1e100)
 # Largest accepted |10 log10(P / noise_power)| of a transmit power P, in dB:
-# 10**200 either way. noise_power / P and its inverse are then finite and
-# normal, and with any accepted mean SNR and Exp(1) fading factor (below 45)
-# a gain, mean SNR * fading * noise_power / P, stays below 1e302. At 10**300
-# either way every gain underflows to zero or a gain overflows.
+# 10**200 either way, so noise_power / P and its inverse are finite and
+# normal. A gain is computed as mean SNR * fading * noise_power / P: with an
+# accepted mean SNR, noise power and Exp(1) fading factor (below 45) the
+# product before the division stays below 1e202 and the gain below 1e302.
+# At 10**300 either way every gain underflows to zero or a gain overflows.
 MAX_POWER_RATIO_DB = 2000.0
+
+
+def _in_noise_range(v) -> bool:
+    return NOISE_POWER_RANGE[0] <= v <= NOISE_POWER_RANGE[1]
+
+
 # Scalar float fields of SystemConfig: (name, rule, check of a finite value).
 _SCALAR_RULES = (
-    ("noise_power", "must be > 0", lambda v: v > 0),
+    ("noise_power", "must lie in [1e-100, 1e100]", _in_noise_range),
     ("l_max", "must be > 0", lambda v: v > 0),
     ("puncture_prob", "must lie in [0, 1]", lambda v: 0.0 <= v <= 1.0),
     ("cvar_level", "must lie in (0, 1)", lambda v: 0.0 < v < 1.0),
@@ -207,7 +216,7 @@ class SystemConfig:
                 bad.append(f"{name}: {rule}")
         if not not_finite & {"snr_min_db", "snr_max_db"} and self.snr_min_db > self.snr_max_db:
             bad.append("snr_min_db: must not exceed snr_max_db")
-        if "noise_power" not in not_finite and self.noise_power > 0:
+        if "noise_power" not in not_finite and _in_noise_range(self.noise_power):
             noise_db = 10.0 * math.log10(self.noise_power)
             for name in powers:
                 if np.any(np.abs(10.0 * np.log10(getattr(self, name)) - noise_db) > MAX_POWER_RATIO_DB):

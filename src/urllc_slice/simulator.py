@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import logging
 import os
+from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -32,15 +33,7 @@ import numpy as np
 
 from . import alternating, urllc_placement
 from .embb_scheduler import round_to_binary, solve_fractional
-from .json_writer import (
-    _csv,
-    _csv_numbers,
-    _fields_dict,
-    _json_indented,
-    _number_texts,
-    _TraceRecord,
-    _TraceRecords,
-)
+from .json_writer import _csv, _fields_dict, _json_indented, _TraceRecord, _TraceRecords
 from .model import (  # noqa: F401  (perfbench's tracer wraps the per-slot names bound here)
     MAX_ASSIGNMENT_ENTRIES,
     ChannelRealization,
@@ -107,30 +100,15 @@ class RunMetrics:
         out["sum_rate_ecdf"] = {"values": out.pop("ecdf_values"), "cum_probs": out.pop("ecdf_probs")}
         return out
 
-    def texts(self) -> tuple[str, str, str]:
-        """``to_json()``, ``ecdf_csv()`` and ``per_user_csv()`` together. Each
-        float of the four arrays is formatted once, for the JSON and the CSV
-        text alike; a run's files are written from one call."""
-        arrays = (self.ecdf_values, self.ecdf_probs, self.per_user_mean_rate, self.per_user_mean_theta)
-        texts = [_number_texts(a) for a in arrays]
-        out = self.to_dict()
-        out["sum_rate_ecdf"] = {"values": texts[0], "cum_probs": texts[1]}
-        out["per_user_mean_rate"], out["per_user_mean_theta"] = texts[2:]
-        values, probs, rates, thetas = map(_csv_numbers, texts, arrays)
-        return (
-            _json_indented(out),
-            _csv(["value", "cum_prob"], zip(values, probs)),
-            _csv(["user", "mean_rate", "mean_theta"], zip(range(len(rates)), rates, thetas)),
-        )
-
     def to_json(self) -> str:
-        return self.texts()[0]
+        return _json_indented(self.to_dict())
 
     def ecdf_csv(self) -> str:
-        return self.texts()[1]
+        return _csv(["value", "cum_prob"], zip(self.ecdf_values.tolist(), self.ecdf_probs.tolist()))
 
     def per_user_csv(self) -> str:
-        return self.texts()[2]
+        rates, thetas = self.per_user_mean_rate.tolist(), self.per_user_mean_theta.tolist()
+        return _csv(["user", "mean_rate", "mean_theta"], zip(range(len(rates)), rates, thetas))
 
 
 def slot_rng(seed: int, slot: int) -> np.random.Generator:
@@ -430,18 +408,11 @@ def _held_chunks(runs, seed, start, stop, post_round):
         yield err, held.take()
 
 
-def _pooled_range(batch, seed, start, stop, post_round):
-    """``_held_chunks`` of one range in a pool worker, joined into one pair:
-    every chunk's rows (or the exception the range raised) and every run's
-    records, for the parent to fold and emit in slot order."""
-    chunks, records = [], [[] for _ in batch]
-    for part, held in _held_chunks(batch, seed, start, stop, post_round):
-        for mine, theirs in zip(records, held):
-            mine += theirs
-        if isinstance(part, Exception):
-            return part, records
-        chunks += part
-    return chunks, records
+def _pooled_chunk(batch, seed, start, stop, post_round):
+    """``_held_chunks`` of the slots of one chunk in a pool worker: its one
+    pair, for the parent to fold and emit in slot order."""
+    (pair,) = _held_chunks(batch, seed, start, stop, post_round)
+    return pair
 
 
 class _ColumnMeans:
@@ -545,11 +516,13 @@ def run_simulations(
 
     The slots are split into at most ``workers`` contiguous ranges, run on
     ``min(workers, ranges, os.cpu_count())`` processes: in this process when
-    that is one, else on one process pool for all the runs. Results, traces
-    included, are joined in slot order, so the output is identical for every
-    worker count. So are the package's log records, in run order: the first
-    run's are emitted as its chunks (or pool ranges) come in, every later
-    run's are held and emitted after them, also when a range raises.
+    that is one, else on one process pool for all the runs, which takes the
+    ranges' chunks in slot order, at most as many ahead of the chunk being
+    folded as it has processes. Results, traces included, are joined in slot
+    order, so the output is identical for every worker count. So are the
+    package's log records, in run order: the first run's are emitted as its
+    chunks come in, every later run's are held and emitted after them, also
+    when a range raises.
     ``trace_sinks``, if given, holds a sink or None per run. A sink is
     extended with one alternation-trace dict per slot (proposed policy
     only), or, if it is a ``json_writer._TraceRecords``, with the per-chunk
@@ -604,8 +577,9 @@ def run_simulations(
 
 def _range_parts(batch, seed, spans, post_round):
     """(rows of chunks, records per run) pairs of every range in slot order,
-    from ``_held_chunks`` in this process or from ``_pooled_range`` on a pool;
-    an exception comes in place of the rows of the range that raised it."""
+    from ``_held_chunks`` in this process or, a chunk at a time, from
+    ``_pooled_chunk`` on a pool; an exception comes in place of the rows of
+    the range that raised it."""
     # len(spans) <= workers; the pool starts all its processes at once
     procs = min(len(spans), os.cpu_count() or 1)
     if procs == 1:
@@ -615,9 +589,19 @@ def _range_parts(batch, seed, spans, post_round):
     # imported here: it loads multiprocessing, which one-process runs never use
     from concurrent.futures import ProcessPoolExecutor
 
-    jobs = zip(*[(batch, seed, start, stop, post_round) for start, stop in spans])
+    step = _chunk_slots(batch[0][0])
+    chunks = [(lo, min(lo + step, stop)) for start, stop in spans for lo in range(start, stop, step)]
     with ProcessPoolExecutor(max_workers=procs) as pool:
-        yield from pool.map(_pooled_range, *jobs)
+        # at most procs chunks are submitted ahead of the one being folded, so
+        # every process has work and the rows in flight do not grow with the
+        # number of slots
+        pending = deque()
+        for start, stop in chunks:
+            pending.append(pool.submit(_pooled_chunk, batch, seed, start, stop, post_round))
+            if len(pending) > procs:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
 
 
 def run_simulation(

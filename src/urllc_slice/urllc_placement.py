@@ -245,9 +245,12 @@ def _weights_at(kappa, d, s, lam, cap):
     elementwise. Its exceptions are expected and silenced: ``s + lam = 0``
     (penalty off, at ``lam = 0``) divides by zero and the weight clips to 0,
     and a load fraction near the smallest float overflows ``1/(d*(s + lam))``,
-    where ``inf - inf`` leaves a NaN weight that meets no floor test."""
+    where ``inf - inf`` leaves a NaN weight that meets no floor test. A load
+    fraction that underflowed to 0 (every row's caps then fall below the
+    floor, and its weights are discarded) divides as a NumPy float, not as
+    a Python one, which would raise."""
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        return np.clip(1.0 / kappa - 1.0 / (d * (s + lam)), 0.0, cap)
+        return np.clip(np.float64(1.0) / kappa - 1.0 / (d * (s + lam)), 0.0, cap)
 
 
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -411,6 +411,7 @@ def test_validate_rejects_snr_beyond_float_range(tmp_path, capsys):
 
 
 POWER_LINE = "{}: must lie within 2000 dB of noise_power"
+NOISE_LINE = "noise_power: must lie in [1e-100, 1e100]"
 
 
 @pytest.mark.parametrize("command", ["run", "validate"])
@@ -425,19 +426,20 @@ POWER_LINE = "{}: must lie within 2000 dB of noise_power"
         ),
         # a power-to-noise ratio of 1e600 left every gain 0 (all users
         # degenerate, a mean sum rate of 0); one of 1e-600 an infinite gain
-        # (NaN rates and NumPy warnings)
+        # (NaN rates and NumPy warnings). A noise power of 1e300 overflowed
+        # the gain's product mean SNR * fading * noise_power at any ratio.
+        ('{"embb_tx_power": 1e300, "noise_power": 1e-300}', NOISE_LINE),
+        ('{"embb_tx_power": 1e-300, "noise_power": 1e300}', NOISE_LINE),
+        ('{"urllc_tx_power": 1e-300, "noise_power": 1e300}', NOISE_LINE),
         (
-            '{"embb_tx_power": 1e300, "noise_power": 1e-300}',
-            POWER_LINE.format("embb_tx_power") + "; " + POWER_LINE.format("urllc_tx_power"),
+            '{"noise_power": 1e300, "embb_tx_power": 1e300, "urllc_tx_power": 1e300, "snr_max_db": 100}',
+            NOISE_LINE,
         ),
         (
-            '{"embb_tx_power": 1e-300, "noise_power": 1e300}',
-            POWER_LINE.format("embb_tx_power") + "; " + POWER_LINE.format("urllc_tx_power"),
+            '{"embb_tx_power": 1e101, "urllc_tx_power": 1e-101, "noise_power": 1e-100}',
+            POWER_LINE.format("embb_tx_power"),
         ),
-        (
-            '{"urllc_tx_power": 1e-300, "noise_power": 1e300, "embb_tx_power": 1e300}',
-            POWER_LINE.format("urllc_tx_power"),
-        ),
+        ('{"urllc_tx_power": 1e-301, "noise_power": 1e-100}', POWER_LINE.format("urllc_tx_power")),
     ],
 )
 def test_snr_that_would_overflow_is_one_config_error(tmp_path, capsys, command, text, line):

@@ -462,7 +462,7 @@ def test_direct_construction_defers_malformed_fields_to_validate(kw, line):
         ({"embb_tx_power": 1e100, "urllc_tx_power": 1e100, "noise_power": 1e-100}, []),
         ({"embb_tx_power": 1e-100, "urllc_tx_power": 1e-100, "noise_power": 1e100}, []),
         ({"embb_tx_power": 1e101, "noise_power": 1e-100}, ["embb_tx_power"]),
-        ({"urllc_tx_power": 1e-300, "noise_power": 1e300}, ["embb_tx_power", "urllc_tx_power"]),
+        ({"embb_tx_power": 1e-301, "urllc_tx_power": 1e-300, "noise_power": 1e-100}, ["embb_tx_power"]),
         # one entry of a vector is enough
         ({"urllc_tx_power": [1.0, 1.0, 1.0, 1e201]}, ["urllc_tx_power"]),
         # a subnormal power is finite and > 0; its ratio is what fails
@@ -472,6 +472,14 @@ def test_direct_construction_defers_malformed_fields_to_validate(kw, line):
 def test_transmit_powers_lie_within_2000_db_of_the_noise_power(kw, bad):
     lines = [f"{name}: must lie within 2000 dB of noise_power" for name in bad]
     assert SystemConfig(**kw).validate() == lines
+
+
+@pytest.mark.parametrize("noise, ok", [(1e-100, True), (1e100, True), (1e-101, False), (1e101, False), (0.0, False)])
+def test_noise_power_lies_within_1000_db_of_one_watt(noise, ok):
+    # a noise power out of range is reported alone, not with the power ratios
+    power = min(max(noise, 1e-100), 1e100)
+    kw = {"noise_power": noise, "embb_tx_power": power, "urllc_tx_power": power}
+    assert SystemConfig(**kw).validate() == ([] if ok else ["noise_power: must lie in [1e-100, 1e100]"])
 
 
 def test_vector_fields_broadcast_one_entry_or_take_full_length():

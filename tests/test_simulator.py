@@ -253,8 +253,10 @@ class _RecordingPool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, *iterables):
-        return map(fn, *iterables)
+    def submit(self, fn, *args):
+        future = concurrent.futures.Future()
+        future.set_result(fn(*args))
+        return future
 
 
 @pytest.mark.parametrize(
@@ -360,14 +362,30 @@ def test_numpy_integer_slots_and_seed_give_the_same_json():
 
 
 class _ReversingPool(_RecordingPool):
-    """Maps in this process, running the last range first, as a pool whose
-    later worker finishes first would; results still come back in order."""
+    """Runs in this process, but only once a result is asked for, and then
+    every chunk submitted so far, the last first, as a pool whose later
+    worker finishes first would; results still come back in order.
+    ``most_queued`` is the largest number of chunks it held unrun."""
+
+    most_queued = 0
 
     def __init__(self, max_workers=None):
-        pass
+        self.queue = []
 
-    def map(self, fn, *iterables):
-        return reversed([fn(*args) for args in reversed(list(zip(*iterables)))])
+    def submit(self, fn, *args):
+        pool = self
+
+        class Deferred(concurrent.futures.Future):
+            def result(self, timeout=None):
+                while pool.queue:
+                    future, fn, args = pool.queue.pop()
+                    future.set_result(fn(*args))
+                return super().result()
+
+        future = Deferred()
+        self.queue.append((future, fn, args))
+        _ReversingPool.most_queued = max(_ReversingPool.most_queued, len(self.queue))
+        return future
 
 
 def test_pool_log_records_are_emitted_in_slot_order(monkeypatch, caplog):
@@ -387,6 +405,22 @@ def test_pool_log_records_are_emitted_in_slot_order(monkeypatch, caplog):
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
     assert warnings(4) == in_order
     assert logging.getLogger("urllc_slice").propagate  # restored after each range
+
+
+def test_a_pool_holds_a_bounded_number_of_chunks(monkeypatch):
+    # two ranges of 20 slots, ten chunks each: the pool never holds more than
+    # its 2 processes' chunks ahead of the one being folded, however many
+    # slots a run has
+    cfg = quick_cfg()
+    runs = [(cfg, "baseline2"), (cfg, "proposed")]
+    draws_per_slot = cfg.num_embb_users + cfg.num_urllc_users + cfg.num_minislots
+    monkeypatch.setattr(simulator, "_CHUNK_ENTRIES", 2 * draws_per_slot)
+    expected = [m.to_json() for m in simulator.run_simulations(runs, 40, 5)]
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _ReversingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(_ReversingPool, "most_queued", 0)
+    assert [m.to_json() for m in simulator.run_simulations(runs, 40, 5, workers=2)] == expected
+    assert _ReversingPool.most_queued == 2 + 1
 
 
 def test_a_failing_pooled_range_emits_its_records_before_raising(monkeypatch, caplog):

@@ -143,6 +143,27 @@ def range_cases(draw):
         False,
     )
 )
+# a load fraction that underflows to 0 (5e-324 * 100 / 512) while the floor
+# stays positive: every row's caps fall below the floor
+@example(
+    (
+        {
+            "num_embb_users": 1,
+            "num_rbs": 1,
+            "num_minislots": 1,
+            "num_urllc_users": 1,
+            "snr_min_db": 0.0,
+            "snr_max_db": 0.0,
+            "puncture_prob": 5e-324,
+            "risk_weight": 0.0,
+            "l_max": 512.0,
+        },
+        0,
+        0,
+        1,
+        False,
+    )
+)
 def test_array_path_equals_the_per_slot_loop(case):
     kw, seed, start, stop, post_round = case
     cfg = SystemConfig(**kw)
