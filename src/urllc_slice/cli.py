@@ -94,7 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--out", type=Path, default=Path("out"))
     run.add_argument("--trace", action="store_true", help="dump per-slot alternation traces")
     run.add_argument("--post-round", action="store_true", help="round RBs after convergence")
-    run.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+    run.add_argument("--threads", type=int, default=1, help="accepted for compatibility; no effect")
 
     val = sub.add_parser("validate", help="check a config without simulating")
     val.add_argument("--config", type=Path, default=None, help="JSON config file")

@@ -7,7 +7,8 @@ so runs are reproducible bit for bit and curves across parameter sweeps are
 directly comparable. ``run_simulations`` makes those draws once for a whole
 batch of runs (every policy and sweep value of a comparison): each chunk of
 slots is drawn and turned into channel terms once, and every run takes its
-policy step and evaluation on the same arrays.
+policy step and evaluation on the same arrays. The slots of a batch run in
+the calling process as one range, a chunk at a time.
 
 A range of slots is drawn, turned into channel terms and evaluated as arrays
 over its slots, and both baselines are solved a chunk of slots at a time. The
@@ -22,8 +23,6 @@ for bit.
 from __future__ import annotations
 
 import logging
-import os
-from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -317,6 +316,7 @@ def _simulate_range(runs, seed, start, stop, post_round, held):
     step = _chunk_slots(cfg)
     for lo in range(start, stop, step):
         rows, loads = [], {}
+        held.run = 0
         with _holding(held):
             fading, urllc_fading, uniforms = _slot_draws(cfg, seed, lo, min(lo + step, stop))
             gains, urllc_gains = _fading_gains(cfg, *means, fading, urllc_fading)
@@ -368,9 +368,9 @@ class _HeldRecords(logging.Handler):
         held = (record.name, record.levelno, record.pathname, record.lineno, message, record.funcName)
         self.records[self.run].append(held)
 
-    def take(self) -> list[list]:
-        """The records held so far, one list per run; the handler starts afresh."""
-        records, self.records, self.run = self.records, [[] for _ in self.records], 0
+    def take(self, run: int) -> list:
+        """The records held so far for run ``run``; its list starts afresh."""
+        records, self.records[run] = self.records[run], []
         return records
 
 
@@ -393,26 +393,6 @@ def _emit(records) -> None:
         logger = logging.getLogger(name)
         if logger.isEnabledFor(level):
             logger.handle(logger.makeRecord(name, level, path, line, message, None, None, func))
-
-
-def _held_chunks(runs, seed, start, stop, post_round):
-    """``_simulate_range``'s chunks as (list of the chunk's rows, records)
-    pairs, the package's log records of the chunk held back per run. An
-    exception the range raises comes in place of the rows, with the records
-    held before it, and ends the pairs."""
-    held = _HeldRecords(len(runs))
-    try:
-        for rows in _simulate_range(runs, seed, start, stop, post_round, held):
-            yield [rows], held.take()
-    except Exception as err:
-        yield err, held.take()
-
-
-def _pooled_chunk(batch, seed, start, stop, post_round):
-    """``_held_chunks`` of the slots of one chunk in a pool worker: its one
-    pair, for the parent to fold and emit in slot order."""
-    (pair,) = _held_chunks(batch, seed, start, stop, post_round)
-    return pair
 
 
 class _ColumnMeans:
@@ -514,15 +494,10 @@ def run_simulations(
     order (``_RunTotals``), so its metrics equal those of its own
     ``run_simulation`` call, bit for bit.
 
-    The slots are split into at most ``workers`` contiguous ranges, run on
-    ``min(workers, ranges, os.cpu_count())`` processes: in this process when
-    that is one, else on one process pool for all the runs, which takes the
-    ranges' chunks in slot order, at most as many ahead of the chunk being
-    folded as it has processes. Results, traces included, are joined in slot
-    order, so the output is identical for every worker count. So are the
-    package's log records, in run order: the first run's are emitted as its
-    chunks come in, every later run's are held and emitted after them, also
-    when a range raises.
+    Every run takes its chunks in this process; ``workers`` must be at
+    least 1 and has no other effect. The package's log records come in run
+    order: the first run's are emitted after each chunk, every later run's
+    are held and emitted after them, also when a chunk raises.
     ``trace_sinks``, if given, holds a sink or None per run. A sink is
     extended with one alternation-trace dict per slot (proposed policy
     only), or, if it is a ``json_writer._TraceRecords``, with the per-chunk
@@ -553,55 +528,19 @@ def run_simulations(
 
     batch = [(cfg, policy, sink is not None) for (cfg, policy), sink in zip(runs, sinks)]
     totals = [_RunTotals(cfg.target_rate) for cfg, _ in runs]
-    chunk = -(-num_slots // workers)
-    spans = [(s, min(s + chunk, num_slots)) for s in range(0, num_slots, chunk)]
-    later = [[] for _ in runs]  # the held records of every run but the first
+    held = _HeldRecords(len(runs))
     try:
-        for part, records in _range_parts(batch, seed, spans, post_round):
-            _emit(records[0])
-            for mine, theirs in zip(later[1:], records[1:]):
-                mine += theirs
-            if isinstance(part, Exception):
-                raise part
-            for rows in part:
-                for total, run_rows in zip(totals, rows):
-                    total.add(run_rows)
+        for rows in _simulate_range(batch, seed, 0, num_slots, post_round, held):
+            _emit(held.take(0))
+            for total, run_rows in zip(totals, rows):
+                total.add(run_rows)
     finally:
-        for records in later[1:]:
-            _emit(records)
+        for run in range(len(runs)):
+            _emit(held.take(run))
     for total, sink in zip(totals, sinks):
         if sink is not None:
             sink.extend(total.records if isinstance(sink, _TraceRecords) else _trace_dicts(total.records))
     return [total.metrics(cfg, policy, num_slots, seed) for total, (cfg, policy) in zip(totals, runs)]
-
-
-def _range_parts(batch, seed, spans, post_round):
-    """(rows of chunks, records per run) pairs of every range in slot order,
-    from ``_held_chunks`` in this process or, a chunk at a time, from
-    ``_pooled_chunk`` on a pool; an exception comes in place of the rows of
-    the range that raised it."""
-    # len(spans) <= workers; the pool starts all its processes at once
-    procs = min(len(spans), os.cpu_count() or 1)
-    if procs == 1:
-        for start, stop in spans:
-            yield from _held_chunks(batch, seed, start, stop, post_round)
-        return
-    # imported here: it loads multiprocessing, which one-process runs never use
-    from concurrent.futures import ProcessPoolExecutor
-
-    step = _chunk_slots(batch[0][0])
-    chunks = [(lo, min(lo + step, stop)) for start, stop in spans for lo in range(start, stop, step)]
-    with ProcessPoolExecutor(max_workers=procs) as pool:
-        # at most procs chunks are submitted ahead of the one being folded, so
-        # every process has work and the rows in flight do not grow with the
-        # number of slots
-        pending = deque()
-        for start, stop in chunks:
-            pending.append(pool.submit(_pooled_chunk, batch, seed, start, stop, post_round))
-            if len(pending) > procs:
-                yield pending.popleft().result()
-        while pending:
-            yield pending.popleft().result()
 
 
 def run_simulation(

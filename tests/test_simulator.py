@@ -1,4 +1,3 @@
-import concurrent.futures
 import json
 import logging
 import math
@@ -238,64 +237,20 @@ def test_trace_sink_is_the_same_for_every_worker_count():
     assert sinks[1] == sinks[2] == sinks[3]
 
 
-class _RecordingPool:
-    """Stands in for ProcessPoolExecutor: records the requested size and maps
-    in this process, so no process starts whatever size is asked for."""
-
-    requested: list = []
-
-    def __init__(self, max_workers=None):
-        self.requested.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def submit(self, fn, *args):
-        future = concurrent.futures.Future()
-        future.set_result(fn(*args))
-        return future
-
-
-@pytest.mark.parametrize(
-    "cpus, workers, slots, expected",
-    [
-        (4, 64, 10, [4]),
-        (4, 100_000, 3, [3]),
-        (4, 3, 10, [3]),
-        (2, 3, 10, [2]),
-        (4, 5, 1, []),
-        (1, 8, 10, []),
-        (None, 8, 10, []),
-    ],
-)
-def test_pool_size_is_bounded_by_ranges_and_cpus(monkeypatch, cpus, workers, slots, expected):
-    cfg = quick_cfg()
-    seq = run_simulation(cfg, "baseline2", slots, 67)
-    seq_sink = []
-    run_simulation(cfg, "proposed", slots, 67, trace_sink=seq_sink)
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
-    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-    monkeypatch.setattr(_RecordingPool, "requested", [])
-    par = run_simulation(cfg, "baseline2", slots, 67, workers=workers)
-    par_sink = []
-    run_simulation(cfg, "proposed", slots, 67, workers=workers, trace_sink=par_sink)
-    assert _RecordingPool.requested == expected * 2
-    assert par.to_json() == seq.to_json()
-    assert par_sink == seq_sink
-
-
-def test_one_process_run_loads_no_process_pool():
+def test_one_process_run_loads_no_process_pool(tmp_path):
     import urllc_slice
 
+    argv = ["run", "--policy", "all", "--slots", "40", "--seed", "1", "--threads", "4"]
     code = (
-        "import sys\n"
+        "import contextlib, io, sys\n"
+        "from urllc_slice import cli\n"
         "from urllc_slice.model import SystemConfig\n"
         "from urllc_slice.simulator import run_simulation\n"
         "run_simulation(SystemConfig(), 'proposed', 3, 1, workers=1, trace_sink=[])\n"
         "run_simulation(SystemConfig(), 'baseline1', 1, 1, workers=4)\n"
+        "run_simulation(SystemConfig(), 'baseline2', 40, 1, workers=4)\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert cli.main({[*argv, '--out', str(tmp_path)]!r}) == 0\n"
         "print(sorted(m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules))\n"
     )
     src = os.path.dirname(os.path.dirname(urllc_slice.__file__))
@@ -361,36 +316,9 @@ def test_numpy_integer_slots_and_seed_give_the_same_json():
     assert run_simulation(cfg, "proposed", np.int64(5), np.int64(3)).to_json() == expected
 
 
-class _ReversingPool(_RecordingPool):
-    """Runs in this process, but only once a result is asked for, and then
-    every chunk submitted so far, the last first, as a pool whose later
-    worker finishes first would; results still come back in order.
-    ``most_queued`` is the largest number of chunks it held unrun."""
-
-    most_queued = 0
-
-    def __init__(self, max_workers=None):
-        self.queue = []
-
-    def submit(self, fn, *args):
-        pool = self
-
-        class Deferred(concurrent.futures.Future):
-            def result(self, timeout=None):
-                while pool.queue:
-                    future, fn, args = pool.queue.pop()
-                    future.set_result(fn(*args))
-                return super().result()
-
-        future = Deferred()
-        self.queue.append((future, fn, args))
-        _ReversingPool.most_queued = max(_ReversingPool.most_queued, len(self.queue))
-        return future
-
-
 def test_pool_log_records_are_emitted_in_slot_order(monkeypatch, caplog):
     # near -156 dB a different user is degenerate from slot to slot, so the
-    # warnings of different ranges differ
+    # warnings of different chunks differ
     cfg = quick_cfg(num_embb_users=3, snr_min_db=-165.0, snr_max_db=-150.0)
 
     def warnings(workers):
@@ -401,26 +329,11 @@ def test_pool_log_records_are_emitted_in_slot_order(monkeypatch, caplog):
 
     in_order = warnings(1)
     assert len(set(in_order)) > 1
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _ReversingPool)
-    monkeypatch.setattr(os, "cpu_count", lambda: 4)
-    assert warnings(4) == in_order
-    assert logging.getLogger("urllc_slice").propagate  # restored after each range
-
-
-def test_a_pool_holds_a_bounded_number_of_chunks(monkeypatch):
-    # two ranges of 20 slots, ten chunks each: the pool never holds more than
-    # its 2 processes' chunks ahead of the one being folded, however many
-    # slots a run has
-    cfg = quick_cfg()
-    runs = [(cfg, "baseline2"), (cfg, "proposed")]
+    # four chunks of three slots hold and emit their records in turn
     draws_per_slot = cfg.num_embb_users + cfg.num_urllc_users + cfg.num_minislots
-    monkeypatch.setattr(simulator, "_CHUNK_ENTRIES", 2 * draws_per_slot)
-    expected = [m.to_json() for m in simulator.run_simulations(runs, 40, 5)]
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _ReversingPool)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(_ReversingPool, "most_queued", 0)
-    assert [m.to_json() for m in simulator.run_simulations(runs, 40, 5, workers=2)] == expected
-    assert _ReversingPool.most_queued == 2 + 1
+    monkeypatch.setattr(simulator, "_CHUNK_ENTRIES", 3 * draws_per_slot)
+    assert warnings(4) == in_order
+    assert logging.getLogger("urllc_slice").propagate  # restored after each chunk
 
 
 def test_a_failing_pooled_range_emits_its_records_before_raising(monkeypatch, caplog):
@@ -442,16 +355,13 @@ def test_a_failing_pooled_range_emits_its_records_before_raising(monkeypatch, ca
         return [r.getMessage() for r in caplog.records], str(err.value)
 
     monkeypatch.setattr(simulator, "_policy_rows", failing_rows)
-    # four ranges of three slots; one process stops at the third. The first
-    # run's records come as its ranges do, the second run's after them
-    monkeypatch.setattr(os, "cpu_count", lambda: 1)
-    in_order = outcome(4)
-    assert in_order == (
+    # four chunks of three slots; the run stops at the third. The first run's
+    # records come as its chunks do, the second run's after them
+    cfg = quick_cfg()
+    draws_per_slot = cfg.num_embb_users + cfg.num_urllc_users + cfg.num_minislots
+    monkeypatch.setattr(simulator, "_CHUNK_ENTRIES", 3 * draws_per_slot)
+    assert outcome(4) == (
         [f"{policy} from slot {start}" for policy in ("baseline2", "baseline1") for start in (0, 3, 6)],
         "baseline1 from slot 6 failed",
     )
-    # a pool runs them all, the last (also failing) range first
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _ReversingPool)
-    monkeypatch.setattr(os, "cpu_count", lambda: 4)
-    assert outcome(4) == in_order
     assert logging.getLogger("urllc_slice").propagate

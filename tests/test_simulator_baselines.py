@@ -6,8 +6,6 @@ over the public per-slot API (``slot_rng``, ``sample_channel``,
 counterpart is in ``test_simulator_arrays.py``, whose config strategy this
 shares."""
 
-import os
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -133,11 +131,10 @@ def test_ranges_longer_than_a_chunk_join_in_slot_order(monkeypatch, policy, user
         assert_same_proposed_range(cfg, 11, 3, 20, False)
     else:
         assert_same_range(cfg, policy, 11, 3, 20)
-    # a run folds its chunks and ranges (here three of 14, 14 and 12 slots in
-    # one process) in slot order: its metrics are those of the joined rows,
-    # bit for bit, a single user's column included, which NumPy sums pairwise
+    # a run folds its chunks (here six, five of 7 slots and one of 5) in slot
+    # order: its metrics are those of the joined rows, bit for bit, a single
+    # user's column included, which NumPy sums pairwise
     rates, thetas, outages, feasible, _ = simulate_range(cfg, policy, 11, 0, 40, False, False)
-    monkeypatch.setattr(os, "cpu_count", lambda: 1)
     metrics = simulator.run_simulation(cfg, policy, 40, 11, workers=3)
     assert metrics.per_user_mean_rate.tobytes() == rates.mean(axis=0).tobytes()
     assert metrics.per_user_mean_theta.tobytes() == thetas.mean(axis=0).tobytes()
