@@ -237,6 +237,67 @@ def test_trace_sink_is_the_same_for_every_worker_count():
     assert sinks[1] == sinks[2] == sinks[3]
 
 
+class _NoPool:
+    """Stands in for ProcessPoolExecutor: fails the test if a pool is made."""
+
+    def __init__(self, *args, **kwargs):
+        raise AssertionError("a run started a process pool")
+
+
+@pytest.mark.parametrize(
+    "cpus, workers, slots",
+    [
+        (4, 64, 10),
+        (4, 100_000, 3),
+        (4, 3, 10),
+        (2, 3, 10),
+        (4, 5, 1),
+        (1, 8, 10),
+        (None, 8, 10),
+    ],
+)
+def test_no_worker_or_cpu_count_starts_a_pool_or_changes_output(monkeypatch, cpus, workers, slots):
+    import concurrent.futures
+
+    cfg = quick_cfg()
+    seq = run_simulation(cfg, "baseline2", slots, 67)
+    seq_sink = []
+    run_simulation(cfg, "proposed", slots, 67, trace_sink=seq_sink)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _NoPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    par = run_simulation(cfg, "baseline2", slots, 67, workers=workers)
+    par_sink = []
+    run_simulation(cfg, "proposed", slots, 67, workers=workers, trace_sink=par_sink)
+    assert par.to_json() == seq.to_json()
+    assert par_sink == seq_sink
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_run_folds_each_chunk_before_drawing_the_next(monkeypatch, workers):
+    # 40 slots in chunks of 2: every run folds a chunk's rows before the next
+    # chunk is drawn, so a batch holds one chunk's draws at a time
+    cfg = quick_cfg()
+    runs = [(cfg, "baseline2"), (cfg, "proposed")]
+    draws_per_slot = cfg.num_embb_users + cfg.num_urllc_users + cfg.num_minislots
+    monkeypatch.setattr(simulator, "_CHUNK_ENTRIES", 2 * draws_per_slot)
+    expected = [m.to_json() for m in simulator.run_simulations(runs, 40, 5)]
+    events = []
+    draws, add = simulator._slot_draws, simulator._RunTotals.add
+
+    def recording_draws(cfg, seed, start, stop):
+        events.append(("draw", start, stop))
+        return draws(cfg, seed, start, stop)
+
+    def recording_add(self, rows):
+        events.append("fold")
+        add(self, rows)
+
+    monkeypatch.setattr(simulator, "_slot_draws", recording_draws)
+    monkeypatch.setattr(simulator._RunTotals, "add", recording_add)
+    assert [m.to_json() for m in simulator.run_simulations(runs, 40, 5, workers=workers)] == expected
+    assert events == [e for lo in range(0, 40, 2) for e in (("draw", lo, lo + 2), "fold", "fold")]
+
+
 def test_one_process_run_loads_no_process_pool(tmp_path):
     import urllc_slice
 
