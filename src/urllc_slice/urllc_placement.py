@@ -181,7 +181,9 @@ def solve_placement(
 
 def _solve(prob: _Problem) -> PlacementSolution:
     """The water-filling of ``solve_placement`` on a built problem; the risk
-    penalty enters only through ``prob.penalty``."""
+    penalty enters only through ``prob.penalty``. It decides the closed-form
+    cases (no floor, caps below the floor, the ``lam = 0`` weights meeting
+    it) and leaves the rest to ``_multiplier_step``."""
     w = np.zeros(prob.caps.size)
     if prob.floor <= 0.0:
         return _finish(prob, w, feasible=True, iters=0)
@@ -189,28 +191,38 @@ def _solve(prob: _Problem) -> PlacementSolution:
         return _finish(prob, prob.caps.copy(), feasible=False, iters=0)
 
     kappa, a = prob.load_fraction, prob.active
-    d, cap = prob.floor_coeff[a], prob.caps[a]
+    d = prob.floor_coeff[a]
     s = kappa * prob.penalty * prob.rate[a] / d
+    w[a] = _weights_at(kappa, d, s, 0.0, prob.caps[a])
+    if prob.floor_coeff @ w >= prob.floor:
+        return _finish(prob, w, feasible=True, iters=0)
+    return _finish(prob, *_multiplier_step(kappa, prob.floor, prob.caps, a, prob.floor_coeff, s, w))
+
+
+def _multiplier_step(kappa, floor, caps, active, floor_coeff, s, w):
+    """The weights, feasibility and Newton-step count of one placement
+    problem whose ``lam = 0`` weights ``w`` miss the floor (or supply NaN):
+    ``solve_placement``'s breakpoint search and Newton solve. ``floor_coeff``
+    and ``w`` hold every user, ``s`` the users in ``active`` alone; ``w`` is
+    overwritten and returned. ``kappa``, ``floor`` and ``caps`` are the
+    configuration's terms."""
+    d, cap = floor_coeff[active], caps[active]
 
     def active_weights(lam):
         return _weights_at(kappa, d, s, lam, cap)
 
-    w[a] = active_weights(0.0)
-    if prob.floor_coeff @ w >= prob.floor:
-        return _finish(prob, w, feasible=True, iters=0)
-
-    outside = ~a & (prob.floor_coeff > 0.0)
-    w[outside] = prob.caps[outside]
-    fixed = float(prob.floor_coeff[outside] @ prob.caps[outside])
+    outside = ~active & (floor_coeff > 0.0)
+    w[outside] = caps[outside]
+    fixed = float(floor_coeff[outside] @ caps[outside])
     enter = kappa / d - s
     full = 1.0 / (d * (1.0 / kappa - cap)) - s
     bps = np.sort(np.concatenate((enter, full)))
     bps = bps[bps > 0.0]
-    if bps.size == 0 or d @ w[a] + fixed >= prob.floor:
-        return _finish(prob, w, feasible=True, iters=0)
+    if bps.size == 0 or d @ w[active] + fixed >= floor:
+        return w, True, 0
 
     at_bps = active_weights(bps[:, None]) @ d + fixed
-    k = min(int(np.count_nonzero(at_bps < prob.floor)), bps.size - 1)
+    k = min(int(np.count_nonzero(at_bps < floor)), bps.size - 1)
     lam_lo, lam_hi = (float(bps[k - 1]) if k else 0.0), float(bps[k])
     free, capped = (enter <= lam_lo) & (full >= lam_hi), full <= lam_lo
     if not free.any():
@@ -219,25 +231,25 @@ def _solve(prob: _Problem) -> PlacementSolution:
         # and active_weights cancels to 0 or to its cap. The supply then
         # jumps at lam_hi, where every user whose cap point is reached holds
         # its cap.
-        w[a] = np.where(full <= lam_hi, cap, 0.0)
-        return _finish(prob, w, feasible=bool(prob.floor_coeff @ w >= prob.floor), iters=0)
+        w[active] = np.where(full <= lam_hi, cap, 0.0)
+        return w, bool(floor_coeff @ w >= floor), 0
     s_free = s[free]
-    target = d[free].sum() / kappa + d[capped] @ cap[capped] + fixed - prob.floor
+    target = d[free].sum() / kappa + d[capped] @ cap[capped] + fixed - floor
     # At the root sum_free 1/(s_u + lam) = target, which is at least
     # n_free/(max s + lam) and at least 1/(min s + lam): both bound lam below.
     lam = max(lam_lo, s_free.size / target - s_free.max(), 1.0 / target - s_free.min())
-    goal = prob.floor * (1.0 + _REL_TOL)
+    goal = floor * (1.0 + _REL_TOL)
     iters = 0
     while True:
-        w[a] = active_weights(lam)
-        supplied = float(prob.floor_coeff @ w)
-        if supplied >= prob.floor:
+        w[active] = active_weights(lam)
+        supplied = float(floor_coeff @ w)
+        if supplied >= floor:
             break
         iters += 1
         slope = float(np.sum((s_free + lam) ** -2.0))
         # at least one ulp a step, in case rounding makes the Newton step vanish
         lam = max(lam + (goal - supplied) / slope, float(np.nextafter(lam, np.inf)))
-    return _finish(prob, w, feasible=True, iters=iters)
+    return w, True, iters
 
 
 def _weights_at(kappa, d, s, lam, cap):
@@ -292,7 +304,8 @@ def _solve_rows(terms: _ConfigTerms, phi: np.ndarray, eff: np.ndarray, urllc_eff
     decides in closed form (no floor, caps below the floor, or the
     ``lam = 0`` weights meeting it) are computed together as arrays, with
     every ``@`` of ``_solve`` and ``_finish`` a ``_row_dots``; a row that
-    needs the multiplier goes through ``_solve``. A row with a zero (or NaN)
+    needs the multiplier goes through ``_multiplier_step``, one row at a
+    time, on its slices of the chunk's arrays. A row with a zero (or NaN)
     efficiency, for the caller to discard, is solved at efficiencies of ones
     and no URLLC efficiency: finite, and out of the multiplier search."""
     kappa, floor, caps, penalty = terms
@@ -315,9 +328,10 @@ def _solve_rows(terms: _ConfigTerms, phi: np.ndarray, eff: np.ndarray, urllc_eff
         multiplier = ~short & ~(_row_dots(floor_coeff, w) >= floor)
         w[short] = caps
         feasible = ~short
-        for i in np.flatnonzero(multiplier):
-            solution = _solve(_array_problem(terms, phi, eff[i], urllc_eff[i]))
-            w[i], feasible[i], iterations[i] = solution.weights.weights, solution.feasible, solution.iterations
+        for i in np.flatnonzero(multiplier).tolist():
+            _, feasible[i], iterations[i] = _multiplier_step(  # overwrites row i of w
+                kappa, floor, caps, active, floor_coeff[i], s[i, active], w[i]
+            )
     objective, var_level = _row_objectives(rate, w, kappa, penalty, phi > 0.0)
     return _Rows(w, feasible, objective, var_level, max_rate, iterations)
 

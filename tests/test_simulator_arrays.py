@@ -236,16 +236,16 @@ def test_a_range_of_many_chunks_mixing_every_kind_of_row(monkeypatch, post_round
     # seed 153 draws one broadband user near -156 dB and one URLLC user whose
     # fading sometimes leaves the floor out of reach, so these 60 slots mix
     # degenerate-user rows with answered rows of every kind: lam = 0 weights,
-    # the multiplier (through _solve) and caps below the floor
+    # the multiplier (through _multiplier_step) and caps below the floor
     cfg = SystemConfig(snr_min_db=-158.0, snr_max_db=30.0, num_urllc_users=1)
     per_slot = cfg.num_embb_users + cfg.num_urllc_users + cfg.num_minislots
     monkeypatch.setattr(simulator, "_CHUNK_ENTRIES", 7 * per_slot)
     solved, chunks = [], []
-    solve, rounds_of = urllc_placement._solve, alternating._all_active_rounds
+    step, rounds_of = urllc_placement._multiplier_step, alternating._all_active_rounds
 
-    def counting(prob):
+    def counting(*args):
         solved.append(1)
-        return solve(prob)
+        return step(*args)
 
     def recording(all_active, eff, urllc_eff, post_round):
         before = len(solved)
@@ -257,7 +257,7 @@ def test_a_range_of_many_chunks_mixing_every_kind_of_row(monkeypatch, post_round
         chunks.append((len(eff), multiplier, infeasible, lam_zero, int((~ok).sum())))
         return rounds
 
-    monkeypatch.setattr(urllc_placement, "_solve", counting)
+    monkeypatch.setattr(urllc_placement, "_multiplier_step", counting)
     monkeypatch.setattr(alternating, "_all_active_rounds", recording)
     assert_same_range(cfg, 153, 0, 60, post_round)
     sizes, multiplier, infeasible, lam_zero, degenerate = map(list, zip(*chunks))

@@ -617,6 +617,130 @@ def test_solve_rows_without_penalty_equals_solve_baseline1(kw, rounded):
     assert (rows.iterations[masked] == 0).all() and (rows.max_achievable_urllc_rate[masked] == 0.0).all()
 
 
+# -- the multiplier step against a frozen scalar solver --------------------------
+#
+# _solve and _solve_rows share _multiplier_step, so comparing them no longer
+# checks it. frozen_solve is a copy of the one-problem solver from before they
+# shared it: the oracle of the step, and of any kernel that batches its rows.
+# Keep it as it is.
+
+
+def frozen_weights_at(kappa, d, s, lam, cap):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        return np.clip(np.float64(1.0) / kappa - 1.0 / (d * (s + lam)), 0.0, cap)
+
+
+def frozen_solve(terms, phi, eff, urllc_eff):
+    """Weights, feasibility and Newton-step count of one placement problem,
+    and whether its ``lam = 0`` weights missed the floor (or supplied NaN)."""
+    kappa, floor, caps, penalty = terms
+    rate = phi * eff
+    floor_coeff = phi * kappa * urllc_eff
+    a = (phi > 0.0) & (eff > 0.0)
+
+    w = np.zeros(caps.size)
+    if floor <= 0.0:
+        return w, True, 0, False
+    if float(floor_coeff @ caps) < floor:
+        return caps.copy(), False, 0, False
+
+    d, cap = floor_coeff[a], caps[a]
+    s = kappa * penalty * rate[a] / d
+
+    def active_weights(lam):
+        return frozen_weights_at(kappa, d, s, lam, cap)
+
+    w[a] = active_weights(0.0)
+    if floor_coeff @ w >= floor:
+        return w, True, 0, False
+
+    outside = ~a & (floor_coeff > 0.0)
+    w[outside] = caps[outside]
+    fixed = float(floor_coeff[outside] @ caps[outside])
+    enter = kappa / d - s
+    full = 1.0 / (d * (1.0 / kappa - cap)) - s
+    bps = np.sort(np.concatenate((enter, full)))
+    bps = bps[bps > 0.0]
+    if bps.size == 0 or d @ w[a] + fixed >= floor:
+        return w, True, 0, True
+
+    at_bps = active_weights(bps[:, None]) @ d + fixed
+    k = min(int(np.count_nonzero(at_bps < floor)), bps.size - 1)
+    lam_lo, lam_hi = (float(bps[k - 1]) if k else 0.0), float(bps[k])
+    free, capped = (enter <= lam_lo) & (full >= lam_hi), full <= lam_lo
+    if not free.any():
+        w[a] = np.where(full <= lam_hi, cap, 0.0)
+        return w, bool(floor_coeff @ w >= floor), 0, True
+    s_free = s[free]
+    target = d[free].sum() / kappa + d[capped] @ cap[capped] + fixed - floor
+    lam = max(lam_lo, s_free.size / target - s_free.max(), 1.0 / target - s_free.min())
+    goal = floor * (1.0 + 1e-13)
+    iters = 0
+    while True:
+        w[a] = active_weights(lam)
+        supplied = float(floor_coeff @ w)
+        if supplied >= floor:
+            break
+        iters += 1
+        slope = float(np.sum((s_free + lam) ** -2.0))
+        lam = max(lam + (goal - supplied) / slope, float(np.nextafter(lam, np.inf)))
+    return w, True, iters, True
+
+
+@pytest.mark.parametrize(
+    "kw, multiplier_rows",
+    [
+        ({}, 315),
+        ({"num_embb_users": 40, "num_rbs": 200}, 300),
+        ({"num_embb_users": 12, "num_rbs": 5, "urllc_outage_budget": 0.5}, 600),
+        ({"puncture_prob": 1.0}, 494),
+        ({"snr_min_db": 10.0, "snr_max_db": 10.0}, 600),
+        # NaN supplies at lam = 0, which the step's first >= sends on
+        ({**_TINY_LOAD, "puncture_prob": 5e-324}, 260),
+        ({**_TINY_LOAD, "puncture_prob": 5e-324, "risk_weight": 1.0}, 260),
+        # segments without free users
+        (_TINY_LOAD, 260),
+    ],
+)
+def test_multiplier_step_equals_the_frozen_solver_bit_for_bit(monkeypatch, kw, multiplier_rows):
+    from urllc_slice import urllc_placement
+    from urllc_slice.alternating import all_active_assignment
+    from urllc_slice.model import _efficiencies, _fading_gains, sample_mean_snr
+    from urllc_slice.simulator import _slot_draws, mean_snr_rng
+
+    step, steps = urllc_placement._multiplier_step, []
+
+    def counting(*args):
+        steps.append(1)
+        return step(*args)
+
+    monkeypatch.setattr(urllc_placement, "_multiplier_step", counting)
+    cfg = SystemConfig(**kw)
+    all_active = all_active_assignment(cfg)
+    phi = all_active.rounded_bandwidth
+    seen = 0
+    for seed in (0, 7, 20261):
+        fading, urllc_fading, _ = _slot_draws(cfg, seed, 0, 100)
+        gains, urllc_gains = _fading_gains(cfg, *sample_mean_snr(cfg, mean_snr_rng(seed)), fading, urllc_fading)
+        eff, urllc_eff = _efficiencies(cfg, gains, urllc_gains)
+        for terms in (all_active.placement_terms, all_active.placement_terms._replace(penalty=0.0)):
+            want = [frozen_solve(terms, phi, eff[i], urllc_eff[i]) for i in range(len(eff))]
+            multiplier = [i for i, (*_, past_lam_zero) in enumerate(want) if past_lam_zero]
+            before = len(steps)
+            rows = urllc_placement._solve_rows(terms, phi, eff, urllc_eff)
+            assert len(steps) - before == len(multiplier)
+            seen += len(multiplier)
+            for i in multiplier:
+                w, feasible, iters, _ = want[i]
+                assert rows.weights[i].tobytes() == w.tobytes()
+                assert (rows.feasible[i], rows.iterations[i]) == (feasible, iters)
+                # the one-problem path takes the same step
+                sol = urllc_placement._solve(urllc_placement._array_problem(terms, phi, eff[i], urllc_eff[i]))
+                assert sol.weights.weights.tobytes() == w.tobytes()
+                assert (sol.feasible, sol.iterations) == (feasible, iters)
+    assert seen == multiplier_rows
+
+
 def sequential_baseline2(terms, phi, eff, urllc_eff):
     """The baseline-2 greedy of one slot as a plain loop over its users."""
     kappa, floor, caps, _ = terms
