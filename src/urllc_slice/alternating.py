@@ -36,7 +36,7 @@ from .embb_scheduler import (
 )
 from .model import (
     ChannelRealization,
-    PunctureWeights,
+    ConfigError,
     SchedulingMatrix,
     SystemConfig,
     spectral_efficiencies,
@@ -154,6 +154,8 @@ def run(
     ``_all_active_rounds`` at the same ``post_round`` and this slot its row
     ``i``; without it the call computes its own one-row case.
     """
+    if max_iters < 1:
+        raise ConfigError("max_iters must be >= 1")
     if all_active is not None and init == "zero" and max_iters >= 2:
         if row is None:
             eff, urllc_eff = spectral_efficiencies(cfg, chan)
@@ -241,17 +243,8 @@ def _all_active_rounds(all_active: AllActive, eff: np.ndarray, urllc_eff: np.nda
 def _answered_run(all_active: AllActive, rounds: AllActiveRounds, i: int):
     """``run``'s result for row ``i`` of ``rounds``, which answers it: its
     two trace entries hold the same values, in distinct lists."""
-    rows = rounds.placement
-    objectives = rounds.objectives[i].tolist()
-    feasible = rows.feasible.item(i)
-    w = rows.weights[i]
-    placement = PlacementSolution(
-        weights=PunctureWeights(weights=w, var_level=rows.var_level.item(i), excess=0.0),
-        feasible=feasible,
-        objective=rows.objective.item(i),
-        max_achievable_urllc_rate=rows.max_achievable_urllc_rate.item(i),
-        iterations=rows.iterations.item(i),
-    )
-    weights, bandwidth = w.tolist(), all_active.rounded_values
+    placement = rounds.placement.solution(i)
+    objectives, weights = rounds.objectives[i].tolist(), placement.weights.weights.tolist()
+    bandwidth, feasible = all_active.rounded_values, placement.feasible
     entries = [TraceEntry(it, *objectives, list(weights), list(bandwidth), feasible) for it in (1, 2)]
     return all_active.binary, placement, AlternationTrace(entries, converged=True, reason="tolerance")

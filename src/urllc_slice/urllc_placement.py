@@ -7,13 +7,16 @@ auxiliary risk variables are eliminated analytically: minimizing
 ``gamma + excess/(1-alpha)`` subject to ``excess >= E[R] - gamma, excess >= 0``
 pins ``gamma`` to the mean total rate and ``excess`` to zero, leaving a
 separable concave problem in the weights alone. Its KKT point is a
-water-filling in the one floor multiplier, found exactly by a breakpoint
-search and a Newton solve on one segment.
+water-filling in the one floor multiplier (derived in ``solve_placement``),
+found exactly by a breakpoint search and a Newton solve on one segment.
 
 ``solve_baseline1`` is the same problem with the risk penalty off;
 ``solve_baseline2`` maximizes the linear sum of mean rates instead, which a
 greedy exchange argument solves exactly: puncture users in ascending order of
 spectral efficiency until the reliability floor holds.
+
+``_solve_rows`` and ``_baseline2_rows`` solve S slots' problems as S x U
+arrays; the per-slot functions are their one-row calls (``_slot_rows``).
 """
 
 from __future__ import annotations
@@ -52,21 +55,6 @@ class PlacementSolution:
     iterations: int = 0
 
 
-@dataclass
-class _Problem:
-    """Precomputed coefficients of the placement problem for one slot."""
-
-    phi: np.ndarray            # Hz per user
-    rate_per_hz: np.ndarray    # unpunctured bits/s/Hz per user
-    rate: np.ndarray           # unpunctured bits/s per user, phi * rate_per_hz
-    load_fraction: float       # mean load / l_max; scales every weight
-    floor: float               # required mean URLLC rate, bits/s
-    floor_coeff: np.ndarray    # mean URLLC rate contributed per unit weight
-    caps: np.ndarray           # per-user upper bounds keeping mean rates > 0
-    active: np.ndarray         # users that appear in the log objective
-    penalty: float             # risk weight / risk rate scale, 1/(bits/s)
-
-
 class _ConfigTerms(NamedTuple):
     """The placement problem's terms that depend on the configuration alone,
     so one serves every slot of a run."""
@@ -90,40 +78,19 @@ def _config_terms(cfg: SystemConfig) -> _ConfigTerms:
     )
 
 
-def _build_problem(
-    cfg: SystemConfig, chan: ChannelRealization, mat: SchedulingMatrix
-) -> _Problem:
-    phi = mat.user_bandwidth(cfg.rb_bandwidth)
-    return _array_problem(_config_terms(cfg), phi, *spectral_efficiencies(cfg, chan))
+def _slot_rows(cfg: SystemConfig, chan: ChannelRealization, mat: SchedulingMatrix):
+    """One slot's placement problem as a chunk of one row: the configuration
+    terms, the user bandwidths and the 1 x U and 1 spectral efficiencies."""
+    eff, urllc_eff = spectral_efficiencies(cfg, chan)
+    return _config_terms(cfg), mat.user_bandwidth(cfg.rb_bandwidth), eff[None, :], np.array([urllc_eff])
 
 
-def _array_problem(terms: _ConfigTerms, phi: np.ndarray, eff: np.ndarray, urllc_eff: float) -> _Problem:
-    """The placement problem of user bandwidths ``phi`` at broadband spectral
-    efficiencies ``eff`` and mean URLLC spectral efficiency ``urllc_eff``,
-    under a configuration's ``_config_terms``."""
-    kappa = terms.load_fraction
-    return _Problem(
-        phi=phi,
-        rate_per_hz=eff,
-        rate=phi * eff,
-        load_fraction=kappa,
-        floor=terms.floor,
-        floor_coeff=phi * kappa * urllc_eff,
-        caps=terms.caps,
-        active=(phi > 0.0) & (eff > 0.0),
-        penalty=terms.penalty,
-    )
-
-
-def _active_rates(prob: _Problem, w: np.ndarray) -> np.ndarray:
-    """Mean rates of the users in the log objective."""
-    return (prob.rate * (1.0 - prob.load_fraction * w))[prob.active]
-
-
-def _objective(rates: np.ndarray, total: float, penalty: float) -> float:
-    if (rates <= 0.0).any():
-        return -np.inf
-    return float(np.log(rates).sum() - penalty * total)
+def _log_users(phi: np.ndarray, eff: np.ndarray) -> np.ndarray:
+    """The users in the log objective, of positive bandwidth and spectral
+    efficiency: one U mask when every row of the S x U ``eff`` has the same
+    (every one-row call does), else one mask a row (S x U)."""
+    active = (phi > 0.0) & (eff > 0.0)
+    return active[0] if len(active) and (active == active[0]).all() else active
 
 
 def placement_objective(
@@ -134,25 +101,9 @@ def placement_objective(
 ) -> float:
     """Objective value of the placement problem at the given weights (risk
     variables at their pinned optimum)."""
-    return _problem_objective(_build_problem(cfg, chan, mat), _weights_vec(weights))
-
-
-def _problem_objective(prob: _Problem, w: np.ndarray) -> float:
-    """``placement_objective`` of a built problem."""
-    rates = _active_rates(prob, w)
-    return _objective(rates, float(rates.sum()), prob.penalty)
-
-
-def _finish(prob: _Problem, w: np.ndarray, feasible: bool, iters: int) -> PlacementSolution:
-    rates = _active_rates(prob, w)
-    mean_total = float(rates.sum())
-    return PlacementSolution(
-        weights=PunctureWeights(weights=w, var_level=mean_total, excess=0.0),
-        feasible=feasible,
-        objective=_objective(rates, mean_total, prob.penalty),
-        max_achievable_urllc_rate=float(prob.floor_coeff @ prob.caps),
-        iterations=iters,
-    )
+    terms, phi, eff, _ = _slot_rows(cfg, chan, mat)
+    w = _weights_vec(weights)[None, :]
+    return _row_objectives(phi * eff, w, terms.load_fraction, terms.penalty, _log_users(phi, eff))[0].item(0)
 
 
 def solve_placement(
@@ -174,29 +125,10 @@ def solve_placement(
     the floor, which keeps the result feasible; with the penalty off, the
     start is already the root of the floor itself. Users outside the log
     objective cost nothing, so any positive multiplier sends them to their
-    caps. ``iterations`` counts the Newton steps.
+    caps. ``iterations`` counts the Newton steps. This is ``_solve_rows`` on
+    the slot's one row.
     """
-    return _solve(_build_problem(cfg, chan, mat))
-
-
-def _solve(prob: _Problem) -> PlacementSolution:
-    """The water-filling of ``solve_placement`` on a built problem; the risk
-    penalty enters only through ``prob.penalty``. It decides the closed-form
-    cases (no floor, caps below the floor, the ``lam = 0`` weights meeting
-    it) and leaves the rest to ``_multiplier_step``."""
-    w = np.zeros(prob.caps.size)
-    if prob.floor <= 0.0:
-        return _finish(prob, w, feasible=True, iters=0)
-    if float(prob.floor_coeff @ prob.caps) < prob.floor:
-        return _finish(prob, prob.caps.copy(), feasible=False, iters=0)
-
-    kappa, a = prob.load_fraction, prob.active
-    d = prob.floor_coeff[a]
-    s = kappa * prob.penalty * prob.rate[a] / d
-    w[a] = _weights_at(kappa, d, s, 0.0, prob.caps[a])
-    if prob.floor_coeff @ w >= prob.floor:
-        return _finish(prob, w, feasible=True, iters=0)
-    return _finish(prob, *_multiplier_step(kappa, prob.floor, prob.caps, a, prob.floor_coeff, s, w))
+    return _solve_rows(*_slot_rows(cfg, chan, mat)).solution(0)
 
 
 def _multiplier_step(kappa, floor, caps, active, floor_coeff, s, w):
@@ -273,11 +205,20 @@ def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _row_objectives(rate, w, kappa, penalty, active):
-    """``_problem_objective`` and the mean total rate of every row of the S x U
-    ``rate`` and ``w``, the users in the log objective being the columns in
-    ``active``. Rows are summed only C-contiguous, as ``sum`` sums one vector:
+    """The log objective (risk variables at their pinned optimum) and the
+    mean total rate of every row of the S x U ``rate`` and ``w``, the users in
+    the log objective being the columns in ``active``: one U mask for every
+    row, or one mask a row (S x U), taken a group of rows with equal masks at
+    a time. Rows are summed only C-contiguous, as ``sum`` sums one vector:
     summing a column selection in place changes the last bit of some rows."""
     rates = rate * (1.0 - kappa * w)
+    if active.ndim == 2:  # at weights 0 the group's rates pass unchanged
+        objective, total = np.empty(len(rates)), np.empty(len(rates))
+        masks, group = np.unique(active, axis=0, return_inverse=True)
+        for g, mask in enumerate(masks):
+            rows = group.reshape(-1) == g  # NumPy 2.0.0 gives it a trailing axis
+            objective[rows], total[rows] = _row_objectives(rates[rows], 0.0, kappa, penalty, mask)
+        return objective, total
     if not active.all():
         rates = np.ascontiguousarray(rates[:, active])
     total = rates.sum(axis=1)
@@ -287,7 +228,7 @@ def _row_objectives(rate, w, kappa, penalty, active):
 
 
 class _Rows(NamedTuple):
-    """``_solve``'s solutions of many placement problems, one row each."""
+    """The solutions of many placement problems, one row each."""
 
     weights: np.ndarray        # S x U
     feasible: np.ndarray
@@ -296,22 +237,23 @@ class _Rows(NamedTuple):
     max_achievable_urllc_rate: np.ndarray
     iterations: np.ndarray
 
+    def solution(self, i: int) -> PlacementSolution:
+        """Row ``i`` as a ``PlacementSolution`` of Python scalars."""
+        weights = PunctureWeights(self.weights[i], self.var_level.item(i), excess=0.0)
+        scalars = self.feasible.item(i), self.objective.item(i), self.max_achievable_urllc_rate.item(i)
+        return PlacementSolution(weights, *scalars, self.iterations.item(i))
+
 
 def _solve_rows(terms: _ConfigTerms, phi: np.ndarray, eff: np.ndarray, urllc_eff: np.ndarray) -> _Rows:
-    """``_solve(_array_problem(terms, phi, eff[i], urllc_eff[i]))`` for every
-    row i of the S x U ``eff`` whose entries are all positive, and the S
-    ``urllc_eff``: the same values, bit for bit. The rows that ``_solve``
-    decides in closed form (no floor, caps below the floor, or the
-    ``lam = 0`` weights meeting it) are computed together as arrays, with
-    every ``@`` of ``_solve`` and ``_finish`` a ``_row_dots``; a row that
-    needs the multiplier goes through ``_multiplier_step``, one row at a
-    time, on its slices of the chunk's arrays. A row with a zero (or NaN)
-    efficiency, for the caller to discard, is solved at efficiencies of ones
-    and no URLLC efficiency: finite, and out of the multiplier search."""
+    """``solve_placement`` of every row of the S x U broadband and S mean
+    URLLC spectral efficiencies ``eff`` and ``urllc_eff``, at user bandwidths
+    ``phi`` under a configuration's ``_config_terms`` (its penalty, 0 for
+    baseline 1). The rows decided in closed form (no floor, caps below the
+    floor, or the ``lam = 0`` weights meeting it) are computed together, every
+    ``@`` of one row a ``_row_dots``; a row that needs the multiplier goes
+    through ``_multiplier_step`` on its slices of the chunk's arrays."""
     kappa, floor, caps, penalty = terms
-    ok = (eff > 0.0).all(axis=1)
-    if not ok.all():
-        eff, urllc_eff = np.where(ok[:, None], eff, 1.0), np.where(ok, urllc_eff, 0.0)
+    active = _log_users(phi, eff)
     rate = phi * eff
     floor_coeff = phi * kappa * urllc_eff[:, None]
     max_rate = _row_dots(floor_coeff, caps)
@@ -320,19 +262,19 @@ def _solve_rows(terms: _ConfigTerms, phi: np.ndarray, eff: np.ndarray, urllc_eff
     iterations = np.zeros(len(eff), dtype=int)
     if floor > 0.0:
         short = max_rate < floor
-        active = phi > 0.0
         with np.errstate(divide="ignore", invalid="ignore"):  # d = 0: a user or row not used
             s = kappa * penalty * rate / floor_coeff
         w = np.where(active, _weights_at(kappa, floor_coeff, s, 0.0, caps), 0.0)
-        # not (supply >= floor), as in _solve: a NaN supply goes on to the multiplier
+        # not (supply >= floor): a NaN supply goes on to the multiplier
         multiplier = ~short & ~(_row_dots(floor_coeff, w) >= floor)
         w[short] = caps
         feasible = ~short
         for i in np.flatnonzero(multiplier).tolist():
+            a = active if active.ndim == 1 else active[i]
             _, feasible[i], iterations[i] = _multiplier_step(  # overwrites row i of w
-                kappa, floor, caps, active, floor_coeff[i], s[i, active], w[i]
+                kappa, floor, caps, a, floor_coeff[i], s[i, a], w[i]
             )
-    objective, var_level = _row_objectives(rate, w, kappa, penalty, phi > 0.0)
+    objective, var_level = _row_objectives(rate, w, kappa, penalty, active)
     return _Rows(w, feasible, objective, var_level, max_rate, iterations)
 
 
@@ -341,9 +283,10 @@ def solve_baseline1(
 ) -> PlacementSolution:
     """Placement without the risk penalty (risk weight zero): pure
     proportional fairness, which punctures everyone as little and as evenly
-    as the reliability floor allows."""
-    terms = _config_terms(cfg)._replace(penalty=0.0)
-    return _solve(_array_problem(terms, mat.user_bandwidth(cfg.rb_bandwidth), *spectral_efficiencies(cfg, chan)))
+    as the reliability floor allows. This is ``_solve_rows`` on the slot's
+    one row, with the penalty off."""
+    terms, phi, eff, urllc_eff = _slot_rows(cfg, chan, mat)
+    return _solve_rows(terms._replace(penalty=0.0), phi, eff, urllc_eff).solution(0)
 
 
 def solve_baseline2(
@@ -355,13 +298,15 @@ def solve_baseline2(
     efficiency but buys floor coverage in proportion to its bandwidth alone,
     so the exact optimum loads users in ascending spectral-efficiency order
     (low-rate users first), stable by index, until the floor is met. This is
-    ``_baseline2_rows`` on the slot's one row.
+    ``_baseline2_rows`` on the slot's one row; its objective is the proposed
+    placement's, at these weights.
     """
-    terms = _config_terms(cfg)
-    eff, urllc_eff = spectral_efficiencies(cfg, chan)
-    prob = _array_problem(terms, mat.user_bandwidth(cfg.rb_bandwidth), eff, urllc_eff)
-    w, feasible = _baseline2_rows(terms, prob.phi, eff[None, :], np.array([urllc_eff]))
-    return _finish(prob, w[0], feasible=bool(feasible[0]), iters=0)
+    terms, phi, eff, urllc_eff = _slot_rows(cfg, chan, mat)
+    kappa, _, caps, penalty = terms
+    w, feasible = _baseline2_rows(terms, phi, eff, urllc_eff)
+    objective, var_level = _row_objectives(phi * eff, w, kappa, penalty, _log_users(phi, eff))
+    max_rate = _row_dots(phi * kappa * urllc_eff[:, None], caps)
+    return _Rows(w, feasible, objective, var_level, max_rate, np.zeros(1, dtype=int)).solution(0)
 
 
 def _baseline2_rows(terms: _ConfigTerms, phi: np.ndarray, eff: np.ndarray, urllc_eff: np.ndarray):

@@ -6,7 +6,7 @@ import pytest
 from urllc_slice import alternating
 from urllc_slice.alternating import run
 from urllc_slice.embb_scheduler import round_to_binary, solve_fractional
-from urllc_slice.model import ChannelRealization, SystemConfig, sample_channel, sample_mean_snr
+from urllc_slice.model import ChannelRealization, ConfigError, SystemConfig, sample_channel, sample_mean_snr
 from urllc_slice.urllc_placement import placement_objective
 
 
@@ -254,3 +254,44 @@ def test_all_active_assignment_is_ignored_away_from_zero_init():
     binary, _, trace = run(cfg, chan, init="one", all_active=all_active)
     assert binary is not all_active.binary
     assert trace.to_dict() == looped.to_dict()
+
+
+@pytest.mark.parametrize("all_active", [False, True])
+@pytest.mark.parametrize("max_iters", [0, -3])
+def test_fewer_than_one_round_is_a_config_error(max_iters, all_active):
+    cfg = SystemConfig()
+    chan = default_channel(cfg, seed=14)
+    given = alternating.all_active_assignment(cfg) if all_active else None
+    with pytest.raises(ConfigError, match="max_iters must be >= 1"):
+        run(cfg, chan, max_iters=max_iters, all_active=given)
+
+
+def assert_python_scalars(placement):
+    # a NumPy bool_ or int64 here would make json_writer raise TypeError
+    assert type(placement.feasible) is bool
+    assert type(placement.iterations) is int
+    rest = (placement.objective, placement.max_achievable_urllc_rate)
+    assert all(type(x) is float for x in (*rest, placement.weights.var_level, placement.weights.excess))
+
+
+@pytest.mark.parametrize("zero_efficiency", [False, True])
+def test_every_solver_returns_python_scalars(zero_efficiency):
+    from urllc_slice.urllc_placement import solve_baseline1, solve_baseline2, solve_placement
+
+    cfg = SystemConfig()
+    chan = default_channel(cfg, seed=15)
+    if zero_efficiency:
+        gain = chan.embb_gain.copy()
+        gain[1] = 0.0
+        chan = ChannelRealization(gain, chan.urllc_gain)
+    mat = round_to_binary(solve_fractional(cfg, chan), cfg)
+    for solver in (solve_placement, solve_baseline1, solve_baseline2):
+        assert_python_scalars(solver(cfg, chan, mat))
+    all_active = alternating.all_active_assignment(cfg)
+    for given in (None, all_active):  # the loop, then the answered rounds unless a user is at zero
+        binary, placement, trace = run(cfg, chan, all_active=given)
+        assert (binary is all_active.binary) == (given is not None and not zero_efficiency)
+        assert_python_scalars(placement)
+        for entry in trace.iterations:
+            assert (type(entry.iteration), type(entry.placement_feasible)) == (int, bool)
+            assert type(entry.fractional_objective) is type(entry.rounded_objective) is float

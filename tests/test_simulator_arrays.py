@@ -236,7 +236,9 @@ def test_a_range_of_many_chunks_mixing_every_kind_of_row(monkeypatch, post_round
     # seed 153 draws one broadband user near -156 dB and one URLLC user whose
     # fading sometimes leaves the floor out of reach, so these 60 slots mix
     # degenerate-user rows with answered rows of every kind: lam = 0 weights,
-    # the multiplier (through _multiplier_step) and caps below the floor
+    # the multiplier (through _multiplier_step) and caps below the floor. A
+    # degenerate row is solved as its own slot too, so it may take the step;
+    # the rows without a zero efficiency are solved again alone to count theirs
     cfg = SystemConfig(snr_min_db=-158.0, snr_max_db=30.0, num_urllc_users=1)
     per_slot = cfg.num_embb_users + cfg.num_urllc_users + cfg.num_minislots
     monkeypatch.setattr(simulator, "_CHUNK_ENTRIES", 7 * per_slot)
@@ -251,18 +253,20 @@ def test_a_range_of_many_chunks_mixing_every_kind_of_row(monkeypatch, post_round
         before = len(solved)
         rounds = rounds_of(all_active, eff, urllc_eff, post_round)
         ok = (eff > 0.0).all(axis=1)
-        multiplier = len(solved) - before
+        steps = len(solved) - before
+        rounds_of(all_active, eff[ok], urllc_eff[ok], post_round)
+        multiplier = len(solved) - before - steps
         infeasible = int((ok & ~rounds.placement.feasible).sum())
         lam_zero = int((ok & rounds.placement.feasible).sum()) - multiplier
-        chunks.append((len(eff), multiplier, infeasible, lam_zero, int((~ok).sum())))
+        chunks.append((len(eff), steps, multiplier, infeasible, lam_zero, int((~ok).sum())))
         return rounds
 
     monkeypatch.setattr(urllc_placement, "_multiplier_step", counting)
     monkeypatch.setattr(alternating, "_all_active_rounds", recording)
     assert_same_range(cfg, 153, 0, 60, post_round)
-    sizes, multiplier, infeasible, lam_zero, degenerate = map(list, zip(*chunks))
+    sizes, steps, *kinds = map(list, zip(*chunks))
     assert sizes == [7] * 8 + [4]
-    assert (sum(multiplier), sum(infeasible), sum(lam_zero), sum(degenerate)) == (29, 2, 8, 21)
+    assert (sum(steps), *map(sum, kinds)) == (43, 29, 2, 8, 21)
 
 
 VANISHING_LOAD = {

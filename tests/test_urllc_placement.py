@@ -526,103 +526,14 @@ def test_a_segment_without_free_users_is_solved_at_its_breakpoint(tmp_path, poli
     assert sol.feasible
 
 
-@pytest.mark.parametrize(
-    "kw",
-    [
-        {},
-        {"num_embb_users": 40, "num_rbs": 200},
-        # fewer RBs than users: rounding leaves some users without bandwidth
-        {"num_embb_users": 12, "num_rbs": 5},
-        {"urllc_outage_budget": 0.01, "snr_min_db": -10.0, "snr_max_db": 5.0},
-        {"urllc_outage_budget": 0.03, "num_urllc_users": 1, "risk_weight": 0.0},
-        {"puncture_prob": 0.0},
-        # NaN weights at lam = 0, and a segment without free users
-        {**_TINY_LOAD, "puncture_prob": 5e-324},
-        _TINY_LOAD,
-    ],
-)
-@pytest.mark.parametrize("rounded", [False, True])
-def test_solve_rows_equals_solve_row_by_row(kw, rounded):
-    from urllc_slice.alternating import all_active_assignment
-    from urllc_slice.model import _efficiencies, _fading_gains, sample_mean_snr
-    from urllc_slice.simulator import _slot_draws, mean_snr_rng
-    from urllc_slice.urllc_placement import _array_problem, _solve, _solve_rows
-
-    cfg = SystemConfig(**kw)
-    all_active = all_active_assignment(cfg)
-    phi = all_active.rounded_bandwidth if rounded else all_active.fractional_bandwidth
-    fading, urllc_fading, _ = _slot_draws(cfg, 7, 0, 100)
-    gains, urllc_gains = _fading_gains(cfg, *sample_mean_snr(cfg, mean_snr_rng(7)), fading, urllc_fading)
-    eff, urllc_eff = _efficiencies(cfg, gains, urllc_gains)
-    assert (eff > 0.0).all()
-    rows = _solve_rows(all_active.placement_terms, phi, eff, urllc_eff)
-    for i in range(len(eff)):
-        want = _solve(_array_problem(all_active.placement_terms, phi, eff[i], float(urllc_eff[i])))
-        assert rows.weights[i].tobytes() == want.weights.weights.tobytes()
-        got = [rows.feasible[i], rows.objective[i], rows.var_level[i], rows.max_achievable_urllc_rate[i]]
-        assert got == [want.feasible, want.objective, want.weights.var_level, want.max_achievable_urllc_rate]
-        assert rows.iterations[i] == want.iterations
-
-
-@pytest.mark.parametrize(
-    "kw",
-    [
-        {},
-        {"num_embb_users": 40, "num_rbs": 200},
-        {"num_embb_users": 12, "num_rbs": 5},
-        {"urllc_outage_budget": 0.01, "snr_min_db": -10.0, "snr_max_db": 5.0},
-        {"urllc_outage_budget": 0.03, "num_urllc_users": 1, "risk_weight": 0.0},
-        {"puncture_prob": 0.0},
-        {**_TINY_LOAD, "puncture_prob": 5e-324},
-        _TINY_LOAD,
-    ],
-)
-@pytest.mark.parametrize("rounded", [False, True])
-def test_solve_rows_without_penalty_equals_solve_baseline1(kw, rounded):
-    # the simulator's baseline-1 chunk path; a row with a zero (or NaN)
-    # efficiency is masked, solved without warnings and left to the caller
-    import warnings
-
-    from urllc_slice.alternating import all_active_assignment
-    from urllc_slice.embb_scheduler import _equal_shares
-    from urllc_slice.model import _efficiencies, _fading_gains, sample_mean_snr
-    from urllc_slice.simulator import _slot_draws, mean_snr_rng
-    from urllc_slice.urllc_placement import _solve_rows
-
-    cfg = SystemConfig(**kw)
-    all_active = all_active_assignment(cfg)
-    mat = all_active.binary if rounded else _equal_shares(cfg, np.ones(cfg.num_embb_users, dtype=bool))
-    phi = mat.user_bandwidth(cfg.rb_bandwidth)
-    fading, urllc_fading, _ = _slot_draws(cfg, 7, 0, 100)
-    gains, urllc_gains = _fading_gains(cfg, *sample_mean_snr(cfg, mean_snr_rng(7)), fading, urllc_fading)
-    eff, urllc_eff = _efficiencies(cfg, gains, urllc_gains)
-    eff[::9, -1], eff[4::9, 0] = 0.0, np.nan
-    masked = np.zeros(len(eff), dtype=bool)
-    masked[::9] = masked[4::9] = True
-    terms = all_active.placement_terms._replace(penalty=0.0)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        rows = _solve_rows(terms, phi, eff, urllc_eff)
-    for i in np.flatnonzero(~masked):
-        want = solve_baseline1(cfg, ChannelRealization(gains[i], urllc_gains[i]), mat)
-        assert rows.weights[i].tobytes() == want.weights.weights.tobytes()
-        got = [rows.feasible[i], rows.objective[i], rows.var_level[i], rows.max_achievable_urllc_rate[i]]
-        assert got == [want.feasible, want.objective, want.weights.var_level, want.max_achievable_urllc_rate]
-        assert (rows.iterations[i], want.weights.excess) == (want.iterations, 0.0)
-    # ones and no URLLC efficiency: caps below any floor, so no multiplier
-    floor = all_active.placement_terms.floor
-    want_w = np.broadcast_to(terms.caps if floor > 0.0 else 0.0, (masked.sum(), cfg.num_embb_users))
-    assert rows.weights[masked].tobytes() == want_w.tobytes()
-    assert (rows.feasible[masked] == (floor <= 0.0)).all()
-    assert (rows.iterations[masked] == 0).all() and (rows.max_achievable_urllc_rate[masked] == 0.0).all()
-
-
-# -- the multiplier step against a frozen scalar solver --------------------------
+# -- the chunk kernel against a frozen scalar solver -----------------------------
 #
-# _solve and _solve_rows share _multiplier_step, so comparing them no longer
-# checks it. frozen_solve is a copy of the one-problem solver from before they
-# shared it: the oracle of the step, and of any kernel that batches its rows.
-# Keep it as it is.
+# solve_placement and solve_baseline1 are one-row calls of _solve_rows, and
+# every row that needs the floor multiplier goes through _multiplier_step, so
+# comparing them checks neither. frozen_solve and frozen_finish are copies of
+# the one-problem solver from before the chunk kernel took its place: the
+# oracle of the kernel, and of any kernel that batches its rows. Keep them as
+# they are.
 
 
 def frozen_weights_at(kappa, d, s, lam, cap):
@@ -687,6 +598,97 @@ def frozen_solve(terms, phi, eff, urllc_eff):
     return w, True, iters, True
 
 
+def frozen_finish(terms, phi, eff, urllc_eff, w):
+    """Objective, mean total rate and maximum mean URLLC rate of one placement
+    problem at weights ``w``."""
+    kappa, _, caps, penalty = terms
+    rates = (phi * eff * (1.0 - kappa * w))[(phi > 0.0) & (eff > 0.0)]
+    total = float(rates.sum())
+    objective = -np.inf if (rates <= 0.0).any() else float(np.log(rates).sum() - penalty * total)
+    return objective, total, float((phi * kappa * urllc_eff) @ caps)
+
+
+def chunk_arrays(cfg, seed, slots, degenerate=False):
+    """The S x U and S x C fading gains and the spectral efficiencies of
+    slots 0 to ``slots`` as a range computes them. With ``degenerate``, every
+    ninth row from row 0 has its last user at zero gain (zero efficiency),
+    and every ninth from row 4 its first user at a NaN gain."""
+    from urllc_slice.model import _efficiencies, _fading_gains, sample_mean_snr
+    from urllc_slice.simulator import _slot_draws, mean_snr_rng
+
+    fading, urllc_fading, _ = _slot_draws(cfg, seed, 0, slots)
+    gains, urllc_gains = _fading_gains(cfg, *sample_mean_snr(cfg, mean_snr_rng(seed)), fading, urllc_fading)
+    if degenerate:
+        gains[::9, -1], gains[4::9, 0] = 0.0, np.nan
+    return (gains, urllc_gains, *_efficiencies(cfg, gains, urllc_gains))
+
+
+def assert_rows_equal_the_frozen_solver(kw, rounded, degenerate, risk_neutral):
+    """``_solve_rows`` on 100 slots at seed 7, row by row, against
+    ``frozen_solve`` and ``frozen_finish`` and against the one-row call
+    ``solve_placement`` (``solve_baseline1`` when ``risk_neutral``): every
+    field bit for bit, and no NumPy warning from the kernel."""
+    import warnings
+
+    from urllc_slice.alternating import all_active_assignment
+    from urllc_slice.embb_scheduler import _equal_shares
+    from urllc_slice.urllc_placement import _solve_rows
+
+    cfg = SystemConfig(**kw)
+    all_active = all_active_assignment(cfg)
+    mat = all_active.binary if rounded else _equal_shares(cfg, np.ones(cfg.num_embb_users, dtype=bool))
+    phi = mat.user_bandwidth(cfg.rb_bandwidth)
+    gains, urllc_gains, eff, urllc_eff = chunk_arrays(cfg, 7, 100, degenerate)
+    assert (eff > 0.0).all() != degenerate
+    terms, solver = all_active.placement_terms, solve_placement
+    if risk_neutral:
+        terms, solver = terms._replace(penalty=0.0), solve_baseline1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = _solve_rows(terms, phi, eff, urllc_eff)
+        solutions = [solver(cfg, ChannelRealization(gains[i], urllc_gains[i]), mat) for i in range(len(eff))]
+    for i, sol in enumerate(solutions):
+        w, feasible, iters, _ = frozen_solve(terms, phi, eff[i], urllc_eff[i])
+        want = [w.tobytes(), feasible, iters, *frozen_finish(terms, phi, eff[i], urllc_eff[i], w)]
+        got = [rows.weights[i], rows.feasible[i], rows.iterations[i], rows.objective[i], rows.var_level[i]]
+        got = [got[0].tobytes(), *got[1:], rows.max_achievable_urllc_rate[i]]
+        assert got == want
+        one = [sol.weights.weights.tobytes(), sol.feasible, sol.iterations, sol.objective, sol.weights.var_level]
+        assert [*one, sol.max_achievable_urllc_rate] == want
+        assert sol.weights.excess == 0.0
+
+
+ROWS_CONFIGS = [
+    {},
+    {"num_embb_users": 40, "num_rbs": 200},
+    # fewer RBs than users: rounding leaves some users without bandwidth
+    {"num_embb_users": 12, "num_rbs": 5},
+    {"urllc_outage_budget": 0.01, "snr_min_db": -10.0, "snr_max_db": 5.0},
+    {"urllc_outage_budget": 0.03, "num_urllc_users": 1, "risk_weight": 0.0},
+    {"puncture_prob": 0.0},
+    # NaN weights at lam = 0, and a segment without free users
+    {**_TINY_LOAD, "puncture_prob": 5e-324},
+    _TINY_LOAD,
+]
+
+
+@pytest.mark.parametrize("kw", ROWS_CONFIGS)
+@pytest.mark.parametrize("rounded", [False, True])
+@pytest.mark.parametrize("degenerate", [False, True])
+def test_solve_rows_equals_solve_row_by_row(kw, rounded, degenerate):
+    # with every efficiency positive one mask serves every row; a row with a
+    # zero (or NaN) efficiency leaves that user out of its own log objective
+    assert_rows_equal_the_frozen_solver(kw, rounded, degenerate, risk_neutral=False)
+
+
+@pytest.mark.parametrize("kw", ROWS_CONFIGS)
+@pytest.mark.parametrize("rounded", [False, True])
+def test_solve_rows_without_penalty_equals_solve_baseline1(kw, rounded):
+    # the simulator's baseline-1 chunk path, whose rows with a zero (or NaN)
+    # efficiency the caller discards: they are still solved as their own slot
+    assert_rows_equal_the_frozen_solver(kw, rounded, degenerate=True, risk_neutral=True)
+
+
 @pytest.mark.parametrize(
     "kw, multiplier_rows",
     [
@@ -705,8 +707,6 @@ def frozen_solve(terms, phi, eff, urllc_eff):
 def test_multiplier_step_equals_the_frozen_solver_bit_for_bit(monkeypatch, kw, multiplier_rows):
     from urllc_slice import urllc_placement
     from urllc_slice.alternating import all_active_assignment
-    from urllc_slice.model import _efficiencies, _fading_gains, sample_mean_snr
-    from urllc_slice.simulator import _slot_draws, mean_snr_rng
 
     step, steps = urllc_placement._multiplier_step, []
 
@@ -720,10 +720,9 @@ def test_multiplier_step_equals_the_frozen_solver_bit_for_bit(monkeypatch, kw, m
     phi = all_active.rounded_bandwidth
     seen = 0
     for seed in (0, 7, 20261):
-        fading, urllc_fading, _ = _slot_draws(cfg, seed, 0, 100)
-        gains, urllc_gains = _fading_gains(cfg, *sample_mean_snr(cfg, mean_snr_rng(seed)), fading, urllc_fading)
-        eff, urllc_eff = _efficiencies(cfg, gains, urllc_gains)
-        for terms in (all_active.placement_terms, all_active.placement_terms._replace(penalty=0.0)):
+        gains, urllc_gains, eff, urllc_eff = chunk_arrays(cfg, seed, 100)
+        terms = all_active.placement_terms
+        for terms, solver in ((terms, solve_placement), (terms._replace(penalty=0.0), solve_baseline1)):
             want = [frozen_solve(terms, phi, eff[i], urllc_eff[i]) for i in range(len(eff))]
             multiplier = [i for i, (*_, past_lam_zero) in enumerate(want) if past_lam_zero]
             before = len(steps)
@@ -734,11 +733,54 @@ def test_multiplier_step_equals_the_frozen_solver_bit_for_bit(monkeypatch, kw, m
                 w, feasible, iters, _ = want[i]
                 assert rows.weights[i].tobytes() == w.tobytes()
                 assert (rows.feasible[i], rows.iterations[i]) == (feasible, iters)
-                # the one-problem path takes the same step
-                sol = urllc_placement._solve(urllc_placement._array_problem(terms, phi, eff[i], urllc_eff[i]))
+                # the one-row call takes the same step
+                sol = solver(cfg, ChannelRealization(gains[i], urllc_gains[i]), all_active.binary)
                 assert sol.weights.weights.tobytes() == w.tobytes()
                 assert (sol.feasible, sol.iterations) == (feasible, iters)
     assert seen == multiplier_rows
+
+
+# -- the step's operators on rows built by hand ----------------------------------
+#
+# _multiplier_step keeps frozen_solve's comparisons and its Python max. No
+# row of the configs above tells three of them from a near variant; the test
+# below pins the one a row can tell apart. The other two agree with their
+# variants on every row the frozen solver returns from:
+#
+# - The Newton loop's `supplied >= floor` and `not supplied < floor` differ
+#   only on a NaN supply. Once the loop meets one, the next
+#   `lam + (goal - supplied) / slope` is NaN, Python's max keeps a NaN first
+#   argument, and so every later lam and supply is NaN: the frozen loop never
+#   returns.
+# - `max(lam_lo, ...)` and np.max differ only on a NaN or on a tie of 0.0 and
+#   -0.0. lam_lo is 0.0 or a positive breakpoint. A NaN `s` of a free user
+#   makes its weight, and so the supply, NaN at every lam (the case above);
+#   `target` is NaN, or 1/target -0.0, only if the floor is infinite, and an
+#   infinite floor is above every row's finite maximum rate, so such a row
+#   never reaches the step. And `x - y` is -0.0 only for x = -0.0, y = 0.0.
+
+
+def test_a_segment_without_free_users_can_miss_the_floor():
+    # Two users whose water-filling ranges do not overlap: the first reaches
+    # its cap before the second enters. At the second user's entry point
+    # rounding leaves it a weight of a few ulps, and the floor is the supply
+    # there. The search brackets the segment from the first user's cap point
+    # to that entry point, on which no user is free, and the no-free-user
+    # branch gives the second user 0: it misses the floor by those few ulps and
+    # reports the row infeasible (a weight a few ulps larger would meet it)
+    from urllc_slice.urllc_placement import _ConfigTerms, _solve_rows
+
+    kappa, phi, eff, urllc_eff = 0.1, np.array([3.0, 0.83]), np.ones(2), 1.0
+    d, caps = phi * kappa * urllc_eff, np.ones(2)
+    at_entry = frozen_weights_at(kappa, d, 0.0, kappa / d[1], caps)
+    assert at_entry[0] == 1.0 and 0.0 < at_entry[1] < 1e-14
+    terms = _ConfigTerms(kappa, float(at_entry @ d), caps, 0.0)
+    assert float(d @ caps) > terms.floor
+    w, feasible, iters, past_lam_zero = frozen_solve(terms, phi, eff, urllc_eff)
+    assert (w.tolist(), feasible, iters, past_lam_zero) == ([1.0, 0.0], False, 0, True)
+    rows = _solve_rows(terms, phi, eff[None, :], np.array([urllc_eff]))
+    assert rows.weights[0].tobytes() == w.tobytes()
+    assert (rows.feasible.tolist(), rows.iterations.tolist()) == ([False], [0])
 
 
 def sequential_baseline2(terms, phi, eff, urllc_eff):
