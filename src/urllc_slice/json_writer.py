@@ -2,8 +2,9 @@
 ``json.dumps(obj, indent=2, sort_keys=True)``, without its pure-Python
 encoder); a trace file is written in pieces by ``_trace_pieces``, which
 fills the slots of the simulator's chunk records into one template straight
-from their arrays. Every CSV file goes through ``_csv``, and dataclasses
-through ``_fields_dict``."""
+from their arrays. Every CSV file goes through ``_csv_lines``, and dataclasses
+through ``_fields_dict``. A float list written to a JSON file and a CSV file
+is turned into text once, by ``_float_texts``."""
 
 from __future__ import annotations
 
@@ -27,6 +28,27 @@ def _float_json(x: float) -> str:
     return float.__repr__(x)
 
 
+class _FloatTexts(list):
+    """The JSON texts of a list of floats, which ``_json_indented`` lays out
+    as it lays out the floats themselves."""
+
+
+def _float_texts(values: list) -> _FloatTexts:
+    """The JSON text of every float of ``values`` (``float.__repr__``, or
+    ``NaN``, ``Infinity`` and ``-Infinity``), from one call of the C
+    encoder: a number never contains ``", "``."""
+    return _FloatTexts(_encode_flat(values)[1:-1].split(", ") if values else [])
+
+
+# repr's text of each non-finite float, by its JSON text
+_REPR_OF_JSON = {"NaN": "nan", "Infinity": "inf", "-Infinity": "-inf"}
+
+
+def _repr_texts(texts: list[str]) -> list[str]:
+    """``repr`` of every float of ``_float_texts``: its CSV cell."""
+    return [_REPR_OF_JSON.get(t, t) for t in texts]
+
+
 # What json writes for a scalar of exactly these types; any other type goes
 # through the flat encoder, which also raises json's errors.
 _SCALAR_TEXT = {
@@ -46,10 +68,10 @@ def _json_indented(obj, newline: str = "\n") -> str:
     Python, and scalars are written by type as json writes them. A list of
     plain ints and floats goes through the C encoder of a flat
     ``JSONEncoder`` in one call; a number never contains ``", "``, so
-    replacing it in the flat encoding lays the items out. ``newline`` is the
-    line break plus the indentation of the current depth. Dicts with
-    non-string keys fall back to ``json.dumps``, re-indented (encoded strings
-    hold no raw line breaks).
+    replacing it in the flat encoding lays the items out. A ``_FloatTexts``
+    is laid out from its texts. ``newline`` is the line break plus the
+    indentation of the current depth. Dicts with non-string keys fall back
+    to ``json.dumps``, re-indented (encoded strings hold no raw line breaks).
     """
     scalar = _SCALAR_TEXT.get(type(obj))
     if scalar is not None:
@@ -69,7 +91,9 @@ def _json_indented(obj, newline: str = "\n") -> str:
         )
         return "{" + inner + body + newline + "}"
     if isinstance(obj, (list, tuple)) and obj:
-        if set(map(type, obj)) <= _NUMBER_TYPES:
+        if type(obj) is _FloatTexts:
+            body = ("," + inner).join(obj)
+        elif set(map(type, obj)) <= _NUMBER_TYPES:
             body = _encode_flat(obj)[1:-1].replace(", ", "," + inner)
         else:
             body = ("," + inner).join([_json_indented(x, inner) for x in obj])
@@ -104,6 +128,7 @@ _HOLE = "\0"
 _ENTRY = dict.fromkeys(["fractional_objective", "placement_feasible", "rounded_objective"], _HOLE)
 _ENTRY["weights"] = [_HOLE]
 _WEIGHT_SEP = ",\n          "  # between the items of an entry's list
+_encode_weights = json.JSONEncoder(separators=(_WEIGHT_SEP, ": ")).encode
 
 
 def _answered_template(bandwidth: list) -> str:
@@ -125,9 +150,8 @@ def _record_text(record: _TraceRecord, templates: dict) -> str:
     answered, rows = record.rounds.answered, record.rounds.placement
     slots = (np.flatnonzero(answered) + record.start).tolist()
     # with no row answered, each split gives [""] and zip stops at once
-    weights = _encode_flat(rows.weights[answered].tolist())[2:-2].replace(", ", _WEIGHT_SEP)
-    weights = weights.split("]" + _WEIGHT_SEP + "[")
-    objectives = _encode_flat(record.rounds.objectives[answered].ravel().tolist())[1:-1].split(", ")
+    weights = _encode_weights(rows.weights[answered].tolist())[2:-2].split("]" + _WEIGHT_SEP + "[")
+    objectives = _float_texts(record.rounds.objectives[answered].ravel().tolist())
     feasible = map(("false", "true").__getitem__, rows.feasible[answered].tolist())
     zipped = zip(slots, weights, objectives[::2], objectives[1::2], feasible)
     texts = iter([template % (f, b, r, w, f, b, r, w, slot) for slot, w, f, r, b in zipped])
@@ -167,8 +191,11 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+def _csv_lines(header: list[str], rows) -> str:
+    """CSV text of rows of cell texts."""
+    return "\n".join([",".join(header), *map(",".join, rows)]) + "\n"
+
+
 def _csv(header: list[str], rows) -> str:
     """CSV text: float cells through ``_fmt``, every other cell through ``str``."""
-    lines = [",".join(header)]
-    lines += [",".join([_fmt(c) if isinstance(c, float) else str(c) for c in row]) for row in rows]
-    return "\n".join(lines) + "\n"
+    return _csv_lines(header, [[_fmt(c) if isinstance(c, float) else str(c) for c in row] for row in rows])

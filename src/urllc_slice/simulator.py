@@ -26,13 +26,22 @@ import logging
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
 from . import alternating, urllc_placement
 from .embb_scheduler import round_to_binary, solve_fractional
-from .json_writer import _csv, _fields_dict, _json_indented, _TraceRecord, _TraceRecords
+from .json_writer import (
+    _csv_lines,
+    _fields_dict,
+    _float_texts,
+    _json_indented,
+    _repr_texts,
+    _TraceRecord,
+    _TraceRecords,
+)
 from .model import (  # noqa: F401  (perfbench's tracer wraps the per-slot names bound here)
     MAX_ASSIGNMENT_ENTRIES,
     ChannelRealization,
@@ -95,19 +104,34 @@ class RunMetrics:
     n_infeasible_slots: int
 
     def to_dict(self) -> dict:
-        out = _fields_dict(self)
-        out["sum_rate_ecdf"] = {"values": out.pop("ecdf_values"), "cum_probs": out.pop("ecdf_probs")}
-        return out
+        return _metrics_document(_fields_dict(self))
 
     def to_json(self) -> str:
-        return _json_indented(self.to_dict())
+        return _json_indented(_metrics_document({**_fields_dict(self), **self._texts}))
 
     def ecdf_csv(self) -> str:
-        return _csv(["value", "cum_prob"], zip(self.ecdf_values.tolist(), self.ecdf_probs.tolist()))
+        values, probs = (_repr_texts(self._texts[name]) for name in ("ecdf_values", "ecdf_probs"))
+        return _csv_lines(["value", "cum_prob"], zip(values, probs))
 
     def per_user_csv(self) -> str:
-        rates, thetas = self.per_user_mean_rate.tolist(), self.per_user_mean_theta.tolist()
-        return _csv(["user", "mean_rate", "mean_theta"], zip(range(len(rates)), rates, thetas))
+        rates, thetas = (_repr_texts(self._texts[name]) for name in ("per_user_mean_rate", "per_user_mean_theta"))
+        return _csv_lines(["user", "mean_rate", "mean_theta"], zip(map(str, range(len(rates))), rates, thetas))
+
+    @cached_property
+    def _texts(self) -> dict:
+        """The JSON texts of the array fields' floats, made once for the
+        metrics JSON, ECDF CSV and per-user CSV (the arrays are final once a
+        file is written)."""
+        return {name: _float_texts(getattr(self, name).tolist()) for name in _ARRAY_FIELDS}
+
+
+_ARRAY_FIELDS = ("ecdf_values", "ecdf_probs", "per_user_mean_rate", "per_user_mean_theta")
+
+
+def _metrics_document(out: dict) -> dict:
+    """``RunMetrics`` fields as its JSON document, the ECDF under one key."""
+    out["sum_rate_ecdf"] = {"values": out.pop("ecdf_values"), "cum_probs": out.pop("ecdf_probs")}
+    return out
 
 
 def slot_rng(seed: int, slot: int) -> np.random.Generator:

@@ -137,7 +137,8 @@ def _multiplier_step(kappa, floor, caps, active, floor_coeff, s, w):
     ``solve_placement``'s breakpoint search and Newton solve. ``floor_coeff``
     and ``w`` hold every user, ``s`` the users in ``active`` alone; ``w`` is
     overwritten and returned. ``kappa``, ``floor`` and ``caps`` are the
-    configuration's terms."""
+    configuration's terms. It runs inside ``_solve_rows``'s ``np.errstate``,
+    which its ``_weights_at`` calls need."""
     d, cap = floor_coeff[active], caps[active]
 
     def active_weights(lam):
@@ -162,8 +163,15 @@ def _multiplier_step(kappa, floor, caps, active, floor_coeff, s, w):
         # far above the caps, a user's two breakpoints can coincide or swap,
         # and active_weights cancels to 0 or to its cap. The supply then
         # jumps at lam_hi, where every user whose cap point is reached holds
-        # its cap.
+        # its cap. Where that misses the floor, rounding may still leave the
+        # user entering at lam_hi a weight of a few ulps there, which can
+        # meet it.
         w[active] = np.where(full <= lam_hi, cap, 0.0)
+        if not floor_coeff @ w >= floor:
+            held = w[active]
+            w[active] = active_weights(lam_hi)
+            if not floor_coeff @ w >= floor:
+                w[active] = held
         return w, bool(floor_coeff @ w >= floor), 0
     s_free = s[free]
     target = d[free].sum() / kappa + d[capped] @ cap[capped] + fixed - floor
@@ -178,7 +186,7 @@ def _multiplier_step(kappa, floor, caps, active, floor_coeff, s, w):
         if supplied >= floor:
             break
         iters += 1
-        slope = float(np.sum((s_free + lam) ** -2.0))
+        slope = float(((s_free + lam) ** -2.0).sum())
         # at least one ulp a step, in case rounding makes the Newton step vanish
         lam = max(lam + (goal - supplied) / slope, float(np.nextafter(lam, np.inf)))
     return w, True, iters
@@ -186,15 +194,17 @@ def _multiplier_step(kappa, floor, caps, active, floor_coeff, s, w):
 
 def _weights_at(kappa, d, s, lam, cap):
     """The water-filling weights ``clip(1/kappa - 1/(d*(s + lam)), 0, cap)``,
-    elementwise. Its exceptions are expected and silenced: ``s + lam = 0``
-    (penalty off, at ``lam = 0``) divides by zero and the weight clips to 0,
-    and a load fraction near the smallest float overflows ``1/(d*(s + lam))``,
-    where ``inf - inf`` leaves a NaN weight that meets no floor test. A load
+    elementwise, for a caller inside ``_solve_rows``'s ``np.errstate``, which
+    silences its expected exceptions: ``s + lam = 0`` (penalty off, at
+    ``lam = 0``) divides by zero and the weight clips to 0, and a load
+    fraction near the smallest float overflows ``1/(d*(s + lam))``, where
+    ``inf - inf`` leaves a NaN weight that meets no floor test. A load
     fraction that underflowed to 0 (every row's caps then fall below the
-    floor, and its weights are discarded) divides as a NumPy float, not as
-    a Python one, which would raise."""
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        return np.clip(np.float64(1.0) / kappa - 1.0 / (d * (s + lam)), 0.0, cap)
+    floor, and its weights are discarded) divides as a NumPy float, not as a
+    Python one, which would raise. The two ufuncs clip as ``np.clip`` does,
+    bit for bit, NaN included: the difference is never -0.0, as ``1/kappa``
+    is positive."""
+    return np.minimum(np.maximum(np.float64(1.0) / kappa - 1.0 / (d * (s + lam)), 0.0), cap)
 
 
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -251,7 +261,9 @@ def _solve_rows(terms: _ConfigTerms, phi: np.ndarray, eff: np.ndarray, urllc_eff
     baseline 1). The rows decided in closed form (no floor, caps below the
     floor, or the ``lam = 0`` weights meeting it) are computed together, every
     ``@`` of one row a ``_row_dots``; a row that needs the multiplier goes
-    through ``_multiplier_step`` on its slices of the chunk's arrays."""
+    through ``_multiplier_step`` on its slices of the chunk's arrays. One
+    ``np.errstate`` holds the ``lam = 0`` weights and the multiplier loop, so
+    every ``_weights_at`` call of the chunk runs inside it."""
     kappa, floor, caps, penalty = terms
     active = _log_users(phi, eff)
     rate = phi * eff
@@ -262,18 +274,20 @@ def _solve_rows(terms: _ConfigTerms, phi: np.ndarray, eff: np.ndarray, urllc_eff
     iterations = np.zeros(len(eff), dtype=int)
     if floor > 0.0:
         short = max_rate < floor
-        with np.errstate(divide="ignore", invalid="ignore"):  # d = 0: a user or row not used
+        # one errstate for every _weights_at call of the chunk; d = 0 (a user
+        # or row not used) also divides by zero in s
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             s = kappa * penalty * rate / floor_coeff
-        w = np.where(active, _weights_at(kappa, floor_coeff, s, 0.0, caps), 0.0)
-        # not (supply >= floor): a NaN supply goes on to the multiplier
-        multiplier = ~short & ~(_row_dots(floor_coeff, w) >= floor)
-        w[short] = caps
-        feasible = ~short
-        for i in np.flatnonzero(multiplier).tolist():
-            a = active if active.ndim == 1 else active[i]
-            _, feasible[i], iterations[i] = _multiplier_step(  # overwrites row i of w
-                kappa, floor, caps, a, floor_coeff[i], s[i, a], w[i]
-            )
+            w = np.where(active, _weights_at(kappa, floor_coeff, s, 0.0, caps), 0.0)
+            # not (supply >= floor): a NaN supply goes on to the multiplier
+            multiplier = ~short & ~(_row_dots(floor_coeff, w) >= floor)
+            w[short] = caps
+            feasible = ~short
+            for i in np.flatnonzero(multiplier).tolist():
+                a = active if active.ndim == 1 else active[i]
+                _, feasible[i], iterations[i] = _multiplier_step(  # overwrites row i of w
+                    kappa, floor, caps, a, floor_coeff[i], s[i, a], w[i]
+                )
     objective, var_level = _row_objectives(rate, w, kappa, penalty, active)
     return _Rows(w, feasible, objective, var_level, max_rate, iterations)
 

@@ -1,10 +1,12 @@
 import json
 import math
 
+import numpy as np
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from urllc_slice.json_writer import _json_indented, _trace_json
+from urllc_slice.json_writer import _csv, _json_indented, _trace_json
+from urllc_slice.simulator import RunMetrics
 
 scalars = (
     st.none()
@@ -141,3 +143,50 @@ def test_trace_writer_matches_json_dumps_byte_for_byte(sink):
 def test_trace_writer_writes_other_documents_as_json_dumps():
     for doc in ([], {}, [[]], [1, 2], {"slot": 0}, "trace"):
         assert _trace_json(doc) == json.dumps(doc, indent=2, sort_keys=True)
+
+
+# -- the metrics files from one text per float ---------------------------------
+
+# repr turns to exponent notation below 1e-4 and from 1e16 on
+SWITCH_POINTS = [1e-4, 9.999999999999999e-05, 1e-5, 1.0000000000000001e-05, 9.999999999999999e-06,
+                 1e16, 9999999999999998.0, 1.0000000000000002e16, 1e15]
+SPECIAL = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308,
+           2.2250738585072014e-308, 1.7976931348623157e308, *SWITCH_POINTS]
+metric_floats = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(SPECIAL)
+metric_arrays = st.lists(metric_floats, min_size=1, max_size=8).map(np.array)
+
+
+def run_metrics(values, probs, rates, thetas):
+    return RunMetrics(
+        policy="proposed", slots=len(values), seed=7, puncture_prob=0.5, urllc_outage_budget=0.1,
+        risk_weight=1.0, embb_reliability=0.9, urllc_outage_rate=0.0, mean_sum_rate=-0.0,
+        sum_rate_cvar_upper=math.inf, sum_rate_cvar_lower=math.nan, ecdf_values=values, ecdf_probs=probs,
+        per_user_mean_rate=rates, per_user_mean_theta=thetas, n_infeasible_slots=0,
+    )
+
+
+def old_files(m):
+    """The three files as the writers made them with a text per float per file."""
+    ecdf = _csv(["value", "cum_prob"], zip(m.ecdf_values.tolist(), m.ecdf_probs.tolist()))
+    rates, thetas = m.per_user_mean_rate.tolist(), m.per_user_mean_theta.tolist()
+    users = _csv(["user", "mean_rate", "mean_theta"], zip(range(len(rates)), rates, thetas))
+    return json.dumps(m.to_dict(), indent=2, sort_keys=True), ecdf, users
+
+
+@given(metric_arrays, metric_arrays, metric_arrays)
+# a one-value ECDF, and both halves of every pair of columns non-finite
+@example(np.array([1.5]), np.array([1.0]), np.array([0.0]))
+@example(np.array(SPECIAL), np.array(SPECIAL[::-1]), np.array(SWITCH_POINTS))
+@example(np.array([math.nan, -math.inf]), np.array([math.inf, math.nan]), np.array([-0.0, 5e-324]))
+def test_shared_float_texts_give_the_old_metrics_files_byte_for_byte(ecdf, users, thetas):
+    m = run_metrics(ecdf, ecdf[::-1].copy(), users, np.resize(thetas, users.shape))
+    assert (m.to_json(), m.ecdf_csv(), m.per_user_csv()) == old_files(m)
+
+
+def test_non_finite_floats_keep_the_json_and_csv_spellings():
+    special = np.array([math.nan, math.inf, -math.inf])
+    m = run_metrics(special, special, special, special)
+    document = m.to_json()
+    assert '"values": [\n      NaN,\n      Infinity,\n      -Infinity\n    ]' in document
+    assert m.ecdf_csv() == "value,cum_prob\nnan,nan\ninf,inf\n-inf,-inf\n"
+    assert m.per_user_csv() == "user,mean_rate,mean_theta\n0,nan,nan\n1,inf,inf\n2,-inf,-inf\n"

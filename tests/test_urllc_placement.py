@@ -533,7 +533,7 @@ def test_a_segment_without_free_users_is_solved_at_its_breakpoint(tmp_path, poli
 # comparing them checks neither. frozen_solve and frozen_finish are copies of
 # the one-problem solver from before the chunk kernel took its place: the
 # oracle of the kernel, and of any kernel that batches its rows. Keep them as
-# they are.
+# they are, but for the one change marked in frozen_solve.
 
 
 def frozen_weights_at(kappa, d, s, lam, cap):
@@ -581,6 +581,15 @@ def frozen_solve(terms, phi, eff, urllc_eff):
     free, capped = (enter <= lam_lo) & (full >= lam_hi), full <= lam_lo
     if not free.any():
         w[a] = np.where(full <= lam_hi, cap, 0.0)
+        # Changed from the one-problem solver, which stopped here: where these
+        # weights miss the floor, the weights at lam_hi can still meet it, by
+        # the few ulps rounding leaves the user entering there
+        # (test_a_segment_without_free_users_meets_the_floor_at_its_end).
+        if not floor_coeff @ w >= floor:
+            at_hi = w.copy()
+            at_hi[a] = active_weights(lam_hi)
+            if floor_coeff @ at_hi >= floor:
+                w = at_hi
         return w, bool(floor_coeff @ w >= floor), 0, True
     s_free = s[free]
     target = d[free].sum() / kappa + d[capped] @ cap[capped] + fixed - floor
@@ -740,11 +749,97 @@ def test_multiplier_step_equals_the_frozen_solver_bit_for_bit(monkeypatch, kw, m
     assert seen == multiplier_rows
 
 
+# kappa, d, s, lam, cap of hand-built rows for _weights_at
+WEIGHT_ROWS = [
+    # 1/kappa overflows to inf, and so does 1/(d*(s + lam)): inf - inf is NaN
+    (5e-324, [5e-324, 1.0], [0.0, 0.0], 1.0, [1.0, 1.0]),
+    # s + lam = 0 divides by zero: -inf clips to 0, or +inf to the cap
+    (0.5, [1.0, 1.0, 2.0], [0.0, -0.0, 1.0], 0.0, [1.0, 0.5, 1.0]),
+    (0.5, [1.0, 1.0, 2.0], [0.0, -0.0, 1.0], -0.0, [1.0, 0.5, 1.0]),
+    (0.5, [1.0, 2.0], [1.0, 3.0], -1.0, [1.0, 1.0]),
+    # 2 - 1/(d*(s + lam)) is exactly 0, below 0, exactly the cap, above it
+    (0.5, [0.5, 0.25, 1.0, 4.0], [1.0, 1.0, 1.0, 1.0], 0.0, [1.0, 1.0, 1.0, 1.0]),
+    # -0.0 floor coefficients, penalties and multipliers
+    (0.5, [-0.0, 1.0, -0.0], [1.0, -0.0, -0.0], -0.0, [1.0, 1.0, 0.25]),
+    # the breakpoint search's column of multipliers
+    (0.1, [0.3, 0.083], [0.0, 0.5], np.array([[0.0], [-0.0], [1.0], [np.inf], [np.nan]]), [1.0, 0.9]),
+]
+
+
+@pytest.mark.parametrize("kappa, d, s, lam, cap", WEIGHT_ROWS)
+@pytest.mark.parametrize("copies", [1, 37])
+def test_weights_at_equals_the_frozen_clip_bit_for_bit(kappa, d, s, lam, cap, copies):
+    # the minimum and maximum ufuncs clip as np.clip does, NaN included; 37
+    # copies of a row also take the ufuncs' vector loops
+    from urllc_slice.urllc_placement import _weights_at
+
+    d, s, cap = (np.tile(np.array(x, dtype=float), copies) for x in (d, s, cap))
+    want = frozen_weights_at(kappa, d, s, lam, cap)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        got = _weights_at(kappa, d, s, lam, cap)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    assert np.isnan(want).any() or kappa > 5e-324
+
+
+@pytest.mark.parametrize(
+    "kw, multiplier_rows",
+    [
+        # the CI's vanishing-load config: 1/0, an overflow to inf and inf - inf
+        # in the water-filling
+        ({"num_embb_users": 1, "num_rbs": 5, "num_minislots": 1, "num_urllc_users": 1, "snr_min_db": 3,
+          "snr_max_db": 3, "puncture_prob": 5e-324, "risk_weight": 0}, 14),
+        # the CI's users without bandwidth; every slot is infeasible at the
+        # tighter budget
+        ({"num_embb_users": 12, "num_rbs": 5, "urllc_outage_budget": 0.1}, 0),
+        ({"num_embb_users": 12, "num_rbs": 5, "urllc_outage_budget": 0.5}, 40),
+    ],
+)
+def test_per_slot_solvers_raise_no_runtime_warning(monkeypatch, kw, multiplier_rows):
+    # one np.errstate for each _solve_rows call and one for its objectives,
+    # however many _weights_at calls its rows make
+    import warnings
+
+    from urllc_slice import urllc_placement
+    from urllc_slice.embb_scheduler import round_to_binary, solve_fractional
+    from urllc_slice.model import sample_channel, sample_mean_snr
+    from urllc_slice.simulator import mean_snr_rng, slot_rng
+
+    errstate, weights_at, entered, weighed = np.errstate, urllc_placement._weights_at, [], []
+
+    def counting_errstate(**kwargs):
+        entered.append(1)
+        return errstate(**kwargs)
+
+    def counting_weights_at(*args):
+        weighed.append(1)
+        return weights_at(*args)
+
+    monkeypatch.setattr(np, "errstate", counting_errstate)
+    monkeypatch.setattr(urllc_placement, "_weights_at", counting_weights_at)
+    cfg = SystemConfig(**kw)
+    means = sample_mean_snr(cfg, mean_snr_rng(0))
+    stepped = 0  # calls that reach the multiplier step
+    for slot in range(20):
+        chan = sample_channel(cfg, *means, slot_rng(0, slot))
+        mat = round_to_binary(solve_fractional(cfg, chan), cfg)
+        for solver in (solve_placement, solve_baseline1, solve_baseline2):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                del entered[:], weighed[:]
+                sol = solver(cfg, chan, mat)
+                if solver is not solve_baseline2:
+                    assert len(entered) == 2 and len(weighed) >= 1
+                    stepped += len(weighed) > 1
+                urllc_placement.placement_objective(cfg, chan, mat, sol.weights)
+    assert stepped == multiplier_rows
+
+
 # -- the step's operators on rows built by hand ----------------------------------
 #
 # _multiplier_step keeps frozen_solve's comparisons and its Python max. No
-# row of the configs above tells three of them from a near variant; the test
-# below pins the one a row can tell apart. The other two agree with their
+# row of the configs above tells three of them from a near variant; the tests
+# below pin the one a row can tell apart. The other two agree with their
 # variants on every row the frozen solver returns from:
 #
 # - The Newton loop's `supplied >= floor` and `not supplied < floor` differ
@@ -760,14 +855,14 @@ def test_multiplier_step_equals_the_frozen_solver_bit_for_bit(monkeypatch, kw, m
 #   never reaches the step. And `x - y` is -0.0 only for x = -0.0, y = 0.0.
 
 
-def test_a_segment_without_free_users_can_miss_the_floor():
+def test_a_segment_without_free_users_meets_the_floor_at_its_end():
     # Two users whose water-filling ranges do not overlap: the first reaches
     # its cap before the second enters. At the second user's entry point
     # rounding leaves it a weight of a few ulps, and the floor is the supply
     # there. The search brackets the segment from the first user's cap point
-    # to that entry point, on which no user is free, and the no-free-user
-    # branch gives the second user 0: it misses the floor by those few ulps and
-    # reports the row infeasible (a weight a few ulps larger would meet it)
+    # to that entry point, on which no user is free. The second user's jump
+    # weight at the segment's end is 0, which misses the floor by those few
+    # ulps; the weights at the segment's end meet it, and the row is feasible
     from urllc_slice.urllc_placement import _ConfigTerms, _solve_rows
 
     kappa, phi, eff, urllc_eff = 0.1, np.array([3.0, 0.83]), np.ones(2), 1.0
@@ -776,11 +871,38 @@ def test_a_segment_without_free_users_can_miss_the_floor():
     assert at_entry[0] == 1.0 and 0.0 < at_entry[1] < 1e-14
     terms = _ConfigTerms(kappa, float(at_entry @ d), caps, 0.0)
     assert float(d @ caps) > terms.floor
+    assert float(d @ [1.0, 0.0]) < terms.floor
     w, feasible, iters, past_lam_zero = frozen_solve(terms, phi, eff, urllc_eff)
-    assert (w.tolist(), feasible, iters, past_lam_zero) == ([1.0, 0.0], False, 0, True)
+    assert (w.tobytes(), feasible, iters, past_lam_zero) == (at_entry.tobytes(), True, 0, True)
+    rows = _solve_rows(terms, phi, eff[None, :], np.array([urllc_eff]))
+    assert rows.weights[0].tobytes() == w.tobytes()
+    assert (rows.feasible.tolist(), rows.iterations.tolist()) == ([True], [0])
+    assert np.all((rows.weights[0] >= 0.0) & (rows.weights[0] <= caps))
+    assert float(d @ rows.weights[0]) >= terms.floor
+
+
+def test_a_segment_without_free_users_can_still_miss_the_floor_by_rounding():
+    # The row above with a third user outside the log objective (zero
+    # efficiency) held at its cap. The search sums the supply as the active
+    # users' dot plus the outside user's share; the floor is that sum at the
+    # second user's entry point. The supply over all three users, in index
+    # order, rounds an ulp below it, at the jump weights and at the weights at
+    # the segment's end alike, so the row is still reported infeasible
+    from urllc_slice.urllc_placement import _ConfigTerms, _solve_rows
+
+    kappa, urllc_eff = 0.1, 1.0
+    phi, eff = np.array([2.2850855255883067, 3.0, 1.4304732188153333]), np.array([0.0, 1.0, 1.0])
+    d, caps = phi * kappa * urllc_eff, np.ones(3)
+    at_entry = frozen_weights_at(kappa, d[1:], 0.0, kappa / d[2], caps[1:])
+    assert at_entry[0] == 1.0 and 0.0 < at_entry[1] < 1e-14
+    terms = _ConfigTerms(kappa, float(at_entry @ d[1:] + d[0]), caps, 0.0)
+    assert float(d @ [1.0, *at_entry]) < terms.floor and float(d @ [1.0, 1.0, 0.0]) < terms.floor
+    w, feasible, iters, past_lam_zero = frozen_solve(terms, phi, eff, urllc_eff)
+    assert (w.tolist(), feasible, iters, past_lam_zero) == ([1.0, 1.0, 0.0], False, 0, True)
     rows = _solve_rows(terms, phi, eff[None, :], np.array([urllc_eff]))
     assert rows.weights[0].tobytes() == w.tobytes()
     assert (rows.feasible.tolist(), rows.iterations.tolist()) == ([False], [0])
+    assert np.all((rows.weights[0] >= 0.0) & (rows.weights[0] <= caps))
 
 
 def sequential_baseline2(terms, phi, eff, urllc_eff):
