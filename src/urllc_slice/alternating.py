@@ -12,12 +12,12 @@ when it equals the previous round's, the round reuses the previous
 assignment, rounding, placement and trace values instead of computing them
 again. Placement keeps every user active, so from zero puncturing the second
 round repeats the first and the loop stops at its fixed point after two
-rounds, having solved each block once. Given the configuration's all-active
-assignment (``all_active_assignment``), such a run returns those two rounds
-without entering the loop; ``_all_active_rounds`` computes them for a whole
-chunk of slots at once, as arrays. Because rounding is interleaved,
-block ascent is monotone in the objective evaluated on the fractional
-assignment; the rounded objective is recorded alongside it.
+rounds, having solved each block once. Given round 1's assignment
+(``all_active_assignment`` when every user is active), such a run returns
+those two rounds without entering the loop; ``_all_active_rounds`` computes
+them for a whole chunk of slots at once, as arrays. Because rounding is
+interleaved, block ascent is monotone in the objective evaluated on the
+fractional assignment; the rounded objective is recorded alongside it.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ import numpy as np
 from .embb_scheduler import (
     _array_rate_coefficients,
     _equal_shares,
+    _log_excluded,
     active_user_mask,
     round_to_binary,
     solve_fractional,
@@ -81,32 +82,51 @@ class AlternationTrace:
 
 @dataclass(frozen=True)
 class AllActive:
-    """Round 1's assignment of a zero-initialised ``run`` in which every user
-    is active, its user bandwidths and the placement problem's configuration
-    terms. It depends on the configuration alone, so one serves every slot of
-    a run. ``rounded_values`` holds the rounded bandwidths as floats, which
-    every answered trace entry's ``user_bandwidth`` list copies, so an
-    answered slot makes no new float objects for them."""
+    """Round 1's assignment of a zero-initialised ``run`` whose active set is
+    ``mask``, the users it leaves out, its user bandwidths (as floats in
+    ``rounded_values``, which answered trace entries copy) and the placement
+    problem's configuration terms: one serves every slot of a run with that
+    active set. ``_row_assignments`` stacks a chunk's rows: S x U masks and
+    bandwidths, the rest None but the terms."""
 
-    binary: SchedulingMatrix
+    mask: np.ndarray
+    excluded: list | None
+    binary: SchedulingMatrix | None
     fractional_bandwidth: np.ndarray
     rounded_bandwidth: np.ndarray
-    rounded_values: tuple
+    rounded_values: tuple | None
     placement_terms: _ConfigTerms
 
 
 def all_active_assignment(cfg: SystemConfig) -> AllActive:
-    """The ``AllActive`` of ``cfg``, for ``run``'s ``all_active``."""
-    frac = _equal_shares(cfg, np.ones(cfg.num_embb_users, dtype=bool))
+    """The ``AllActive`` of ``cfg`` with every user active."""
+    return _assignment(cfg, np.ones(cfg.num_embb_users, dtype=bool), _config_terms(cfg))
+
+
+def _assignment(cfg: SystemConfig, mask: np.ndarray, terms: _ConfigTerms) -> AllActive:
+    """The ``AllActive`` of ``cfg`` whose active set is ``mask``."""
+    frac = _equal_shares(cfg, mask)
     binary = round_to_binary(frac, cfg)
     rounded = binary.user_bandwidth(cfg.rb_bandwidth)
-    return AllActive(
-        binary,
-        frac.user_bandwidth(cfg.rb_bandwidth),
-        rounded,
-        tuple(rounded.tolist()),
-        _config_terms(cfg),
-    )
+    excluded, fractional = np.flatnonzero(~mask).tolist(), frac.user_bandwidth(cfg.rb_bandwidth)
+    return AllActive(mask, excluded, binary, fractional, rounded, tuple(rounded.tolist()), terms)
+
+
+def _row_assignments(cfg: SystemConfig, all_active: AllActive, eff: np.ndarray):
+    """Round 1's ``AllActive`` for every row of the S x U spectral
+    efficiencies ``eff``, whose active set is the row's positive ones: a list
+    of one a row, made once per distinct set (``all_active`` for every user),
+    and their stack for ``_all_active_rounds``."""
+    positive = eff > 0.0
+    if positive.all():
+        return [all_active] * len(eff), all_active
+    masks, group = np.unique(positive, axis=0, return_inverse=True)
+    group = group.reshape(-1)  # NumPy 2.0.0 gives it a trailing axis
+    distinct = [all_active if m.all() else _assignment(cfg, m, all_active.placement_terms) for m in masks]
+    frac = np.array([a.fractional_bandwidth for a in distinct])[group]
+    rounded = np.array([a.rounded_bandwidth for a in distinct])[group]
+    stacked = AllActive(positive, None, None, frac, rounded, None, all_active.placement_terms)
+    return [distinct[g] for g in group.tolist()], stacked
 
 
 def _initial_weights(cfg: SystemConfig, init: str, rng) -> np.ndarray:
@@ -145,14 +165,14 @@ def run(
     and solves again. The trace objective of the matrix that placement solved
     on is the placement's own objective; only the other matrix's is evaluated.
 
-    ``all_active``, ``all_active_assignment(cfg)``, lets a call from
-    ``init="zero"`` skip the loop when its two all-active rounds answer the
-    slot (``_all_active_rounds``); the matrix it returns is then
-    ``all_active.binary`` itself. The result is the same, bit for bit.
-    ``row``, ``(rounds, i)``, hands over those rounds when the caller has
-    computed them for a chunk of slots, ``rounds`` being the chunk's
-    ``_all_active_rounds`` at the same ``post_round`` and this slot its row
-    ``i``; without it the call computes its own one-row case.
+    ``all_active``, an ``AllActive`` of ``cfg``, lets a call from
+    ``init="zero"`` skip the loop when its two rounds at that assignment
+    answer the slot (``_all_active_rounds``); the matrix it returns is then
+    ``all_active.binary`` itself. The result is the same, bit for bit, the
+    log included. ``row``, ``(rounds, i)``, hands over those rounds when the
+    caller has computed them for a chunk of slots, ``rounds`` being the
+    chunk's ``_all_active_rounds`` at the same ``post_round`` and this slot
+    its row ``i``; without it the call computes its own one-row case.
     """
     if max_iters < 1:
         raise ConfigError("max_iters must be >= 1")
@@ -162,6 +182,7 @@ def run(
             row = _all_active_rounds(all_active, eff[None, :], np.array([urllc_eff]), post_round), 0
         rounds, i = row
         if rounds.answered[i]:
+            _log_excluded(all_active.excluded)
             return _answered_run(all_active, rounds, i)
     weights = _initial_weights(cfg, init, rng)
     trace = AlternationTrace()
@@ -207,8 +228,8 @@ def run(
 
 
 class AllActiveRounds(NamedTuple):
-    """``run``'s two all-active rounds from zero weights for every slot (row)
-    of a chunk, as arrays: whether they answer the slot, the placement they
+    """``run``'s first two rounds from zero weights for every slot (row) of
+    a chunk, as arrays: whether they answer the slot, the placement they
     solve, and each row's fractional and rounded trace objectives (S x 2)."""
 
     answered: np.ndarray
@@ -217,16 +238,13 @@ class AllActiveRounds(NamedTuple):
 
 
 def _all_active_rounds(all_active: AllActive, eff: np.ndarray, urllc_eff: np.ndarray, post_round: bool):
-    """The ``AllActiveRounds`` of the slots whose broadband spectral
-    efficiencies are the rows of the S x U ``eff`` and whose mean URLLC
-    spectral efficiencies are the S ``urllc_eff``.
-
-    With every spectral efficiency of a row positive, round 1 keeps every
-    user active and so assigns ``all_active``. Round 2 repeats it, and the
-    loop stops converged, exactly when round 1's weights keep every user
-    active (``active_user_mask``'s test): those rows are answered. Their
-    values equal the loop's bit for bit (``_solve_rows``).
-    """
+    """The ``AllActiveRounds`` at ``all_active`` (or at its stacked rows) of
+    the slots whose S x U broadband and S mean URLLC spectral efficiencies
+    are ``eff`` and ``urllc_eff``. Round 1 assigns ``all_active`` to a row
+    whose positive efficiencies are its mask; round 2 repeats it, and the
+    loop stops converged, exactly when round 1's weights keep those users
+    active (``active_user_mask``'s test): those rows are answered, with the
+    loop's values bit for bit (``_solve_rows``)."""
     terms = all_active.placement_terms
     placed, other = all_active.fractional_bandwidth, all_active.rounded_bandwidth
     if not post_round:
@@ -235,8 +253,8 @@ def _all_active_rounds(all_active: AllActive, eff: np.ndarray, urllc_eff: np.nda
     kappa = terms.load_fraction
     other_objective = _row_objectives(other * eff, rows.weights, kappa, terms.penalty, other > 0.0)[0]
     objectives = (rows.objective, other_objective) if post_round else (other_objective, rows.objective)
-    # a zero efficiency is a zero rate coefficient: its row is not answered
-    answered = (_array_rate_coefficients(eff, rows.weights, kappa) > 0.0).all(axis=1)
+    coeff, mask = _array_rate_coefficients(eff, rows.weights, kappa), all_active.mask
+    answered = ((eff > 0.0) == mask).all(axis=1) & ((coeff > 0.0) == mask).all(axis=1)
     return AllActiveRounds(answered, rows, np.stack(objectives, axis=1))
 
 

@@ -90,14 +90,14 @@ def solve_fractional(
     and logged rather than crashing the log objective.
     """
     active = active_user_mask(cfg, chan, weights)
-    n_active = np.count_nonzero(active)
-    if n_active < cfg.num_embb_users:
-        logger.warning(
-            "excluding %d degenerate user(s) from scheduling: %s",
-            cfg.num_embb_users - n_active,
-            np.flatnonzero(~active).tolist(),
-        )
+    _log_excluded(np.flatnonzero(~active).tolist())
     return _equal_shares(cfg, active)
+
+
+def _log_excluded(excluded: list) -> None:
+    """Logs the users ``excluded`` from a slot's scheduling, if any."""
+    if excluded:
+        logger.warning("excluding %d degenerate user(s) from scheduling: %s", len(excluded), excluded)
 
 
 def _equal_shares(cfg: SystemConfig, active: np.ndarray) -> SchedulingMatrix:

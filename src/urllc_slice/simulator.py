@@ -10,14 +10,14 @@ slots is drawn and turned into channel terms once, and every run takes its
 policy step and evaluation on the same arrays. The slots of a batch run in
 the calling process as one range, a chunk at a time.
 
-A range of slots is drawn, turned into channel terms and evaluated as arrays
-over its slots, and both baselines are solved a chunk of slots at a time. The
-rest of the policy step (``alternating.run`` and a baseline slot with a user
-at zero spectral efficiency) runs slot by slot. Each slot's stream is NumPy's
-``default_rng(SeedSequence((seed, 1, slot)))``: its SeedSequence hashing is
-done for every slot of a range at once, and one reused ``PCG64`` is seeded
-from each slot's words in turn, so the draws are those of ``slot_rng``, bit
-for bit.
+A range of slots is drawn, turned into channel terms, solved and evaluated
+as arrays, a chunk at a time, each slot at round 1's assignment of its own
+active set; only ``alternating.run`` runs slot by slot, and enters its loop
+only for a proposed slot its chunk's rounds do not answer. Each slot's
+stream is NumPy's ``default_rng(SeedSequence((seed, 1, slot)))``: its
+SeedSequence hashing is done for every slot of a range at once, and one
+reused ``PCG64`` is seeded from each slot's words in turn, so the draws are
+those of ``slot_rng``, bit for bit.
 """
 
 from __future__ import annotations
@@ -32,7 +32,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import alternating, urllc_placement
-from .embb_scheduler import round_to_binary, solve_fractional
+from .embb_scheduler import _log_excluded
+from .embb_scheduler import round_to_binary, solve_fractional  # noqa: F401  (perfbench's tracer wraps them)
 from .json_writer import (
     _csv_lines,
     _fields_dict,
@@ -266,61 +267,42 @@ class _ChunkRows(NamedTuple):
     record: _TraceRecord | None
 
 
-def _policy_step(cfg, policy, chan, post_round, all_active, row):
-    """One slot's assignment matrix, placement and, for the proposed policy,
-    alternation trace (None for the baselines). ``row`` is the slot's row of
-    its chunk's all-active rounds (proposed policy only)."""
-    if policy == Policy.PROPOSED:
-        return alternating.run(cfg, chan, post_round=post_round, all_active=all_active, row=row)
-    binary = round_to_binary(solve_fractional(cfg, chan, weights=None), cfg)
-    if policy == Policy.BASELINE1:
-        return binary, urllc_placement.solve_baseline1(cfg, chan, binary), None
-    return binary, urllc_placement.solve_baseline2(cfg, chan, binary), None
-
-
 def _policy_rows(cfg, policy, all_active, chunk: _Chunk, post_round, traced):
     """One run's user bandwidths and weights (S x U) and feasibility (S) on
     the slots of ``chunk``, and, if ``traced`` (proposed policy only), its
-    ``_TraceRecord``, whose rounds stand for the slots they answer and which
-    holds the other slots' trace dicts (``_trace_dicts`` expands it).
-    ``all_active`` is ``alternating.all_active_assignment(cfg)``, with the
-    placement problem's configuration terms. Proposed solves its two rounds
-    once per chunk (``alternating._all_active_rounds``); each slot's
-    ``alternating.run`` takes its row of them, and a slot they answer takes
-    the assignment's rounded bandwidths. A baseline solves the chunk at that
-    assignment (``urllc_placement._baseline2_rows``, or ``_solve_rows`` with
-    the penalty off), which every slot whose efficiencies are all positive
-    keeps; a slot with a zero efficiency runs its own assignment and solve."""
-    gains, eff, urllc_eff = chunk.gains, chunk.eff, chunk.urllc_eff
-    phi, weights = np.empty_like(gains), np.empty_like(gains)
-    feasible = np.empty(len(gains), dtype=bool)
-    rounds, record, answered = None, None, np.zeros(len(gains), dtype=bool)
-    if policy == Policy.PROPOSED:
-        rounds = alternating._all_active_rounds(all_active, eff, urllc_eff, post_round)
-        if traced:  # the slot loop fills in its fallback list
-            record = _TraceRecord(chunk.start, all_active, rounds, [])
-    else:
-        # a row without a zero efficiency keeps every user active
-        answered = (eff > 0.0).all(axis=1)
-        phi[:] = bandwidth = all_active.rounded_bandwidth
-        terms = all_active.placement_terms
+    ``_TraceRecord``: its rounds stand for the slots they answer at
+    ``all_active`` (``alternating.all_active_assignment(cfg)``), its list
+    holds the other slots' trace dicts. The chunk is solved once, each slot
+    at round 1's assignment of its own active set
+    (``alternating._row_assignments``): proposed's two rounds
+    (``alternating._all_active_rounds``), whose rows each slot's
+    ``alternating.run`` takes, or a baseline's placement
+    (``urllc_placement._baseline2_rows``, or ``_solve_rows`` with the penalty
+    off), whose slots' excluded users are logged as ``solve_fractional`` does."""
+    eff, urllc_eff = chunk.eff, chunk.urllc_eff
+    assignments, stacked = alternating._row_assignments(cfg, all_active, eff)
+    phi = np.broadcast_to(stacked.rounded_bandwidth, eff.shape).copy()
+    if policy != Policy.PROPOSED:
+        for assignment in assignments:
+            _log_excluded(assignment.excluded)
+        terms = stacked.placement_terms
         if policy == Policy.BASELINE2:
-            solved = urllc_placement._baseline2_rows(terms, bandwidth, eff, urllc_eff)
-        else:
-            solved = urllc_placement._solve_rows(terms._replace(penalty=0.0), bandwidth, eff, urllc_eff)
-        weights[:], feasible[:] = solved[:2]
-    for i in np.flatnonzero(~answered).tolist():
-        chan = ChannelRealization(gains[i], chunk.urllc_gains[i])
-        row = None if rounds is None else (rounds, i)
-        binary, placement, alternation = _policy_step(cfg, policy, chan, post_round, all_active, row)
-        if binary is all_active.binary:
-            phi[i] = all_active.rounded_bandwidth
-        else:
+            return (phi, *urllc_placement._baseline2_rows(terms, phi, eff, urllc_eff), None)
+        return (phi, *urllc_placement._solve_rows(terms._replace(penalty=0.0), phi, eff, urllc_eff)[:2], None)
+    rounds = alternating._all_active_rounds(stacked, eff, urllc_eff, post_round)
+    weights, feasible = rounds.placement.weights.copy(), rounds.placement.feasible.copy()
+    answered = rounds.answered & (eff > 0.0).all(axis=1)  # at all_active; the slot loop fills in the rest
+    record = _TraceRecord(chunk.start, all_active, rounds._replace(answered=answered), []) if traced else None
+    for i, assignment in enumerate(assignments):
+        chan = ChannelRealization(chunk.gains[i], chunk.urllc_gains[i])
+        binary, placement, alternation = alternating.run(
+            cfg, chan, post_round=post_round, all_active=assignment, row=(rounds, i)
+        )
+        if binary is not assignment.binary:  # the loop ran
             phi[i] = binary.user_bandwidth(cfg.rb_bandwidth)
-            if record is not None:
-                record.fallback.append({"slot": chunk.start + i, **alternation.to_dict()})
-        weights[i] = placement.weights.weights
-        feasible[i] = placement.feasible
+            weights[i], feasible[i] = placement.weights.weights, placement.feasible
+        if record is not None and binary is not all_active.binary:
+            record.fallback.append({"slot": chunk.start + i, **alternation.to_dict()})
     return phi, weights, feasible, record
 
 

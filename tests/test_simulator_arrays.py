@@ -1,10 +1,13 @@
 """The proposed policy in ``simulator._simulate_range``, which solves each
-chunk's all-active rounds as arrays and passes every slot's ``alternating.run``
-its row of them, so most slots skip the loop, against a reference loop over
+chunk's first two rounds as arrays, every slot at round 1's assignment of its
+own active set, and passes every slot's ``alternating.run`` its assignment and
+its row of them, so slots skip the loop, against a reference loop over
 the public per-slot API (``alternating.run`` without them, followed by
 ``evaluate_slot``): the same four arrays and the same traces, bit for bit."""
 
+import dataclasses
 import json
+import logging
 
 import numpy as np
 import pytest
@@ -172,14 +175,14 @@ def test_array_path_equals_the_per_slot_loop(case):
 
 
 def record_calls(monkeypatch):
-    """Calls of ``alternating.run``, and per slot of every chunk's all-active
-    rounds whether they answered the slot (True) or left it to the loop
-    (False)."""
+    """The assignment (``all_active``, None when not given) of every
+    ``alternating.run`` call, and per slot of every chunk's rounds whether
+    they answered the slot (True) or left it to the loop (False)."""
     calls, answered = [], []
     run, rounds_of = alternating.run, alternating._all_active_rounds
 
     def counting(*args, **kwargs):
-        calls.append(1)
+        calls.append(kwargs.get("all_active"))
         return run(*args, **kwargs)
 
     def recording(*args):
@@ -193,7 +196,7 @@ def record_calls(monkeypatch):
 
 
 @pytest.mark.parametrize("post_round", [False, True])
-def test_slots_with_degenerate_users_fall_back_to_the_loop(monkeypatch, post_round):
+def test_slots_with_degenerate_users_are_answered_at_their_own_active_set(monkeypatch, post_round):
     # near -156 dB a user's spectral efficiency rounds to 0 in some slots only:
     # at seed 7, 23 of these 40 slots have every user above it
     cfg = SystemConfig(num_embb_users=3, snr_min_db=-165.0, snr_max_db=-150.0)
@@ -201,14 +204,21 @@ def test_slots_with_degenerate_users_fall_back_to_the_loop(monkeypatch, post_rou
     assert_same_range(cfg, 7, 0, 40, post_round)
     # every slot is one alternating.run call, in the range and in the reference loop
     assert len(calls) == 40 + 40
-    assert answered.count(True) == 23 and answered.count(False) == 40 - 23
+    given = calls[:40]
+    assert calls[40:] == [None] * 40
+    # each range slot is given round 1's assignment of its own active set,
+    # which answers it: no slot enters the loop
+    assert answered == [True] * 40
+    assert sum(bool(a.mask.all()) for a in given) == 23
+    assert all(a.excluded == np.flatnonzero(~a.mask).tolist() for a in given)
 
 
-def test_a_user_degenerate_in_every_slot_sends_every_slot_to_the_loop(monkeypatch):
+def test_a_user_degenerate_in_every_slot_leaves_no_slot_to_the_loop(monkeypatch):
     calls, answered = record_calls(monkeypatch)
     assert_same_range(SystemConfig(snr_min_db=-400.0, snr_max_db=30.0), 7, 0, 20, False)
     assert len(calls) == 20 + 20
-    assert answered == [False] * 20
+    assert answered == [True] * 20
+    assert not any(a.mask.all() for a in calls[:20])
 
 
 @pytest.mark.parametrize("post_round", [False, True])
@@ -231,14 +241,30 @@ def test_slots_failing_the_round_two_check_fall_back_to_the_loop(monkeypatch, po
     assert len(calls) == 10 + 10
 
 
+def chunk_rows(all_active, keep):
+    """The rounds' ``all_active`` of the chunk rows in ``keep``: a stacked
+    one's rows, one assignment as it is."""
+    if all_active.mask.ndim == 1:
+        return all_active
+    rows = {name: getattr(all_active, name)[keep] for name in ("mask", "fractional_bandwidth", "rounded_bandwidth")}
+    return dataclasses.replace(all_active, **rows)
+
+
+# _multiplier_step calls of the degenerate-user rows of the range below: they
+# are solved at the fractional or the rounded bandwidths of their own active
+# set, which differ
+DEGENERATE_STEPS = {False: 10, True: 8}
+
+
 @pytest.mark.parametrize("post_round", [False, True])
 def test_a_range_of_many_chunks_mixing_every_kind_of_row(monkeypatch, post_round):
     # seed 153 draws one broadband user near -156 dB and one URLLC user whose
     # fading sometimes leaves the floor out of reach, so these 60 slots mix
-    # degenerate-user rows with answered rows of every kind: lam = 0 weights,
-    # the multiplier (through _multiplier_step) and caps below the floor. A
-    # degenerate row is solved as its own slot too, so it may take the step;
-    # the rows without a zero efficiency are solved again alone to count theirs
+    # degenerate-user rows with rows of every kind: lam = 0 weights, the
+    # multiplier (through _multiplier_step) and caps below the floor. Every
+    # row is solved once, at its own active set's assignment, and answered;
+    # the rows with and without a zero efficiency are solved again apart to
+    # count their steps, which add up to the chunk's
     cfg = SystemConfig(snr_min_db=-158.0, snr_max_db=30.0, num_urllc_users=1)
     per_slot = cfg.num_embb_users + cfg.num_urllc_users + cfg.num_minislots
     monkeypatch.setattr(simulator, "_CHUNK_ENTRIES", 7 * per_slot)
@@ -249,24 +275,35 @@ def test_a_range_of_many_chunks_mixing_every_kind_of_row(monkeypatch, post_round
         solved.append(1)
         return step(*args)
 
+    def steps_of(all_active, eff, urllc_eff, keep):
+        before = len(solved)
+        if keep.any():
+            rounds_of(chunk_rows(all_active, keep), eff[keep], urllc_eff[keep], post_round)
+        return len(solved) - before
+
     def recording(all_active, eff, urllc_eff, post_round):
         before = len(solved)
         rounds = rounds_of(all_active, eff, urllc_eff, post_round)
-        ok = (eff > 0.0).all(axis=1)
         steps = len(solved) - before
-        rounds_of(all_active, eff[ok], urllc_eff[ok], post_round)
-        multiplier = len(solved) - before - steps
+        ok = (eff > 0.0).all(axis=1)
+        multiplier = steps_of(all_active, eff, urllc_eff, ok)
+        degenerate_steps = steps_of(all_active, eff, urllc_eff, ~ok)
         infeasible = int((ok & ~rounds.placement.feasible).sum())
         lam_zero = int((ok & rounds.placement.feasible).sum()) - multiplier
-        chunks.append((len(eff), steps, multiplier, infeasible, lam_zero, int((~ok).sum())))
+        counts = (steps, multiplier, degenerate_steps, infeasible, lam_zero, int((~ok).sum()))
+        chunks.append((len(eff), int(rounds.answered.sum()), *counts))
         return rounds
 
     monkeypatch.setattr(urllc_placement, "_multiplier_step", counting)
     monkeypatch.setattr(alternating, "_all_active_rounds", recording)
     assert_same_range(cfg, 153, 0, 60, post_round)
-    sizes, steps, *kinds = map(list, zip(*chunks))
+    sizes, answered, steps, multiplier, degenerate_steps, *kinds = map(list, zip(*chunks))
     assert sizes == [7] * 8 + [4]
-    assert (sum(steps), *map(sum, kinds)) == (43, 29, 2, 8, 21)
+    assert answered == sizes
+    assert steps == [m + d for m, d in zip(multiplier, degenerate_steps)]
+    assert (sum(steps), sum(multiplier), sum(degenerate_steps), *map(sum, kinds)) == (
+        29 + DEGENERATE_STEPS[post_round], 29, DEGENERATE_STEPS[post_round], 2, 8, 21
+    )
 
 
 VANISHING_LOAD = {
@@ -320,6 +357,33 @@ def test_untraced_range_returns_no_traces():
     assert got[4] == []
 
 
+def logged(fn, *args, **kwargs):
+    """``fn(*args, **kwargs)`` and the (logger, level, message) of every
+    package log record it made."""
+    records = []
+    handler = logging.Handler()
+    handler.emit = lambda r: records.append((r.name, r.levelno, r.getMessage()))
+    package = logging.getLogger("urllc_slice")
+    package.addHandler(handler)
+    try:
+        return fn(*args, **kwargs), records
+    finally:
+        package.removeHandler(handler)
+
+
+def assert_same_run(got, want):
+    assert got[0].entries.tobytes() == want[0].entries.tobytes()
+    assert got[1].weights.weights.tobytes() == want[1].weights.weights.tobytes()
+    fields = ("objective", "feasible", "max_achievable_urllc_rate", "iterations")
+    assert [getattr(got[1], f) for f in fields] == [getattr(want[1], f) for f in fields]
+    assert got[1].weights.var_level == want[1].weights.var_level
+    assert got[2].to_dict() == want[2].to_dict()
+    assert _json_indented(got[2].to_dict()) == _json_indented(want[2].to_dict())
+
+
+OWN = "own active set"
+
+
 @pytest.mark.parametrize("post_round", [False, True])
 @pytest.mark.parametrize(
     "kw, shortcut",
@@ -327,31 +391,39 @@ def test_untraced_range_returns_no_traces():
         ({}, True),
         ({"num_embb_users": 40, "num_rbs": 200}, True),
         ({"urllc_outage_budget": 0.01, "snr_min_db": -10.0, "snr_max_db": 5.0}, True),
-        # a user at zero spectral efficiency: the loop
+        # a user at zero spectral efficiency: the loop at the all-active assignment,
         ({"snr_min_db": -400.0, "snr_max_db": 30.0}, False),
+        # and answered at the assignment of the slot's own active set
+        ({"snr_min_db": -400.0, "snr_max_db": 30.0}, OWN),
     ],
 )
 def test_a_slot_given_its_chunk_row_equals_one_computing_it(kw, shortcut, post_round):
+    own, shortcut = shortcut == OWN, bool(shortcut)
     cfg = SystemConfig(**kw)
     seed, slots = 7, 12
     all_active = alternating.all_active_assignment(cfg)
     fading, urllc_fading, _ = simulator._slot_draws(cfg, seed, 0, slots)
     gains, urllc_gains = _fading_gains(cfg, *sample_mean_snr(cfg, mean_snr_rng(seed)), fading, urllc_fading)
-    rounds = alternating._all_active_rounds(all_active, *_efficiencies(cfg, gains, urllc_gains), post_round)
+    eff, urllc_eff = _efficiencies(cfg, gains, urllc_gains)
+    assignments, stacked = [all_active] * slots, all_active
+    if own:
+        assignments, stacked = alternating._row_assignments(cfg, all_active, eff)
+        assert not any(a.mask.all() for a in assignments)
+    rounds = alternating._all_active_rounds(stacked, eff, urllc_eff, post_round)
     assert rounds.answered.tolist() == [shortcut] * slots
     feasible = []
-    for i in range(slots):
+    for i, assignment in enumerate(assignments):
         chan = ChannelRealization(gains[i], urllc_gains[i])
-        given = alternating.run(cfg, chan, post_round=post_round, all_active=all_active, row=(rounds, i))
-        alone = alternating.run(cfg, chan, post_round=post_round, all_active=all_active)
-        assert (given[0] is all_active.binary) == (alone[0] is all_active.binary) == shortcut
-        assert given[0].entries.tobytes() == alone[0].entries.tobytes()
-        assert given[1].weights.weights.tobytes() == alone[1].weights.weights.tobytes()
-        fields = ("objective", "feasible", "max_achievable_urllc_rate", "iterations")
-        assert [getattr(given[1], f) for f in fields] == [getattr(alone[1], f) for f in fields]
-        assert given[1].weights.var_level == alone[1].weights.var_level
-        assert given[2].to_dict() == alone[2].to_dict()
-        assert _json_indented(given[2].to_dict()) == _json_indented(alone[2].to_dict())
+        args = {"post_round": post_round, "all_active": assignment}
+        given, given_log = logged(alternating.run, cfg, chan, row=(rounds, i), **args)
+        alone, alone_log = logged(alternating.run, cfg, chan, **args)
+        plain, plain_log = logged(alternating.run, cfg, chan, post_round=post_round)
+        assert (given[0] is assignment.binary) == (alone[0] is assignment.binary) == shortcut
+        assert_same_run(given, alone)
+        assert_same_run(given, plain)
+        # the degenerate-user warning included, answered or not
+        assert given_log == alone_log == plain_log
+        assert len(plain_log) == (0 if (eff[i] > 0.0).all() else 1)
         feasible.append(given[1].feasible)
     if cfg.urllc_outage_budget == 0.01:
         assert not any(feasible)

@@ -2,17 +2,20 @@
 derives and evaluates a range of slots as arrays, against a reference loop
 over the public per-slot API (``slot_rng``, ``sample_channel``,
 ``sample_urllc_load``, the scheduler, the baseline solver and
-``evaluate_slot``): the same four arrays, bit for bit. The proposed policy's
-counterpart is in ``test_simulator_arrays.py``, whose config strategy this
-shares."""
+``evaluate_slot``): the same four arrays, bit for bit, and the same log
+records. The proposed policy's counterpart is in ``test_simulator_arrays.py``,
+whose config strategy this shares."""
+
+import logging
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from test_simulator_arrays import assert_same_range as assert_same_proposed_range
-from test_simulator_arrays import outcome_of, range_cases, simulate_range
+from test_simulator_arrays import logged, outcome_of, range_cases, simulate_range
+from test_simulator_arrays import reference_range as reference_proposed_range
 
-from urllc_slice import simulator
+from urllc_slice import alternating, embb_scheduler, simulator, urllc_placement
 from urllc_slice.embb_scheduler import round_to_binary, solve_fractional
 from urllc_slice.model import (
     SystemConfig,
@@ -20,7 +23,6 @@ from urllc_slice.model import (
     sample_channel,
     sample_mean_snr,
     sample_urllc_load,
-    spectral_efficiencies,
 )
 from urllc_slice.simulator import Policy, mean_snr_rng, slot_rng
 from urllc_slice.urllc_placement import solve_baseline1, solve_baseline2
@@ -74,49 +76,84 @@ def test_array_path_equals_the_per_slot_loop(policy, case):
     assert_same_range(cfg, policy, seed, start, stop)
 
 
-def test_only_baseline2_slots_with_a_zero_efficiency_run_per_slot(monkeypatch):
-    # every other slot takes the range's all-active assignment and its row of
-    # the chunk kernel, without a ChannelRealization or a per-slot solve
-    real_step, chans = simulator._policy_step, []
+KERNELS = {Policy.BASELINE1: "_solve_rows", Policy.BASELINE2: "_baseline2_rows"}
 
-    def counting(cfg, policy, chan, *rest):
-        chans.append(chan)
-        return real_step(cfg, policy, chan, *rest)
 
-    monkeypatch.setattr(simulator, "_policy_step", counting)
-    simulate_range(SystemConfig(), Policy.BASELINE2, 7, 0, 100, False, False)
-    assert chans == []
+@pytest.mark.parametrize("policy", list(SOLVERS))
+def test_no_baseline_slot_runs_per_slot(monkeypatch, policy):
+    # every slot, one with a zero efficiency too, takes round 1's assignment
+    # of its own active set and its row of one kernel call per chunk, without
+    # a ChannelRealization, a per-slot assignment or a per-slot solve; an
+    # assignment is rounded once per distinct active set
+    kernel, rows, rounded = getattr(urllc_placement, KERNELS[policy]), [], []
+    rounding = alternating.round_to_binary
+
+    def counting_kernel(terms, phi, eff, urllc_eff):
+        rows.append(eff > 0.0)
+        return kernel(terms, phi, eff, urllc_eff)
+
+    def counting_rounding(frac, cfg):
+        rounded.append(frac)
+        return rounding(frac, cfg)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a per-slot call")
+
+    monkeypatch.setattr(urllc_placement, KERNELS[policy], counting_kernel)
+    monkeypatch.setattr(alternating, "round_to_binary", counting_rounding)
+    for module, name in [
+        (simulator, "ChannelRealization"),
+        (simulator, "solve_fractional"),
+        (simulator, "round_to_binary"),
+        (embb_scheduler, "solve_fractional"),
+        (embb_scheduler, "round_to_binary"),
+        (alternating, "solve_fractional"),
+        (urllc_placement, "solve_baseline1"),
+        (urllc_placement, "solve_baseline2"),
+    ]:
+        monkeypatch.setattr(module, name, refuse)
+    simulate_range(SystemConfig(), policy, 7, 0, 100, False, False)
+    assert [len(r) for r in rows] == [100] and rows[0].all()
+    assert len(rounded) == 1  # all_active_assignment's
     # near -156 dB a user is degenerate in some slots only
     cfg = SystemConfig(num_embb_users=3, snr_min_db=-165.0, snr_max_db=-150.0)
-    simulate_range(cfg, Policy.BASELINE2, 7, 0, 100, False, False)
-    assert 0 < len(chans) < 100
-    assert all((spectral_efficiencies(cfg, chan)[0] <= 0.0).any() for chan in chans)
+    rows.clear()
+    rounded.clear()
+    simulate_range(cfg, policy, 7, 0, 100, False, False)
+    [positive] = rows
+    assert len(positive) == 100 and 0 < int((~positive.all(axis=1)).sum()) < 100
+    masks = {tuple(row) for row in positive.tolist()} - {(True,) * 3}
+    assert len(rounded) == 1 + len(masks) > 2
+    monkeypatch.undo()
+    assert_same_range(cfg, policy, 7, 0, 100)
 
 
-def test_only_baseline1_slots_with_a_zero_efficiency_run_per_slot(monkeypatch):
-    # every other slot takes the range's all-active assignment and its row of
-    # _solve_rows with the penalty off, without a ChannelRealization, a
-    # per-slot assignment or a solve_baseline1 call
-    real_step, chans, solved = simulator._policy_step, [], []
-
-    def counting(cfg, policy, chan, *rest):
-        chans.append(chan)
-        return real_step(cfg, policy, chan, *rest)
-
-    def counting_solve(cfg, chan, mat):
-        solved.append(chan)
-        return solve_baseline1(cfg, chan, mat)
-
-    monkeypatch.setattr(simulator, "_policy_step", counting)
-    monkeypatch.setattr(simulator.urllc_placement, "solve_baseline1", counting_solve)
-    simulate_range(SystemConfig(), Policy.BASELINE1, 7, 0, 100, False, False)
-    assert chans == solved == []
-    # near -156 dB a user is degenerate in some slots only
-    cfg = SystemConfig(num_embb_users=3, snr_min_db=-165.0, snr_max_db=-150.0)
-    simulate_range(cfg, Policy.BASELINE1, 7, 0, 100, False, False)
-    assert 0 < len(chans) < 100
-    assert solved == chans
-    assert all((spectral_efficiencies(cfg, chan)[0] <= 0.0).any() for chan in chans)
+@pytest.mark.parametrize("post_round", [False, True])
+@pytest.mark.parametrize("policy", list(Policy))
+@pytest.mark.parametrize(
+    "kw, slots, warned",
+    [
+        # a user degenerate in some slots only, and in every slot
+        ({"num_embb_users": 3, "snr_min_db": -165.0, "snr_max_db": -150.0}, 40, 17),
+        ({"snr_min_db": -400.0, "snr_max_db": 30.0}, 20, 20),
+    ],
+)
+def test_held_log_records_equal_the_per_slot_loops(kw, slots, warned, policy, post_round):
+    # the degenerate-user warnings that a range holds for a run are the
+    # per-slot reference loop's: the same loggers, levels and messages, in
+    # slot order
+    cfg = SystemConfig(**kw)
+    held = simulator._HeldRecords(1)
+    for _ in simulator._simulate_range([(cfg, policy, False)], 7, 0, slots, post_round, held):
+        pass
+    got = [(name, level, message) for name, level, _, _, message, _ in held.take(0)]
+    if policy == Policy.PROPOSED:
+        want = logged(reference_proposed_range, cfg, 7, 0, slots, post_round)[1]
+    else:
+        want = logged(reference_range, cfg, policy, 7, 0, slots)[1]
+    assert got == want
+    assert len(want) == warned
+    assert {(name, level) for name, level, _ in want} == {("urllc_slice.embb_scheduler", logging.WARNING)}
 
 
 @pytest.mark.parametrize("users", [10, 2, 1])
