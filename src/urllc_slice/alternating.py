@@ -46,6 +46,7 @@ from .urllc_placement import (
     PlacementSolution,
     _config_terms,
     _ConfigTerms,
+    _row_groups,
     _row_objectives,
     _Rows,
     _solve_rows,
@@ -120,8 +121,7 @@ def _row_assignments(cfg: SystemConfig, all_active: AllActive, eff: np.ndarray):
     positive = eff > 0.0
     if positive.all():
         return [all_active] * len(eff), all_active
-    masks, group = np.unique(positive, axis=0, return_inverse=True)
-    group = group.reshape(-1)  # NumPy 2.0.0 gives it a trailing axis
+    masks, group = _row_groups(positive)
     distinct = [all_active if m.all() else _assignment(cfg, m, all_active.placement_terms) for m in masks]
     frac = np.array([a.fractional_bandwidth for a in distinct])[group]
     rounded = np.array([a.rounded_bandwidth for a in distinct])[group]

@@ -17,6 +17,9 @@ spectral efficiency until the reliability floor holds.
 
 ``_solve_rows`` and ``_baseline2_rows`` solve S slots' problems as S x U
 arrays; the per-slot functions are their one-row calls (``_slot_rows``).
+``_solve_rows`` computes the multiplier's fixed-shape terms once per group
+of rows with equal masks (``_row_groups``); ``_multiplier_step`` searches
+each row's positive breakpoints and solves its segment.
 """
 
 from __future__ import annotations
@@ -131,28 +134,25 @@ def solve_placement(
     return _solve_rows(*_slot_rows(cfg, chan, mat)).solution(0)
 
 
-def _multiplier_step(kappa, floor, caps, active, floor_coeff, s, w):
-    """The weights, feasibility and Newton-step count of one placement
-    problem whose ``lam = 0`` weights ``w`` miss the floor (or supply NaN):
-    ``solve_placement``'s breakpoint search and Newton solve. ``floor_coeff``
-    and ``w`` hold every user, ``s`` the users in ``active`` alone; ``w`` is
-    overwritten and returned. ``kappa``, ``floor`` and ``caps`` are the
-    configuration's terms. It runs inside ``_solve_rows``'s ``np.errstate``,
-    which its ``_weights_at`` calls need."""
-    d, cap = floor_coeff[active], caps[active]
+def _multiplier_step(kappa, floor, active, cap, floor_coeff, w, d, s, enter, full, bps, fixed, met):
+    """The feasibility and Newton-step count of one placement problem whose
+    ``lam = 0`` weights miss the floor (or supply NaN): ``solve_placement``'s
+    breakpoint search and Newton solve, which write the row's weights into
+    ``w``. ``floor_coeff`` and ``w`` hold every user; ``cap``, ``d``, ``s``,
+    ``enter``, ``full`` and ``bps`` the users in ``active`` alone: their
+    caps, floor coefficients and penalties, their entry and cap breakpoints
+    and both sorted, as ``_solve_rows`` computes them for a group of rows.
+    ``fixed`` is the supply of the users outside the log objective, whose
+    caps ``w`` already holds, and ``met`` whether ``d @ w[active] + fixed``
+    meets the floor. It runs inside ``_solve_rows``'s ``np.errstate``, which
+    its ``_weights_at`` calls need."""
 
     def active_weights(lam):
         return _weights_at(kappa, d, s, lam, cap)
 
-    outside = ~active & (floor_coeff > 0.0)
-    w[outside] = caps[outside]
-    fixed = float(floor_coeff[outside] @ caps[outside])
-    enter = kappa / d - s
-    full = 1.0 / (d * (1.0 / kappa - cap)) - s
-    bps = np.sort(np.concatenate((enter, full)))
     bps = bps[bps > 0.0]
-    if bps.size == 0 or d @ w[active] + fixed >= floor:
-        return w, True, 0
+    if bps.size == 0 or met:
+        return True, 0
 
     at_bps = active_weights(bps[:, None]) @ d + fixed
     k = min(int(np.count_nonzero(at_bps < floor)), bps.size - 1)
@@ -172,7 +172,7 @@ def _multiplier_step(kappa, floor, caps, active, floor_coeff, s, w):
             w[active] = active_weights(lam_hi)
             if not floor_coeff @ w >= floor:
                 w[active] = held
-        return w, bool(floor_coeff @ w >= floor), 0
+        return bool(floor_coeff @ w >= floor), 0
     s_free = s[free]
     target = d[free].sum() / kappa + d[capped] @ cap[capped] + fixed - floor
     # At the root sum_free 1/(s_u + lam) = target, which is at least
@@ -189,7 +189,7 @@ def _multiplier_step(kappa, floor, caps, active, floor_coeff, s, w):
         slope = float(((s_free + lam) ** -2.0).sum())
         # at least one ulp a step, in case rounding makes the Newton step vanish
         lam = max(lam + (goal - supplied) / slope, float(np.nextafter(lam, np.inf)))
-    return w, True, iters
+    return True, iters
 
 
 def _weights_at(kappa, d, s, lam, cap):
@@ -214,6 +214,18 @@ def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.matmul(a[:, None, :], b[..., None])[:, 0, 0]
 
 
+def _row_groups(rows: np.ndarray):
+    """``np.unique(rows, axis=0, return_inverse=True)`` of the S x U boolean
+    ``rows``: their distinct rows, sorted, and each row's index among them.
+    Each row is sorted as one U-byte key, which orders them as ``np.unique``'s
+    one field a column does, at a fraction of its cost."""
+    if len(rows) == 1:  # a one-row call's group, without np.unique's fixed cost
+        return rows, np.zeros(1, dtype=np.intp)
+    keys = np.ascontiguousarray(rows).view(np.dtype((np.void, rows.shape[1])))[:, 0]
+    distinct, group = np.unique(keys, return_inverse=True)
+    return distinct.view(bool).reshape(-1, rows.shape[1]), group
+
+
 def _row_objectives(rate, w, kappa, penalty, active):
     """The log objective (risk variables at their pinned optimum) and the
     mean total rate of every row of the S x U ``rate`` and ``w``, the users in
@@ -224,9 +236,9 @@ def _row_objectives(rate, w, kappa, penalty, active):
     rates = rate * (1.0 - kappa * w)
     if active.ndim == 2:  # at weights 0 the group's rates pass unchanged
         objective, total = np.empty(len(rates)), np.empty(len(rates))
-        masks, group = np.unique(active, axis=0, return_inverse=True)
+        masks, group = _row_groups(active)
         for g, mask in enumerate(masks):
-            rows = group.reshape(-1) == g  # NumPy 2.0.0 gives it a trailing axis
+            rows = group == g
             objective[rows], total[rows] = _row_objectives(rates[rows], 0.0, kappa, penalty, mask)
         return objective, total
     if not active.all():
@@ -260,10 +272,15 @@ def _solve_rows(terms: _ConfigTerms, phi: np.ndarray, eff: np.ndarray, urllc_eff
     ``phi`` under a configuration's ``_config_terms`` (its penalty, 0 for
     baseline 1). The rows decided in closed form (no floor, caps below the
     floor, or the ``lam = 0`` weights meeting it) are computed together, every
-    ``@`` of one row a ``_row_dots``; a row that needs the multiplier goes
-    through ``_multiplier_step`` on its slices of the chunk's arrays. One
-    ``np.errstate`` holds the ``lam = 0`` weights and the multiplier loop, so
-    every ``_weights_at`` call of the chunk runs inside it."""
+    ``@`` of one row a ``_row_dots``. The rows that need the multiplier are
+    grouped by their users in and outside the log objective (``_row_groups``);
+    each group's G x n coefficients, caps, penalties and breakpoints, the
+    outside users' supply and the early-exit test are computed at once, and
+    each of its rows then goes through ``_multiplier_step`` on its rows of
+    these arrays, with every operand and summation order of the one-row
+    solver. One ``np.errstate`` holds the ``lam = 0`` weights and the
+    multiplier terms and loop, so every ``_weights_at`` call of the chunk runs
+    inside it."""
     kappa, floor, caps, penalty = terms
     active = _log_users(phi, eff)
     rate = phi * eff
@@ -280,14 +297,26 @@ def _solve_rows(terms: _ConfigTerms, phi: np.ndarray, eff: np.ndarray, urllc_eff
             s = kappa * penalty * rate / floor_coeff
             w = np.where(active, _weights_at(kappa, floor_coeff, s, 0.0, caps), 0.0)
             # not (supply >= floor): a NaN supply goes on to the multiplier
-            multiplier = ~short & ~(_row_dots(floor_coeff, w) >= floor)
+            rows = np.flatnonzero(~short & ~(_row_dots(floor_coeff, w) >= floor))
             w[short] = caps
             feasible = ~short
-            for i in np.flatnonzero(multiplier).tolist():
-                a = active if active.ndim == 1 else active[i]
-                _, feasible[i], iterations[i] = _multiplier_step(  # overwrites row i of w
-                    kappa, floor, caps, a, floor_coeff[i], s[i, a], w[i]
-                )
+            if rows.size:
+                # one group a pair of masks: the users in the log objective,
+                # and those outside it that hold their caps
+                inside = np.broadcast_to(active, w.shape)[rows]
+                keys, group = _row_groups(np.concatenate((inside, ~inside & (floor_coeff[rows] > 0.0)), axis=1))
+                for g, (a, out) in enumerate(keys.reshape(len(keys), 2, -1)):
+                    r = rows[group == g, None]  # the group's rows, as a column
+                    w[r, out] = caps[out]
+                    fixed = _row_dots(floor_coeff[r, out], caps[out])
+                    d, cap, s_a = floor_coeff[r, a], caps[a], s[r, a]
+                    enter, full = kappa / d - s_a, 1.0 / (d * (1.0 / kappa - cap)) - s_a
+                    bps = np.sort(np.concatenate((enter, full), axis=1), axis=1)
+                    met = _row_dots(d, w[r, a]) + fixed >= floor
+                    for i, *row in zip(r.ravel().tolist(), d, s_a, enter, full, bps, fixed.tolist(), met.tolist()):
+                        feasible[i], iterations[i] = _multiplier_step(  # overwrites row i of w
+                            kappa, floor, a, cap, floor_coeff[i], w[i], *row
+                        )
     objective, var_level = _row_objectives(rate, w, kappa, penalty, active)
     return _Rows(w, feasible, objective, var_level, max_rate, iterations)
 

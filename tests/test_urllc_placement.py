@@ -701,19 +701,24 @@ def test_solve_rows_without_penalty_equals_solve_baseline1(kw, rounded):
 @pytest.mark.parametrize(
     "kw, multiplier_rows",
     [
-        ({}, 315),
-        ({"num_embb_users": 40, "num_rbs": 200}, 300),
-        ({"num_embb_users": 12, "num_rbs": 5, "urllc_outage_budget": 0.5}, 600),
-        ({"puncture_prob": 1.0}, 494),
-        ({"snr_min_db": 10.0, "snr_max_db": 10.0}, 600),
+        # rows past lam = 0 without and with degenerate rows
+        ({}, (315, 316)),
+        ({"num_embb_users": 40, "num_rbs": 200}, (300, 300)),
+        ({"num_embb_users": 12, "num_rbs": 5, "urllc_outage_budget": 0.5}, (600, 600)),
+        ({"puncture_prob": 1.0}, (494, 498)),
+        ({"snr_min_db": 10.0, "snr_max_db": 10.0}, (600, 600)),
         # NaN supplies at lam = 0, which the step's first >= sends on
-        ({**_TINY_LOAD, "puncture_prob": 5e-324}, 260),
-        ({**_TINY_LOAD, "puncture_prob": 5e-324, "risk_weight": 1.0}, 260),
+        ({**_TINY_LOAD, "puncture_prob": 5e-324}, (260, 260)),
+        ({**_TINY_LOAD, "puncture_prob": 5e-324, "risk_weight": 1.0}, (260, 260)),
         # segments without free users
-        (_TINY_LOAD, 260),
+        (_TINY_LOAD, (260, 260)),
     ],
 )
-def test_multiplier_step_equals_the_frozen_solver_bit_for_bit(monkeypatch, kw, multiplier_rows):
+@pytest.mark.parametrize("degenerate", [False, True])
+def test_multiplier_step_equals_the_frozen_solver_bit_for_bit(monkeypatch, kw, multiplier_rows, degenerate):
+    # with degenerate rows one _solve_rows call mixes several pairs of masks
+    # (users in and outside the log objective), rows with a NaN efficiency,
+    # and users outside the log objective held at their caps
     from urllc_slice import urllc_placement
     from urllc_slice.alternating import all_active_assignment
 
@@ -727,9 +732,9 @@ def test_multiplier_step_equals_the_frozen_solver_bit_for_bit(monkeypatch, kw, m
     cfg = SystemConfig(**kw)
     all_active = all_active_assignment(cfg)
     phi = all_active.rounded_bandwidth
-    seen = 0
+    seen, mixed = 0, []
     for seed in (0, 7, 20261):
-        gains, urllc_gains, eff, urllc_eff = chunk_arrays(cfg, seed, 100)
+        gains, urllc_gains, eff, urllc_eff = chunk_arrays(cfg, seed, 100, degenerate)
         terms = all_active.placement_terms
         for terms, solver in ((terms, solve_placement), (terms._replace(penalty=0.0), solve_baseline1)):
             want = [frozen_solve(terms, phi, eff[i], urllc_eff[i]) for i in range(len(eff))]
@@ -738,6 +743,10 @@ def test_multiplier_step_equals_the_frozen_solver_bit_for_bit(monkeypatch, kw, m
             rows = urllc_placement._solve_rows(terms, phi, eff, urllc_eff)
             assert len(steps) - before == len(multiplier)
             seen += len(multiplier)
+            inside = (phi > 0.0) & (eff[multiplier] > 0.0)
+            outside = ~inside & (phi * terms.load_fraction * urllc_eff[multiplier, None] > 0.0)
+            masks = np.unique(np.concatenate((inside, outside), axis=1), axis=0)
+            mixed.append((len(masks), np.isnan(eff[multiplier]).any(axis=1).sum(), outside.any(axis=1).sum()))
             for i in multiplier:
                 w, feasible, iters, _ = want[i]
                 assert rows.weights[i].tobytes() == w.tobytes()
@@ -746,7 +755,9 @@ def test_multiplier_step_equals_the_frozen_solver_bit_for_bit(monkeypatch, kw, m
                 sol = solver(cfg, ChannelRealization(gains[i], urllc_gains[i]), all_active.binary)
                 assert sol.weights.weights.tobytes() == w.tobytes()
                 assert (sol.feasible, sol.iterations) == (feasible, iters)
-    assert seen == multiplier_rows
+    assert seen == multiplier_rows[degenerate]
+    groups, nan_rows, outside_rows = np.array(mixed).max(axis=0)
+    assert (groups >= 2, nan_rows > 0, outside_rows > 0) == (degenerate,) * 3
 
 
 # kappa, d, s, lam, cap of hand-built rows for _weights_at
@@ -780,6 +791,31 @@ def test_weights_at_equals_the_frozen_clip_bit_for_bit(kappa, d, s, lam, cap, co
     assert got.dtype == want.dtype and got.shape == want.shape
     assert got.tobytes() == want.tobytes()
     assert np.isnan(want).any() or kappa > 5e-324
+
+
+_MASK_RNG = np.random.default_rng(11)
+
+
+@pytest.mark.parametrize(
+    "masks",
+    [
+        np.array([[True]]),  # S = 1, U = 1
+        np.array([[False, True, True]]),  # S = 1
+        np.array([[True], [False], [True], [False]]),  # U = 1
+        np.ones((5, 4), dtype=bool),  # all rows equal
+        np.zeros((5, 4), dtype=bool),
+        np.array([[(k >> b) & 1 for b in range(4)] for k in range(16)], dtype=bool)[::-1],  # all rows distinct
+        (_MASK_RNG.random((3, 40)) < 0.5)[_MASK_RNG.integers(0, 3, 200)],  # 40 columns, 3 distinct rows
+        (_MASK_RNG.random((50, 80)) < 0.5)[:, ::2],  # 40 columns, not C-contiguous
+    ],
+)
+def test_row_groups_equal_numpy_unique_rows(masks):
+    from urllc_slice.urllc_placement import _row_groups
+
+    want, want_group = np.unique(masks, axis=0, return_inverse=True)
+    got, group = _row_groups(masks)
+    assert got.dtype == bool and got.shape == want.shape and (got == want).all()
+    assert group.shape == (len(masks),) and group.tolist() == want_group.reshape(-1).tolist()
 
 
 @pytest.mark.parametrize(
@@ -903,6 +939,42 @@ def test_a_segment_without_free_users_can_still_miss_the_floor_by_rounding():
     assert rows.weights[0].tobytes() == w.tobytes()
     assert (rows.feasible.tolist(), rows.iterations.tolist()) == ([False], [0])
     assert np.all((rows.weights[0] >= 0.0) & (rows.weights[0] <= caps))
+
+
+def test_a_chunk_stacking_the_rounding_row_with_other_branches_equals_its_one_row_calls():
+    # The row above (row 0) in one chunk with rows of the same three users
+    # that take the other branches, in three groups of masks. Rows 0-3 leave
+    # the first user outside the log objective: a segment with a free user
+    # (with the penalty off Newton starts at the root), the outside user's
+    # cap alone meeting the floor (the lam = 0 weights), and another free
+    # segment. Rows 4-6 hold every user: a segment without a free user whose
+    # end meets the floor, a free segment, and caps below the floor. Row 7
+    # has row 0's users in the log objective, but a NaN URLLC efficiency
+    # leaves its first user a NaN floor coefficient, so that user is not
+    # held at its cap: its own group. Every row equals its one-row call and
+    # the frozen solver bit for bit, and row 0 is still infeasible
+    from urllc_slice.urllc_placement import _ConfigTerms, _solve_rows
+
+    kappa, phi = 0.1, np.array([2.2850855255883067, 3.0, 1.4304732188153333])
+    d, caps = phi * kappa, np.ones(3)
+    at_entry = frozen_weights_at(kappa, d[1:], 0.0, kappa / d[2], caps[1:])
+    terms = _ConfigTerms(kappa, float(at_entry @ d[1:] + d[0]), caps, 0.0)
+    eff = np.array([[0.0, 1.0, 1.0]] * 4 + [[1.0, 1.0, 1.0]] * 3 + [[0.0, 1.0, 1.0]])
+    urllc_eff = np.array([1.0, 1.5, 3.0, 1.2, 1.0, 0.9, 0.5, np.nan])
+    rows = _solve_rows(terms, phi, eff, urllc_eff)
+    for i in range(len(eff)):
+        w, feasible, iters, past_lam_zero = frozen_solve(terms, phi, eff[i], urllc_eff[i])
+        assert past_lam_zero == (i != 6)
+        one = _solve_rows(terms, phi, eff[i : i + 1], urllc_eff[i : i + 1])
+        for got, j in ((rows, i), (one, 0)):
+            assert got.weights[j].tobytes() == w.tobytes()
+            assert (got.feasible[j], got.iterations[j]) == (feasible, iters)
+        assert rows.objective[i].tobytes() == one.objective[0].tobytes()
+    assert rows.feasible.tolist() == [False, True, True, True, True, True, False, True]
+    assert rows.weights[0].tolist() == [1.0, 1.0, 0.0] and rows.weights[2].tolist() == [1.0, 0.0, 0.0]
+    assert 0.0 < rows.weights[1, 1] < 1.0 and 0.0 < rows.weights[3, 1] < 1.0 and 0.0 < rows.weights[5, 2] < 1.0
+    assert 0.0 < rows.weights[4, 2] < 1e-14 and rows.weights[4, :2].tolist() == [1.0, 1.0]
+    assert rows.weights[7, 0] == 0.0 and np.isnan(rows.weights[7, 1:]).all()
 
 
 def sequential_baseline2(terms, phi, eff, urllc_eff):
