@@ -219,8 +219,6 @@ def _row_groups(rows: np.ndarray):
     ``rows``: their distinct rows, sorted, and each row's index among them.
     Each row is sorted as one U-byte key, which orders them as ``np.unique``'s
     one field a column does, at a fraction of its cost."""
-    if len(rows) == 1:  # a one-row call's group, without np.unique's fixed cost
-        return rows, np.zeros(1, dtype=np.intp)
     keys = np.ascontiguousarray(rows).view(np.dtype((np.void, rows.shape[1])))[:, 0]
     distinct, group = np.unique(keys, return_inverse=True)
     return distinct.view(bool).reshape(-1, rows.shape[1]), group

@@ -955,26 +955,50 @@ def test_a_chunk_stacking_the_rounding_row_with_other_branches_equals_its_one_ro
     # the frozen solver bit for bit, and row 0 is still infeasible
     from urllc_slice.urllc_placement import _ConfigTerms, _solve_rows
 
+    def solve_each(terms, phi, eff, urllc_eff):
+        """The chunk's rows, checked against their one-row calls and the
+        frozen solver, and which rows the frozen solver took past lam = 0."""
+        rows, past = _solve_rows(terms, phi, eff, urllc_eff), []
+        for i in range(len(eff)):
+            w, feasible, iters, past_lam_zero = frozen_solve(terms, phi, eff[i], urllc_eff[i])
+            one = _solve_rows(terms, phi, eff[i : i + 1], urllc_eff[i : i + 1])
+            for got, j in ((rows, i), (one, 0)):
+                assert got.weights[j].tobytes() == w.tobytes()
+                assert (got.feasible[j], got.iterations[j]) == (feasible, iters)
+            assert rows.objective[i].tobytes() == one.objective[0].tobytes()
+            past.append(past_lam_zero)
+        return rows, past
+
     kappa, phi = 0.1, np.array([2.2850855255883067, 3.0, 1.4304732188153333])
     d, caps = phi * kappa, np.ones(3)
     at_entry = frozen_weights_at(kappa, d[1:], 0.0, kappa / d[2], caps[1:])
     terms = _ConfigTerms(kappa, float(at_entry @ d[1:] + d[0]), caps, 0.0)
     eff = np.array([[0.0, 1.0, 1.0]] * 4 + [[1.0, 1.0, 1.0]] * 3 + [[0.0, 1.0, 1.0]])
     urllc_eff = np.array([1.0, 1.5, 3.0, 1.2, 1.0, 0.9, 0.5, np.nan])
-    rows = _solve_rows(terms, phi, eff, urllc_eff)
-    for i in range(len(eff)):
-        w, feasible, iters, past_lam_zero = frozen_solve(terms, phi, eff[i], urllc_eff[i])
-        assert past_lam_zero == (i != 6)
-        one = _solve_rows(terms, phi, eff[i : i + 1], urllc_eff[i : i + 1])
-        for got, j in ((rows, i), (one, 0)):
-            assert got.weights[j].tobytes() == w.tobytes()
-            assert (got.feasible[j], got.iterations[j]) == (feasible, iters)
-        assert rows.objective[i].tobytes() == one.objective[0].tobytes()
+    rows, past = solve_each(terms, phi, eff, urllc_eff)
+    assert past == [True] * 6 + [False, True]
     assert rows.feasible.tolist() == [False, True, True, True, True, True, False, True]
     assert rows.weights[0].tolist() == [1.0, 1.0, 0.0] and rows.weights[2].tolist() == [1.0, 0.0, 0.0]
     assert 0.0 < rows.weights[1, 1] < 1.0 and 0.0 < rows.weights[3, 1] < 1.0 and 0.0 < rows.weights[5, 2] < 1.0
     assert 0.0 < rows.weights[4, 2] < 1e-14 and rows.weights[4, :2].tolist() == [1.0, 1.0]
     assert rows.weights[7, 0] == 0.0 and np.isnan(rows.weights[7, 1:]).all()
+
+    # A chunk of 16 users, with the penalty off, pins how the outside users'
+    # supply is summed and compared: a dot over every user can group the
+    # products in another order than one over the outside users alone (on
+    # OpenBLAS, which sums 16 or more in blocks, both rows' sums round an ulp
+    # apart). Row 0's seven outside users supply part of the floor and Newton
+    # starts at the root; row 1's eight supply the floor exactly, which the
+    # early exit meets, the active users at 0
+    phi = np.array([0.51, 2.68, 1.107, 2.128, 1.71, 2.471, 2.702, 2.749, 1.802, 2.91, 2.778, 2.194, 2.402, 0.947, 2.671, 2.999])
+    outside = np.array([np.isin(np.arange(16), u) for u in ([1, 2, 4, 7, 10, 11, 15], [1, 2, 4, 5, 8, 10, 13, 15])])
+    d, caps = phi * kappa, np.ones(16)
+    terms = _ConfigTerms(kappa, float(d[outside[1]] @ caps[outside[1]]), caps, 0.0)
+    rows, past = solve_each(terms, phi, np.where(outside, 0.0, 1.0), np.array([0.734, 1.0]))
+    assert past == [True, True]
+    assert rows.feasible.tolist() == [True, True] and rows.iterations.tolist() == [0, 0]
+    assert 0.0 < rows.weights[0, 6] < 1.0 and 0.0 < rows.weights[0, 14] < 1.0
+    assert rows.weights[1].tolist() == outside[1].tolist()
 
 
 def sequential_baseline2(terms, phi, eff, urllc_eff):
