@@ -386,12 +386,9 @@ def sample_urllc_load(cfg: SystemConfig, rng: np.random.Generator) -> UrllcLoad:
 
 def _minislot_loads(cfg: SystemConfig, uniforms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``sample_urllc_load``'s per-minislot traffic at uniform draws given per
-    minislot along the last axis, and its clamped total over that axis (a
-    float for one slot's draws: ``sum``'s wrapper and a scalar
-    ``np.minimum`` took a third of a per-slot call)."""
+    minislot along the last axis, and its clamped total over that axis."""
     per_minislot = cfg.demand_quantum * (uniforms < cfg.puncture_prob).astype(float)
-    total = np.add.reduce(per_minislot, axis=-1)
-    return per_minislot, np.minimum(total, cfg.l_max) if total.ndim else min(float(total), cfg.l_max)
+    return per_minislot, np.minimum(np.add.reduce(per_minislot, axis=-1), cfg.l_max)
 
 
 # -- rate equations ----------------------------------------------------------

@@ -17,9 +17,10 @@ spectral efficiency until the reliability floor holds.
 
 ``_solve_rows`` and ``_baseline2_rows`` solve S slots' problems as S x U
 arrays; the per-slot functions are their one-row calls (``_slot_rows``).
-``_solve_rows`` computes the multiplier's fixed-shape terms once per group
-of rows with equal masks (``_row_groups``); ``_multiplier_step`` searches
-each row's positive breakpoints and solves its segment.
+``_solve_rows`` computes the multiplier's fixed-shape terms once for all the
+rows that need it, over every user of a row; ``_multiplier_step`` searches
+each row's positive breakpoints and solves its segment, and every floor test
+it makes sums the supply as one dot over the row.
 """
 
 from __future__ import annotations
@@ -134,55 +135,49 @@ def solve_placement(
     return _solve_rows(*_slot_rows(cfg, chan, mat)).solution(0)
 
 
-def _multiplier_step(kappa, floor, active, cap, floor_coeff, w, d, s, enter, full, bps, fixed, met):
+def _multiplier_step(kappa, floor, cap, w, d, s, enter, full, bps, met):
     """The feasibility and Newton-step count of one placement problem whose
     ``lam = 0`` weights miss the floor (or supply NaN): ``solve_placement``'s
     breakpoint search and Newton solve, which write the row's weights into
-    ``w``. ``floor_coeff`` and ``w`` hold every user; ``cap``, ``d``, ``s``,
-    ``enter``, ``full`` and ``bps`` the users in ``active`` alone: their
-    caps, floor coefficients and penalties, their entry and cap breakpoints
-    and both sorted, as ``_solve_rows`` computes them for a group of rows.
-    ``fixed`` is the supply of the users outside the log objective, whose
-    caps ``w`` already holds, and ``met`` whether ``d @ w[active] + fixed``
-    meets the floor. It runs inside ``_solve_rows``'s ``np.errstate``, which
-    its ``_weights_at`` calls need."""
-
-    def active_weights(lam):
-        return _weights_at(kappa, d, s, lam, cap)
-
+    ``w``. Every argument holds every user of the row: their caps, floor
+    coefficients and penalties, their entry and cap breakpoints and both
+    sorted, as ``_solve_rows`` computes them, ``w`` the ``lam = 0`` weights
+    with the users outside the log objective at their caps, and ``met``
+    whether ``d @ w`` meets the floor. Every floor test sums the supply as
+    that one dot over the row, so the search, the early exit, the
+    no-free-user branch and Newton round it alike. It runs inside
+    ``_solve_rows``'s ``np.errstate``, which its ``_weights_at`` calls
+    need."""
     bps = bps[bps > 0.0]
     if bps.size == 0 or met:
         return True, 0
 
-    at_bps = active_weights(bps[:, None]) @ d + fixed
+    at_bps = _row_dots(_weights_at(kappa, d, s, bps[:, None], cap), d)
     k = min(int(np.count_nonzero(at_bps < floor)), bps.size - 1)
     lam_lo, lam_hi = (float(bps[k - 1]) if k else 0.0), float(bps[k])
     free, capped = (enter <= lam_lo) & (full >= lam_hi), full <= lam_lo
     if not free.any():
         # Only rounding leaves the segment without a free user: with 1/kappa
         # far above the caps, a user's two breakpoints can coincide or swap,
-        # and active_weights cancels to 0 or to its cap. The supply then
-        # jumps at lam_hi, where every user whose cap point is reached holds
-        # its cap. Where that misses the floor, rounding may still leave the
-        # user entering at lam_hi a weight of a few ulps there, which can
-        # meet it.
-        w[active] = np.where(full <= lam_hi, cap, 0.0)
-        if not floor_coeff @ w >= floor:
-            held = w[active]
-            w[active] = active_weights(lam_hi)
-            if not floor_coeff @ w >= floor:
-                w[active] = held
-        return bool(floor_coeff @ w >= floor), 0
+        # and its weight cancels to 0 or to its cap. The supply then jumps at
+        # lam_hi, where every user whose cap point is reached holds its cap.
+        # Where that misses the floor, rounding may still leave the user
+        # entering at lam_hi a weight of a few ulps there: the weights at
+        # lam_hi supply what the search found there, which meets the floor.
+        w[:] = np.where(full <= lam_hi, cap, 0.0)
+        if not d @ w >= floor:
+            w[:] = _weights_at(kappa, d, s, lam_hi, cap)
+        return bool(d @ w >= floor), 0
     s_free = s[free]
-    target = d[free].sum() / kappa + d[capped] @ cap[capped] + fixed - floor
+    target = d[free].sum() / kappa + d[capped] @ cap[capped] - floor
     # At the root sum_free 1/(s_u + lam) = target, which is at least
     # n_free/(max s + lam) and at least 1/(min s + lam): both bound lam below.
     lam = max(lam_lo, s_free.size / target - s_free.max(), 1.0 / target - s_free.min())
     goal = floor * (1.0 + _REL_TOL)
     iters = 0
     while True:
-        w[active] = active_weights(lam)
-        supplied = float(floor_coeff @ w)
+        w[:] = _weights_at(kappa, d, s, lam, cap)
+        supplied = float(d @ w)
         if supplied >= floor:
             break
         iters += 1
@@ -270,15 +265,13 @@ def _solve_rows(terms: _ConfigTerms, phi: np.ndarray, eff: np.ndarray, urllc_eff
     ``phi`` under a configuration's ``_config_terms`` (its penalty, 0 for
     baseline 1). The rows decided in closed form (no floor, caps below the
     floor, or the ``lam = 0`` weights meeting it) are computed together, every
-    ``@`` of one row a ``_row_dots``. The rows that need the multiplier are
-    grouped by their users in and outside the log objective (``_row_groups``);
-    each group's G x n coefficients, caps, penalties and breakpoints, the
-    outside users' supply and the early-exit test are computed at once, and
-    each of its rows then goes through ``_multiplier_step`` on its rows of
-    these arrays, with every operand and summation order of the one-row
-    solver. One ``np.errstate`` holds the ``lam = 0`` weights and the
-    multiplier terms and loop, so every ``_weights_at`` call of the chunk runs
-    inside it."""
+    ``@`` of one row a ``_row_dots``. For the rows that need the multiplier
+    the R x U penalties, breakpoints and sorted breakpoints and the
+    early-exit test are computed at once, over every user, and each row then
+    goes through ``_multiplier_step`` on its rows of these arrays, with every
+    operand and summation order of the one-row solver. One ``np.errstate``
+    holds the ``lam = 0`` weights and the multiplier terms and loop, so every
+    ``_weights_at`` call of the chunk runs inside it."""
     kappa, floor, caps, penalty = terms
     active = _log_users(phi, eff)
     rate = phi * eff
@@ -299,22 +292,24 @@ def _solve_rows(terms: _ConfigTerms, phi: np.ndarray, eff: np.ndarray, urllc_eff
             w[short] = caps
             feasible = ~short
             if rows.size:
-                # one group a pair of masks: the users in the log objective,
-                # and those outside it that hold their caps
-                inside = np.broadcast_to(active, w.shape)[rows]
-                keys, group = _row_groups(np.concatenate((inside, ~inside & (floor_coeff[rows] > 0.0)), axis=1))
-                for g, (a, out) in enumerate(keys.reshape(len(keys), 2, -1)):
-                    r = rows[group == g, None]  # the group's rows, as a column
-                    w[r, out] = caps[out]
-                    fixed = _row_dots(floor_coeff[r, out], caps[out])
-                    d, cap, s_a = floor_coeff[r, a], caps[a], s[r, a]
-                    enter, full = kappa / d - s_a, 1.0 / (d * (1.0 / kappa - cap)) - s_a
-                    bps = np.sort(np.concatenate((enter, full), axis=1), axis=1)
-                    met = _row_dots(d, w[r, a]) + fixed >= floor
-                    for i, *row in zip(r.ravel().tolist(), d, s_a, enter, full, bps, fixed.tolist(), met.tolist()):
-                        feasible[i], iterations[i] = _multiplier_step(  # overwrites row i of w
-                            kappa, floor, a, cap, floor_coeff[i], w[i], *row
-                        )
+                # Every user of a row takes part. A user outside the log
+                # objective costs nothing, so any lam > 0 sends it to its
+                # cap: s = inf puts both its breakpoints at -inf (capped)
+                # where its floor coefficient is positive, and it starts at
+                # its cap. Without floor coverage (d = 0, or a NaN URLLC
+                # efficiency) they are NaN instead, so it is never free or
+                # capped, and it holds 0: where d = 0, s = 0 keeps it there.
+                d, inside = floor_coeff[rows], np.broadcast_to(active, w.shape)[rows]
+                held = ~inside & (d > 0.0)
+                s = np.where(inside, s[rows], np.inf)
+                enter, full = kappa / d - s, 1.0 / (d * (1.0 / kappa - caps)) - s
+                bps = np.sort(np.concatenate((enter, full), axis=1), axis=1)
+                s[~inside & ~held] = 0.0
+                w[rows] = start = np.where(held, caps, w[rows])
+                met = _row_dots(d, start) >= floor
+                for i, *row in zip(rows.tolist(), d, s, enter, full, bps, met.tolist()):
+                    # overwrites row i of w
+                    feasible[i], iterations[i] = _multiplier_step(kappa, floor, caps, w[i], *row)
     objective, var_level = _row_objectives(rate, w, kappa, penalty, active)
     return _Rows(w, feasible, objective, var_level, max_rate, iterations)
 

@@ -9,6 +9,7 @@ from urllc_slice.model import (
     PunctureWeights,
     SchedulingMatrix,
     SystemConfig,
+    _minislot_loads,
     embb_rate,
     evaluate_slot,
     expected_embb_rate,
@@ -85,13 +86,17 @@ def test_load_clamped_to_lmax():
 
 def test_load_mean_matches_binomial():
     # mean of 1e6 sampled totals vs the exact Binomial(14, 0.5) mean, within
-    # three standard errors; l_max large enough that the clamp never binds
+    # three standard errors; l_max large enough that the clamp never binds.
+    # The slots are drawn as one n x 14 array, the stream that n
+    # sample_urllc_load calls draw from, and their first totals equal those
+    # calls'; the totals are whole multiples of the quantum, so their sum is
+    # exact in any order
     cfg = small_cfg(num_minislots=14, puncture_prob=0.5)
-    rng = np.random.default_rng(42)
     n = 1_000_000
-    total = 0.0
-    for _ in range(n):
-        total += sample_urllc_load(cfg, rng).total
+    _, totals = _minislot_loads(cfg, np.random.default_rng(42).random((n, cfg.num_minislots)))
+    rng = np.random.default_rng(42)
+    assert [sample_urllc_load(cfg, rng).total for _ in range(1000)] == totals[:1000].tolist()
+    total = float(totals.sum())
     q, m, p = cfg.demand_quantum, cfg.num_minislots, cfg.puncture_prob
     exact_mean = q * m * p
     stderr = q * math.sqrt(m * p * (1 - p)) / math.sqrt(n)

@@ -533,7 +533,7 @@ def test_a_segment_without_free_users_is_solved_at_its_breakpoint(tmp_path, poli
 # comparing them checks neither. frozen_solve and frozen_finish are copies of
 # the one-problem solver from before the chunk kernel took its place: the
 # oracle of the kernel, and of any kernel that batches its rows. Keep them as
-# they are, but for the one change marked in frozen_solve.
+# they are, but for the changes marked in frozen_solve.
 
 
 def frozen_weights_at(kappa, d, s, lam, cap):
@@ -567,15 +567,22 @@ def frozen_solve(terms, phi, eff, urllc_eff):
 
     outside = ~a & (floor_coeff > 0.0)
     w[outside] = caps[outside]
-    fixed = float(floor_coeff[outside] @ caps[outside])
     enter = kappa / d - s
     full = 1.0 / (d * (1.0 / kappa - cap)) - s
     bps = np.sort(np.concatenate((enter, full)))
     bps = bps[bps > 0.0]
-    if bps.size == 0 or d @ w[a] + fixed >= floor:
+    # Changed from the one-problem solver, which summed the supply here, at
+    # the breakpoints and in the Newton target as the active users' dot plus
+    # the outside users' share: every floor test sums it as one dot over every
+    # user, as the feasibility test does, so the weights at a bracket's end
+    # meet the floor the search found there
+    # (test_a_segment_without_free_users_meets_the_floor_by_one_sum)
+    if bps.size == 0 or floor_coeff @ w >= floor:
         return w, True, 0, True
 
-    at_bps = active_weights(bps[:, None]) @ d + fixed
+    at = np.tile(w, (bps.size, 1))
+    at[:, a] = active_weights(bps[:, None])
+    at_bps = np.array([floor_coeff @ row for row in at])  # changed: one dot a breakpoint
     k = min(int(np.count_nonzero(at_bps < floor)), bps.size - 1)
     lam_lo, lam_hi = (float(bps[k - 1]) if k else 0.0), float(bps[k])
     free, capped = (enter <= lam_lo) & (full >= lam_hi), full <= lam_lo
@@ -592,7 +599,9 @@ def frozen_solve(terms, phi, eff, urllc_eff):
                 w = at_hi
         return w, bool(floor_coeff @ w >= floor), 0, True
     s_free = s[free]
-    target = d[free].sum() / kappa + d[capped] @ cap[capped] + fixed - floor
+    held = outside.copy()
+    held[a] = capped
+    target = d[free].sum() / kappa + floor_coeff[held] @ caps[held] - floor  # changed: one dot
     lam = max(lam_lo, s_free.size / target - s_free.max(), 1.0 / target - s_free.min())
     goal = floor * (1.0 + 1e-13)
     iters = 0
@@ -917,13 +926,17 @@ def test_a_segment_without_free_users_meets_the_floor_at_its_end():
     assert float(d @ rows.weights[0]) >= terms.floor
 
 
-def test_a_segment_without_free_users_can_still_miss_the_floor_by_rounding():
+def test_a_segment_without_free_users_meets_the_floor_by_one_sum():
     # The row above with a third user outside the log objective (zero
-    # efficiency) held at its cap. The search sums the supply as the active
-    # users' dot plus the outside user's share; the floor is that sum at the
-    # second user's entry point. The supply over all three users, in index
-    # order, rounds an ulp below it, at the jump weights and at the weights at
-    # the segment's end alike, so the row is still reported infeasible
+    # efficiency) held at its cap. The floor is the supply at the second
+    # user's entry point summed as the active users' dot plus the outside
+    # user's share. One dot over all three users, in index order, rounds an
+    # ulp below it there, at the jump weights and at the weights at the
+    # segment's end alike: a search that sums the supply the first way and
+    # tests the floor the second reports the row infeasible, though its caps
+    # meet the floor. Every floor test sums it the second way, so the search
+    # brackets the next segment, on which the second user is free, and the
+    # row meets the floor
     from urllc_slice.urllc_placement import _ConfigTerms, _solve_rows
 
     kappa, urllc_eff = 0.1, 1.0
@@ -934,25 +947,27 @@ def test_a_segment_without_free_users_can_still_miss_the_floor_by_rounding():
     terms = _ConfigTerms(kappa, float(at_entry @ d[1:] + d[0]), caps, 0.0)
     assert float(d @ [1.0, *at_entry]) < terms.floor and float(d @ [1.0, 1.0, 0.0]) < terms.floor
     w, feasible, iters, past_lam_zero = frozen_solve(terms, phi, eff, urllc_eff)
-    assert (w.tolist(), feasible, iters, past_lam_zero) == ([1.0, 1.0, 0.0], False, 0, True)
+    assert (feasible, iters, past_lam_zero) == (True, 0, True)
     rows = _solve_rows(terms, phi, eff[None, :], np.array([urllc_eff]))
     assert rows.weights[0].tobytes() == w.tobytes()
-    assert (rows.feasible.tolist(), rows.iterations.tolist()) == ([False], [0])
+    assert (rows.feasible.tolist(), rows.iterations.tolist()) == ([True], [0])
+    assert rows.weights[0, :2].tolist() == [1.0, 1.0] and 0.0 < rows.weights[0, 2] < 1e-14
     assert np.all((rows.weights[0] >= 0.0) & (rows.weights[0] <= caps))
+    assert float(d @ rows.weights[0]) >= terms.floor
 
 
 def test_a_chunk_stacking_the_rounding_row_with_other_branches_equals_its_one_row_calls():
     # The row above (row 0) in one chunk with rows of the same three users
-    # that take the other branches, in three groups of masks. Rows 0-3 leave
-    # the first user outside the log objective: a segment with a free user
-    # (with the penalty off Newton starts at the root), the outside user's
-    # cap alone meeting the floor (the lam = 0 weights), and another free
-    # segment. Rows 4-6 hold every user: a segment without a free user whose
-    # end meets the floor, a free segment, and caps below the floor. Row 7
-    # has row 0's users in the log objective, but a NaN URLLC efficiency
-    # leaves its first user a NaN floor coefficient, so that user is not
-    # held at its cap: its own group. Every row equals its one-row call and
-    # the frozen solver bit for bit, and row 0 is still infeasible
+    # that take the other branches. Rows 0-3 leave the first user outside
+    # the log objective: a segment with a free user (with the penalty off
+    # Newton starts at the root), the outside user's cap alone meeting the
+    # floor (the lam = 0 weights), and another free segment. Rows 4-6 hold
+    # every user: a segment without a free user whose end meets the floor, a
+    # free segment, and caps below the floor. Row 7 has row 0's users in the
+    # log objective, but a NaN URLLC efficiency leaves its first user a NaN
+    # floor coefficient, so that user is not held at its cap: it holds 0.
+    # Every row equals its one-row call and the frozen solver bit for bit,
+    # and row 0 is feasible
     from urllc_slice.urllc_placement import _ConfigTerms, _solve_rows
 
     def solve_each(terms, phi, eff, urllc_eff):
@@ -977,28 +992,91 @@ def test_a_chunk_stacking_the_rounding_row_with_other_branches_equals_its_one_ro
     urllc_eff = np.array([1.0, 1.5, 3.0, 1.2, 1.0, 0.9, 0.5, np.nan])
     rows, past = solve_each(terms, phi, eff, urllc_eff)
     assert past == [True] * 6 + [False, True]
-    assert rows.feasible.tolist() == [False, True, True, True, True, True, False, True]
-    assert rows.weights[0].tolist() == [1.0, 1.0, 0.0] and rows.weights[2].tolist() == [1.0, 0.0, 0.0]
+    assert rows.feasible.tolist() == [True, True, True, True, True, True, False, True]
+    assert rows.weights[0, :2].tolist() == [1.0, 1.0] and 0.0 < rows.weights[0, 2] < 1e-14
+    assert rows.weights[2].tolist() == [1.0, 0.0, 0.0]
     assert 0.0 < rows.weights[1, 1] < 1.0 and 0.0 < rows.weights[3, 1] < 1.0 and 0.0 < rows.weights[5, 2] < 1.0
     assert 0.0 < rows.weights[4, 2] < 1e-14 and rows.weights[4, :2].tolist() == [1.0, 1.0]
     assert rows.weights[7, 0] == 0.0 and np.isnan(rows.weights[7, 1:]).all()
 
-    # A chunk of 16 users, with the penalty off, pins how the outside users'
-    # supply is summed and compared: a dot over every user can group the
-    # products in another order than one over the outside users alone (on
-    # OpenBLAS, which sums 16 or more in blocks, both rows' sums round an ulp
-    # apart). Row 0's seven outside users supply part of the floor and Newton
-    # starts at the root; row 1's eight supply the floor exactly, which the
-    # early exit meets, the active users at 0
+    # A chunk of 16 users, with the penalty off, pins that the supply is one
+    # dot over every user, the outside users' caps among the others' weights:
+    # a dot over the outside users alone can group the products in another
+    # order (on OpenBLAS, which sums 16 or more in blocks, row 1's rounds an
+    # ulp below the row's, and row 0's Newton target moves). The floor is the
+    # supply of row 1's eight outside users at their caps, summed over the
+    # row, which its early exit meets, the active users at 0; row 0's seven
+    # outside users supply part of it, and Newton starts at the root
     phi = np.array([0.51, 2.68, 1.107, 2.128, 1.71, 2.471, 2.702, 2.749, 1.802, 2.91, 2.778, 2.194, 2.402, 0.947, 2.671, 2.999])
-    outside = np.array([np.isin(np.arange(16), u) for u in ([1, 2, 4, 7, 10, 11, 15], [1, 2, 4, 5, 8, 10, 13, 15])])
+    outside = np.array([np.isin(np.arange(16), u) for u in ([1, 3, 7, 8, 9, 11, 12], [0, 5, 6, 7, 8, 9, 12, 13])])
     d, caps = phi * kappa, np.ones(16)
-    terms = _ConfigTerms(kappa, float(d[outside[1]] @ caps[outside[1]]), caps, 0.0)
+    terms = _ConfigTerms(kappa, float(d @ np.where(outside[1], caps, 0.0)), caps, 0.0)
     rows, past = solve_each(terms, phi, np.where(outside, 0.0, 1.0), np.array([0.734, 1.0]))
     assert past == [True, True]
     assert rows.feasible.tolist() == [True, True] and rows.iterations.tolist() == [0, 0]
-    assert 0.0 < rows.weights[0, 6] < 1.0 and 0.0 < rows.weights[0, 14] < 1.0
+    assert [0.0 < rows.weights[0, u] < 1.0 for u in (6, 10, 14)] == [True] * 3
     assert rows.weights[1].tolist() == outside[1].tolist()
+
+    # A row of 16 users with the penalty on, whose lam = 0 weights, with its
+    # five outside users at their caps, supply the floor exactly (one dot
+    # over the row): the early exit meets it and keeps those weights. Going
+    # on past a floor met exactly, or summing the outside users' share apart,
+    # moves some weights by a few ulps
+    phi = np.array([2.847, 2.684, 2.909, 0.52, 2.807, 1.615, 2.393, 0.801, 1.995, 2.927, 1.163, 2.297, 1.86, 1.854, 2.365, 0.736])
+    eff = np.array([[0.0, 1.82, 2.676, 2.12, 0.0, 1.944, 1.59, 0.0, 1.264, 2.418, 2.26, 0.598, 0.0, 2.784, 0.0, 1.092]])
+    d = phi * kappa
+    start = np.where(eff[0] > 0.0, frozen_weights_at(kappa, d, kappa * 1.0 * (phi * eff[0]) / d, 0.0, caps), caps)
+    assert ((start > 0.0) & (start < 1.0)).sum() > 0
+    rows, past = solve_each(_ConfigTerms(kappa, float(d @ start), caps, 1.0), phi, eff, np.array([1.0]))
+    assert past == [True]
+    assert rows.weights[0].tobytes() == start.tobytes()
+    assert (rows.feasible.tolist(), rows.iterations.tolist()) == ([True], [0])
+
+
+def test_rows_whose_caps_meet_a_floor_at_a_breakpoints_supply_are_feasible():
+    # Hand-built rows with users outside the log objective, and floors at
+    # every breakpoint's supply and an ulp either side: the supply summed as
+    # one dot over the row, and as the active users' dot plus the outside
+    # users' share, which round apart on some rows. The rows have the
+    # rounding row's shape with the outside user's bandwidth drawn at random
+    # (a search and a feasibility test that sum the supply the two ways
+    # leave 38 of them infeasible), or ten users of random bandwidths, three
+    # outside (a search that sums every breakpoint's supply in one
+    # matrix-vector product rounds some apart from the row's dot). Every row
+    # equals the frozen solver bit for bit, and every one whose caps meet the
+    # floor passes lam = 0 (the penalty is off) and comes back feasible, its
+    # weights in the box and meeting the floor
+    from urllc_slice.urllc_placement import _ConfigTerms, _solve_rows
+
+    kappa, rng = 0.1, np.random.default_rng(17)
+    shapes = [
+        (np.array([u, 3.0, 1.4304732188153333]), np.array([0.0, 1.0, 1.0]))
+        for u in np.random.default_rng(21).uniform(0.5, 3.0, 64)
+    ]
+    # (on these four, both of those searches also return from every row)
+    shapes += [(rng.uniform(0.5, 3.0, 10), np.isin(np.arange(10), rng.choice(10, 7, replace=False)) * 1.0) for _ in range(4)]
+    cases, apart = [], 0
+    for phi, eff in shapes:
+        d, a, w = phi * kappa, eff > 0.0, 1.0 - eff
+        for lam in (*(kappa / d[a]), *(1.0 / (d[a] * (1.0 / kappa - 1.0)))):
+            w[a] = frozen_weights_at(kappa, d[a], 0.0, lam, np.ones(a.sum()))
+            sums = {float(d[a] @ w[a] + d[~a] @ w[~a]), float(d @ w)}
+            apart += len(sums) == 2
+            cases += [(phi, eff, f) for s in sums for f in (np.nextafter(s, 0.0), s, np.nextafter(s, np.inf))]
+    met, missed = 0, []
+    for phi, eff, floor in cases:
+        terms = _ConfigTerms(kappa, floor, np.ones(phi.size), 0.0)
+        rows = _solve_rows(terms, phi, eff[None, :], np.array([1.0]))
+        w, feasible, iters, past_lam_zero = frozen_solve(terms, phi, eff, 1.0)
+        assert (rows.weights[0].tobytes(), rows.feasible[0], rows.iterations[0]) == (w.tobytes(), feasible, iters)
+        assert np.all((w >= 0.0) & (w <= 1.0))
+        assert past_lam_zero == (rows.max_achievable_urllc_rate[0] >= floor)
+        if past_lam_zero:
+            met += 1
+            if not (feasible and float((phi * kappa) @ w) >= floor):
+                missed.append((phi.tolist(), floor))
+    assert apart > 0 and met > 0.9 * len(cases)
+    assert missed == []
 
 
 def sequential_baseline2(terms, phi, eff, urllc_eff):
