@@ -37,6 +37,19 @@ NOISE_POWER_RANGE = (1e-100, 1e100)
 # product before the division stays below 1e202 and the gain below 1e302.
 # At 10**300 either way every gain underflows to zero or a gain overflows.
 MAX_POWER_RATIO_DB = 2000.0
+# Largest accepted total bandwidth (the sum of rb_bandwidth), in Hz: 10**100.
+# A spectral efficiency stays below about 338 bit/s/Hz (log2 of 1 + 45 times
+# the 10**100 of MAX_SNR_DB), so every rate stays below 3.4e102 bit/s and a
+# run's sums of rates over users and slots stay finite. At 5e307 Hz (50 RBs
+# of 1e306 Hz) a slot's sum rate overflows.
+MAX_TOTAL_BANDWIDTH = 1e100
+# Largest accepted expected load fraction kappa = num_minislots *
+# puncture_prob * demand_quantum / l_max: 10**100. The placement's floor
+# coefficient phi * kappa * e (user bandwidth phi, mean URLLC spectral
+# efficiency e) then stays below 1e100 * 1e100 * 338 = 3.4e202, so its sums
+# over users and its products with the weights stay finite. At 9e302 (l_max
+# = 1e-300 with the other fields at their defaults) it overflows.
+MAX_LOAD_FRACTION = 1e100
 
 
 def _in_noise_range(v) -> bool:
@@ -204,7 +217,12 @@ class SystemConfig:
                 bad.append(f"{name}: all entries must be finite and > 0")
             elif name != "rb_bandwidth":
                 powers.append(name)
-        not_finite = set()
+            else:
+                with np.errstate(over="ignore"):  # finite entries may sum to inf
+                    total = self.total_bandwidth()
+                if total > MAX_TOTAL_BANDWIDTH:
+                    bad.append(f"rb_bandwidth: must sum to at most {MAX_TOTAL_BANDWIDTH:g} Hz, got {total!r}")
+        not_finite, valid = set(), set()
         for name, rule, ok in _SCALAR_RULES:
             v = getattr(self, name)
             if name == "l_max" and v is None and not self._l_max_derivable():
@@ -214,6 +232,17 @@ class SystemConfig:
                 bad.append(f"{name}: must be a finite number, got {v!r}")
             elif not ok(v):
                 bad.append(f"{name}: {rule}")
+            else:
+                valid.add(name)
+        if _is_count(self.num_minislots) and {"l_max", "puncture_prob", "demand_quantum"} <= valid:
+            # as Python floats, whose products overflow to inf without raising or warning
+            bits = float(self.num_minislots) * float(self.puncture_prob) * float(self.demand_quantum)
+            kappa = bits / float(self.l_max)
+            if kappa > MAX_LOAD_FRACTION:
+                bad.append(
+                    f"l_max: the expected load fraction num_minislots * puncture_prob * "
+                    f"demand_quantum / l_max must be at most {MAX_LOAD_FRACTION:g}, got {kappa!r}"
+                )
         if not not_finite & {"snr_min_db", "snr_max_db"} and self.snr_min_db > self.snr_max_db:
             bad.append("snr_min_db: must not exceed snr_max_db")
         if "noise_power" not in not_finite and _in_noise_range(self.noise_power):

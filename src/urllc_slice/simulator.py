@@ -15,9 +15,8 @@ as arrays, a chunk at a time, each slot at round 1's assignment of its own
 active set; only ``alternating.run`` runs slot by slot, and enters its loop
 only for a proposed slot its chunk's rounds do not answer. Each slot's
 stream is NumPy's ``default_rng(SeedSequence((seed, 1, slot)))``: its
-SeedSequence hashing is done for every slot of a range at once, and one
-reused ``PCG64`` is seeded from each slot's words in turn, so the draws are
-those of ``slot_rng``, bit for bit.
+SeedSequence hashing is done for a whole range at once, and each slot's
+``PCG64`` seeds itself from its words, bit for bit as in ``slot_rng``.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ import logging
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from enum import Enum
-from functools import cached_property
+from functools import cache, cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -66,15 +65,12 @@ _SLOT_STREAM = 1
 # together; bounds the working arrays of a range whatever its length.
 _CHUNK_ENTRIES = 1 << 16
 
-# NumPy's SeedSequence (O'Neill's seed_seq_fe, NEP 19) with its default pool
-# of four 32-bit words, and the multiplier of PCG64's 128-bit LCG.
+# NumPy's SeedSequence (O'Neill's seed_seq_fe, NEP 19), default pool of four 32-bit words.
 _MASK32 = np.uint64(0xFFFFFFFF)
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = np.uint64(0xCA01F9DD), np.uint64(0x4973F715)
 _XSHIFT = np.uint64(16)
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK128 = (1 << 128) - 1
 
 
 class Policy(str, Enum):
@@ -191,34 +187,23 @@ def _seed_words(seed: int, start: int, stop: int) -> np.ndarray:
     return np.stack([lo | (hi << np.uint64(32)) for lo, hi in zip(half[::2], half[1::2])], axis=-1)
 
 
-def _pcg64_state(words: list[int]) -> dict:
-    """The ``PCG64.state`` that seeding from ``generate_state(4, np.uint64)``
-    words gives: ``pcg_setseq_128_srandom_r``'s two LCG steps."""
-    initstate = (words[0] << 64) | words[1]
-    inc = (((words[2] << 64) | words[3]) << 1 | 1) & _MASK128
-    state = ((inc + initstate) * _PCG64_MULT + inc) & _MASK128
-    return {
-        "bit_generator": "PCG64",
-        "state": {"state": state, "inc": inc},
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
+@cache
+def _slot_words() -> type:
+    """One slot's row of ``_seed_words`` as the seed sequence a ``PCG64``
+    seeds itself from. Made on first use: subclassing ``ISeedSequence`` loads
+    ``numpy.random``, which importing the CLI does not."""
+    from numpy.random.bit_generator import ISeedSequence
 
+    class _SlotWords(ISeedSequence):
+        def __init__(self, words: np.ndarray):
+            self.words = words
 
-def _slot_rngs(seed: int, start: int, stop: int):
-    """A generator equal to ``slot_rng(seed, slot)`` for each slot from
-    ``start`` to ``stop`` in turn. A seed and slots below 2**32 share one
-    generator, re-seeded for every slot, so each is valid only until the next
-    is taken; any other seed or slot (multi-word entropy, which SeedSequence
-    hashes differently, or a seed SeedSequence rejects) gets ``slot_rng``."""
-    if not (0 <= seed < 2**32 and stop <= 2**32):
-        yield from (slot_rng(seed, slot) for slot in range(start, stop))
-        return
-    bits = np.random.PCG64(0)
-    rng = np.random.Generator(bits)
-    for words in _seed_words(int(seed), start, stop).tolist():
-        bits.state = _pcg64_state(words)
-        yield rng
+        def generate_state(self, n_words, dtype=np.uint32):
+            if n_words != 4 or np.dtype(dtype) != np.uint64:
+                raise ValueError(f"a slot's seed words are 4 uint64, not {n_words} {np.dtype(dtype)}")
+            return self.words
+
+    return _SlotWords
 
 
 def _slot_draws(cfg: SystemConfig, seed: int, start: int, stop: int):
@@ -227,11 +212,18 @@ def _slot_draws(cfg: SystemConfig, seed: int, start: int, stop: int):
     ``sample_channel`` and ``sample_urllc_load`` draw from
     ``slot_rng(seed, start + i)``. One ``standard_exponential`` call per slot
     fills both kinds of fading factor, the URLLC ones following on in the
-    stream as they do after ``sample_channel``'s broadband call."""
+    stream as they do after ``sample_channel``'s broadband call. A seed or
+    slot of 2**32 or more (multi-word entropy, which SeedSequence hashes
+    differently), or one SeedSequence rejects, gets ``slot_rng``."""
     slots, users = stop - start, cfg.num_embb_users
     fading = np.empty((slots, users + cfg.num_urllc_users))
     uniforms = np.empty((slots, cfg.num_minislots))
-    for i, rng in enumerate(_slot_rngs(seed, start, stop)):
+    if 0 <= seed < 2**32 and stop <= 2**32:
+        words, slot_words = _seed_words(int(seed), start, stop), _slot_words()
+        rngs = (np.random.Generator(np.random.PCG64(slot_words(row))) for row in words)
+    else:
+        rngs = (slot_rng(seed, slot) for slot in range(start, stop))
+    for i, rng in enumerate(rngs):
         rng.standard_exponential(out=fading[i])
         rng.random(out=uniforms[i])
     return fading[:, :users], fading[:, users:], uniforms

@@ -412,6 +412,10 @@ def test_validate_rejects_snr_beyond_float_range(tmp_path, capsys):
 
 POWER_LINE = "{}: must lie within 2000 dB of noise_power"
 NOISE_LINE = "noise_power: must lie in [1e-100, 1e100]"
+LOAD_LINE = (
+    "l_max: the expected load fraction num_minislots * puncture_prob * demand_quantum / l_max "
+    "must be at most 1e+100, got {}"
+)
 
 
 @pytest.mark.parametrize("command", ["run", "validate"])
@@ -440,6 +444,14 @@ NOISE_LINE = "noise_power: must lie in [1e-100, 1e100]"
             POWER_LINE.format("embb_tx_power"),
         ),
         ('{"urllc_tx_power": 1e-301, "noise_power": 1e-100}', POWER_LINE.format("urllc_tx_power")),
+        # 50 RBs of 1e306 Hz overflowed the sum rates, and a load fraction of
+        # 9e302 the placement's floor coefficients: the run exited 0 with
+        # inf or NaN sum rates and NumPy warnings
+        (
+            '{"rb_bandwidth": 1e306}',
+            "rb_bandwidth: must sum to at most 1e+100 Hz, got 5.000000000000001e+307",
+        ),
+        ('{"l_max": 1e-300}', LOAD_LINE.format("8.96e+302")),
     ],
 )
 def test_snr_that_would_overflow_is_one_config_error(tmp_path, capsys, command, text, line):
@@ -459,6 +471,31 @@ def test_snr_of_1000_db_runs_without_numpy_warnings(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text('{"num_embb_users": 12, "num_rbs": 5, "snr_min_db": 900, "snr_max_db": 1000}')
     argv = ["run", "--config", str(path), "--policy", "all", "--slots", "100", "--seed", "7"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(argv + ["--threads", "1", "--out", str(tmp_path / "out")]) == 0
+    for policy in ("proposed", "baseline1", "baseline2"):
+        metrics = json.loads((tmp_path / "out" / f"metrics_{policy}.json").read_text())
+        assert np.isfinite(metrics["mean_sum_rate"]) and metrics["mean_sum_rate"] > 0
+
+
+def test_a_sweep_value_that_lifts_the_load_fraction_over_its_bound_is_one_config_error(tmp_path, capsys):
+    # 8.96e99 at the config's p = 0.5, twice that at p = 1
+    path = tmp_path / "cfg.json"
+    path.write_text('{"l_max": 1e-97}')
+    argv = ["run", "--config", str(path), "--sweep", "p", "--values", "0.5,1", "--slots", "5"]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"error: config invalid: {LOAD_LINE.format('1.792e+100')}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_config_at_the_bandwidth_and_load_fraction_bounds_runs_without_numpy_warnings(tmp_path):
+    # 50 RBs summing to 1e100 Hz and a load fraction of 896 / 8.96e-98 = 1e100;
+    # every baseline-1 row needs the floor multiplier
+    path = tmp_path / "cfg.json"
+    path.write_text('{"rb_bandwidth": 1.9999999999999997e+98, "l_max": 8.96e-98}')
+    assert main(["validate", "--config", str(path)]) == 0
+    argv = ["run", "--config", str(path), "--policy", "all", "--trace", "--slots", "100", "--seed", "7"]
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         assert main(argv + ["--threads", "1", "--out", str(tmp_path / "out")]) == 0

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -87,16 +88,20 @@ def test_load_clamped_to_lmax():
 def test_load_mean_matches_binomial():
     # mean of 1e6 sampled totals vs the exact Binomial(14, 0.5) mean, within
     # three standard errors; l_max large enough that the clamp never binds.
-    # The slots are drawn as one n x 14 array, the stream that n
-    # sample_urllc_load calls draw from, and their first totals equal those
+    # The slots are drawn in blocks of rows of one generator, the stream that
+    # n sample_urllc_load calls draw from, and their first totals equal those
     # calls'; the totals are whole multiples of the quantum, so their sum is
     # exact in any order
     cfg = small_cfg(num_minislots=14, puncture_prob=0.5)
-    n = 1_000_000
-    _, totals = _minislot_loads(cfg, np.random.default_rng(42).random((n, cfg.num_minislots)))
-    rng = np.random.default_rng(42)
-    assert [sample_urllc_load(cfg, rng).total for _ in range(1000)] == totals[:1000].tolist()
-    total = float(totals.sum())
+    n, block = 1_000_000, 50_000
+    draws = np.random.default_rng(42)
+    total = 0.0
+    for start in range(0, n, block):
+        _, totals = _minislot_loads(cfg, draws.random((block, cfg.num_minislots)))
+        if start == 0:
+            rng = np.random.default_rng(42)
+            assert [sample_urllc_load(cfg, rng).total for _ in range(1000)] == totals[:1000].tolist()
+        total += float(totals.sum())
     q, m, p = cfg.demand_quantum, cfg.num_minislots, cfg.puncture_prob
     exact_mean = q * m * p
     stderr = q * math.sqrt(m * p * (1 - p)) / math.sqrt(n)
@@ -485,6 +490,45 @@ def test_noise_power_lies_within_1000_db_of_one_watt(noise, ok):
     power = min(max(noise, 1e-100), 1e100)
     kw = {"noise_power": noise, "embb_tx_power": power, "urllc_tx_power": power}
     assert SystemConfig(**kw).validate() == ([] if ok else ["noise_power: must lie in [1e-100, 1e100]"])
+
+
+BANDWIDTH_LINE = "rb_bandwidth: must sum to at most 1e+100 Hz, got {}"
+ULP_OVER = repr(np.nextafter(1e100, np.inf).item())
+LOAD_LINE = (
+    "l_max: the expected load fraction num_minislots * puncture_prob * demand_quantum / l_max "
+    "must be at most 1e+100, got {}"
+)
+
+
+@pytest.mark.parametrize(
+    "kw, bad",
+    [
+        # 50 RBs summing to 1e100 Hz, and one ulp above it
+        ({"rb_bandwidth": 1.9999999999999997e98}, []),
+        ({"rb_bandwidth": 2e98}, [BANDWIDTH_LINE.format(ULP_OVER)]),
+        ({"num_rbs": 1, "rb_bandwidth": 1e100}, []),
+        ({"num_rbs": 1, "rb_bandwidth": np.nextafter(1e100, np.inf)}, [BANDWIDTH_LINE.format(ULP_OVER)]),
+        # finite entries whose sum overflows
+        ({"num_rbs": 2, "rb_bandwidth": 1e308}, [BANDWIDTH_LINE.format("inf")]),
+        # 896 bits expected: a load fraction of 1e100, and one ulp of l_max below it
+        ({"l_max": 8.96e-98}, []),
+        ({"l_max": np.nextafter(8.96e-98, 0.0)}, [LOAD_LINE.format(ULP_OVER)]),
+        ({"l_max": 1e-300}, [LOAD_LINE.format("8.96e+302")]),
+        ({"l_max": 5e-324}, [LOAD_LINE.format("inf")]),
+        ({"puncture_prob": 0.0, "l_max": 5e-324}, []),
+        # int fields whose product is no float: the fraction is taken in floats
+        ({"puncture_prob": 1, "demand_quantum": 10**308, "l_max": 1}, [LOAD_LINE.format("inf")]),
+        # the default l_max bounds the fraction by puncture_prob
+        ({"demand_quantum": 1e300}, []),
+        # an invalid field is reported alone
+        ({"l_max": -1.0}, ["l_max: must be > 0"]),
+        ({"rb_bandwidth": [1e308, np.inf] * 25}, ["rb_bandwidth: all entries must be finite and > 0"]),
+    ],
+)
+def test_total_bandwidth_and_expected_load_fraction_are_bounded(kw, bad):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert SystemConfig(**kw).validate() == bad
 
 
 def test_vector_fields_broadcast_one_entry_or_take_full_length():
