@@ -176,12 +176,14 @@ class SystemConfig:
         return float(self.rb_bandwidth.sum())
 
     def expected_load_bits(self) -> float:
-        """Mean URLLC traffic per slot, ignoring the l_max clamp."""
-        return self.num_minislots * self.puncture_prob * self.demand_quantum
+        """Mean URLLC traffic per slot, ignoring the l_max clamp. Taken in
+        Python floats, so a product too large for a float is inf, without an
+        OverflowError or a warning, also for int fields."""
+        return float(self.num_minislots) * float(self.puncture_prob) * float(self.demand_quantum)
 
     def expected_load_fraction(self) -> float:
         """Mean load normalized by l_max; multiplies the puncture weights."""
-        return self.expected_load_bits() / self.l_max
+        return self.expected_load_bits() / float(self.l_max)
 
     def markov_rate_floor(self) -> float:
         """Minimum mean URLLC rate (bits/s) implied by the outage budget."""
@@ -235,9 +237,7 @@ class SystemConfig:
             else:
                 valid.add(name)
         if _is_count(self.num_minislots) and {"l_max", "puncture_prob", "demand_quantum"} <= valid:
-            # as Python floats, whose products overflow to inf without raising or warning
-            bits = float(self.num_minislots) * float(self.puncture_prob) * float(self.demand_quantum)
-            kappa = bits / float(self.l_max)
+            kappa = self.expected_load_fraction()
             if kappa > MAX_LOAD_FRACTION:
                 bad.append(
                     f"l_max: the expected load fraction num_minislots * puncture_prob * "

@@ -25,10 +25,11 @@ import logging
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from enum import Enum
-from functools import cache, cached_property
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from . import alternating, urllc_placement
 from .embb_scheduler import _log_excluded
@@ -187,23 +188,17 @@ def _seed_words(seed: int, start: int, stop: int) -> np.ndarray:
     return np.stack([lo | (hi << np.uint64(32)) for lo, hi in zip(half[::2], half[1::2])], axis=-1)
 
 
-@cache
-def _slot_words() -> type:
+class _SlotWords(ISeedSequence):
     """One slot's row of ``_seed_words`` as the seed sequence a ``PCG64``
-    seeds itself from. Made on first use: subclassing ``ISeedSequence`` loads
-    ``numpy.random``, which importing the CLI does not."""
-    from numpy.random.bit_generator import ISeedSequence
+    seeds itself from."""
 
-    class _SlotWords(ISeedSequence):
-        def __init__(self, words: np.ndarray):
-            self.words = words
+    def __init__(self, words: np.ndarray):
+        self.words = words
 
-        def generate_state(self, n_words, dtype=np.uint32):
-            if n_words != 4 or np.dtype(dtype) != np.uint64:
-                raise ValueError(f"a slot's seed words are 4 uint64, not {n_words} {np.dtype(dtype)}")
-            return self.words
-
-    return _SlotWords
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or np.dtype(dtype) != np.uint64:
+            raise ValueError(f"a slot's seed words are 4 uint64, not {n_words} {np.dtype(dtype)}")
+        return self.words
 
 
 def _slot_draws(cfg: SystemConfig, seed: int, start: int, stop: int):
@@ -219,8 +214,8 @@ def _slot_draws(cfg: SystemConfig, seed: int, start: int, stop: int):
     fading = np.empty((slots, users + cfg.num_urllc_users))
     uniforms = np.empty((slots, cfg.num_minislots))
     if 0 <= seed < 2**32 and stop <= 2**32:
-        words, slot_words = _seed_words(int(seed), start, stop), _slot_words()
-        rngs = (np.random.Generator(np.random.PCG64(slot_words(row))) for row in words)
+        words = _seed_words(int(seed), start, stop)
+        rngs = (np.random.Generator(np.random.PCG64(_SlotWords(row))) for row in words)
     else:
         rngs = (slot_rng(seed, slot) for slot in range(start, stop))
     for i, rng in enumerate(rngs):
