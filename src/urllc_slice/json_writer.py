@@ -1,10 +1,11 @@
 """Output text: every JSON file has the text of ``_json_indented`` (exactly
 ``json.dumps(obj, indent=2, sort_keys=True)``, without its pure-Python
-encoder); a trace file is written in pieces by ``_trace_pieces``, which
-fills the slots of the simulator's chunk records into one template straight
-from their arrays. Every CSV file goes through ``_csv_lines``, and dataclasses
-through ``_fields_dict``. A float list written to a JSON file and a CSV file
-is turned into text once, by ``_float_texts``."""
+encoder); a trace file is written one slot at a time from the pieces of
+``_trace_pieces``, which fills the slots of the simulator's chunk records
+into one template straight from their arrays. Every CSV file goes through
+``_csv_lines``, and dataclasses through ``_fields_dict``. A float list
+written to a JSON file and a CSV file is turned into text once, by
+``_float_texts``."""
 
 from __future__ import annotations
 
@@ -137,11 +138,12 @@ def _answered_template(bandwidth: list) -> str:
     return _json_indented(slot, "\n  ").replace("%", "%%").replace('"\\u0000"', "%s")
 
 
-def _record_text(record: _TraceRecord, templates: dict) -> str:
+def _record_pieces(record: _TraceRecord, templates: dict, sep: str):
     """The slots of ``record`` as ``_json_indented`` writes them inside the
-    trace's list, joined. The answered rows fill the template of the run's
-    bandwidths (kept in ``templates``): all their weights go through one
-    encoder call, split per row, and so do all their objectives."""
+    trace's list, one piece a slot, each led by its separator (``sep`` for the
+    first). The answered rows fill the template of the run's bandwidths (kept
+    in ``templates``): all their weights go through one encoder call, split
+    per row, and so do all their objectives."""
     bandwidth = record.all_active.rounded_bandwidth
     key = bandwidth.tobytes()
     if key not in templates:
@@ -154,15 +156,17 @@ def _record_text(record: _TraceRecord, templates: dict) -> str:
     objectives = _float_texts(record.rounds.objectives[answered].ravel().tolist())
     feasible = map(("false", "true").__getitem__, rows.feasible[answered].tolist())
     zipped = zip(slots, weights, objectives[::2], objectives[1::2], feasible)
-    texts = iter([template % (f, b, r, w, f, b, r, w, slot) for slot, w, f, r, b in zipped])
+    texts = (template % (f, b, r, w, f, b, r, w, slot) for slot, w, f, r, b in zipped)
     fallback = iter(record.fallback)
-    rows_text = [next(texts) if a else _json_indented(next(fallback), "\n  ") for a in answered.tolist()]
-    return ",\n  ".join(rows_text)
+    for a in answered.tolist():
+        yield sep + (next(texts) if a else _json_indented(next(fallback), "\n  "))
+        sep = ",\n  "
 
 
 def _trace_pieces(slots):
-    """``_json_indented(slots)`` in pieces, one per item of the list
-    ``slots``: a slot dict, or a ``_TraceRecord`` standing for the dicts of
+    """``_json_indented(slots)`` in pieces, one per slot and the closing
+    bracket, so a writer holds one slot's text at a time. An item of the list
+    ``slots`` is a slot dict or a ``_TraceRecord`` standing for the dicts of
     its slots. Anything but a non-empty list is one piece."""
     if not isinstance(slots, list) or not slots:
         yield _json_indented(slots)
@@ -170,8 +174,10 @@ def _trace_pieces(slots):
     templates = {}
     sep = "[\n  "
     for item in slots:
-        text = _record_text(item, templates) if type(item) is _TraceRecord else _json_indented(item, "\n  ")
-        yield sep + text
+        if type(item) is _TraceRecord:
+            yield from _record_pieces(item, templates, sep)
+        else:
+            yield sep + _json_indented(item, "\n  ")
         sep = ",\n  "
     yield "\n]"
 

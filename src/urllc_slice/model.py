@@ -43,6 +43,15 @@ MAX_POWER_RATIO_DB = 2000.0
 # run's sums of rates over users and slots stay finite. At 5e307 Hz (50 RBs
 # of 1e306 Hz) a slot's sum rate overflows.
 MAX_TOTAL_BANDWIDTH = 1e100
+# Smallest accepted bandwidth of one RB, in Hz: 10**-100, the mirror of
+# MAX_TOTAL_BANDWIDTH. A positive spectral efficiency is at least about 1e-16
+# bit/s/Hz (log2(1 + x) is 0 below x = 2.2e-16), and a mean of them over at
+# most MAX_COUNT URLLC users about 1e-21. The placement's floor multiplier,
+# near n / (e * sum phi) for n users of bandwidth phi and mean URLLC
+# efficiency e, then stays below about 1e126, and its Newton slope sum
+# (s + lam)**-2 above 1e-253. At 1e-200 Hz the multiplier passes 1e154, the
+# slope underflows to 0 and the Newton step divides by it.
+MIN_RB_BANDWIDTH = 1e-100
 # Largest accepted expected load fraction kappa = num_minislots *
 # puncture_prob * demand_quantum / l_max: 10**100. The placement's floor
 # coefficient phi * kappa * e (user bandwidth phi, mean URLLC spectral
@@ -186,8 +195,12 @@ class SystemConfig:
         return self.expected_load_bits() / float(self.l_max)
 
     def markov_rate_floor(self) -> float:
-        """Minimum mean URLLC rate (bits/s) implied by the outage budget."""
-        return self.expected_load_bits() / (self.urllc_outage_budget * SLOT_DURATION_S)
+        """Minimum mean URLLC rate (bits/s) implied by the outage budget: inf
+        beyond the float range, also where the budget's seconds underflow to 0."""
+        bits, seconds = self.expected_load_bits(), self.urllc_outage_budget * SLOT_DURATION_S
+        if seconds == 0.0:
+            return math.inf if bits else 0.0
+        return bits / seconds
 
     # -- validation and serialization ----------------------------------------
 
@@ -219,6 +232,9 @@ class SystemConfig:
                 bad.append(f"{name}: all entries must be finite and > 0")
             elif name != "rb_bandwidth":
                 powers.append(name)
+            elif v.min() < MIN_RB_BANDWIDTH:
+                least = v.min().item()
+                bad.append(f"rb_bandwidth: every entry must be at least {MIN_RB_BANDWIDTH:g} Hz, got {least!r}")
             else:
                 with np.errstate(over="ignore"):  # finite entries may sum to inf
                     total = self.total_bandwidth()
@@ -242,6 +258,11 @@ class SystemConfig:
                 bad.append(
                     f"l_max: the expected load fraction num_minislots * puncture_prob * "
                     f"demand_quantum / l_max must be at most {MAX_LOAD_FRACTION:g}, got {kappa!r}"
+                )
+            elif "urllc_outage_budget" in valid and not math.isfinite(self.markov_rate_floor()):
+                bad.append(
+                    "demand_quantum: the URLLC rate floor num_minislots * puncture_prob * "
+                    "demand_quantum / (urllc_outage_budget * 1 ms) must be finite"
                 )
         if not not_finite & {"snr_min_db", "snr_max_db"} and self.snr_min_db > self.snr_max_db:
             bad.append("snr_min_db: must not exceed snr_max_db")

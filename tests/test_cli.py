@@ -412,6 +412,11 @@ def test_validate_rejects_snr_beyond_float_range(tmp_path, capsys):
 
 POWER_LINE = "{}: must lie within 2000 dB of noise_power"
 NOISE_LINE = "noise_power: must lie in [1e-100, 1e100]"
+MIN_BANDWIDTH_LINE = "rb_bandwidth: every entry must be at least 1e-100 Hz, got {}"
+FLOOR_LINE = (
+    "demand_quantum: the URLLC rate floor num_minislots * puncture_prob * "
+    "demand_quantum / (urllc_outage_budget * 1 ms) must be finite"
+)
 LOAD_LINE = (
     "l_max: the expected load fraction num_minislots * puncture_prob * demand_quantum / l_max "
     "must be at most 1e+100, got {}"
@@ -452,6 +457,14 @@ LOAD_LINE = (
             "rb_bandwidth: must sum to at most 1e+100 Hz, got 5.000000000000001e+307",
         ),
         ('{"l_max": 1e-300}', LOAD_LINE.format("8.96e+302")),
+        # RBs of 1e-200 Hz underflowed the floor multiplier's Newton slope:
+        # validate passed and the run exited 3 with a ZeroDivisionError
+        ('{"rb_bandwidth": 1e-200, "demand_quantum": 1e-205}', MIN_BANDWIDTH_LINE.format("1e-200")),
+        ('{"rb_bandwidth": 1e-290, "demand_quantum": 1e-300}', MIN_BANDWIDTH_LINE.format("1e-290")),
+        # a rate floor of inf bit/s: the run exited 0 with outage 1.0, and a
+        # budget whose seconds underflow to 0 raised ZeroDivisionError
+        ('{"demand_quantum": 1e306}', FLOOR_LINE),
+        ('{"urllc_outage_budget": 5e-324}', FLOOR_LINE),
     ],
 )
 def test_snr_that_would_overflow_is_one_config_error(tmp_path, capsys, command, text, line):

@@ -498,6 +498,12 @@ LOAD_LINE = (
     "l_max: the expected load fraction num_minislots * puncture_prob * demand_quantum / l_max "
     "must be at most 1e+100, got {}"
 )
+MIN_BANDWIDTH_LINE = "rb_bandwidth: every entry must be at least 1e-100 Hz, got {}"
+ULP_UNDER = repr(np.nextafter(1e-100, 0.0).item())
+FLOOR_LINE = (
+    "demand_quantum: the URLLC rate floor num_minislots * puncture_prob * "
+    "demand_quantum / (urllc_outage_budget * 1 ms) must be finite"
+)
 
 
 @pytest.mark.parametrize(
@@ -523,6 +529,23 @@ LOAD_LINE = (
         # an invalid field is reported alone
         ({"l_max": -1.0}, ["l_max: must be > 0"]),
         ({"rb_bandwidth": [1e308, np.inf] * 25}, ["rb_bandwidth: all entries must be finite and > 0"]),
+        # each RB at least 1e-100 Hz; the smallest entry is reported
+        ({"rb_bandwidth": 1e-100, "demand_quantum": 1e-300}, []),
+        ({"rb_bandwidth": np.nextafter(1e-100, 0.0)}, [MIN_BANDWIDTH_LINE.format(ULP_UNDER)]),
+        ({"rb_bandwidth": [1e6] * 49 + [1e-101]}, [MIN_BANDWIDTH_LINE.format("1e-101")]),
+        # the floor multiplier's Newton slope underflowed to 0 and the step
+        # raised ZeroDivisionError
+        ({"rb_bandwidth": 1e-200, "demand_quantum": 1e-205}, [MIN_BANDWIDTH_LINE.format("1e-200")]),
+        ({"rb_bandwidth": 1e-290, "demand_quantum": 1e-300}, [MIN_BANDWIDTH_LINE.format("1e-290")]),
+        # a floor of 3.5e4 * demand_quantum bit/s: finite at 5e303, inf at 6e303
+        ({"demand_quantum": 5e303}, []),
+        ({"demand_quantum": 6e303}, [FLOOR_LINE]),
+        ({"demand_quantum": 1e306}, [FLOOR_LINE]),
+        ({"urllc_outage_budget": 1e-300}, []),
+        ({"urllc_outage_budget": 1e-306}, [FLOOR_LINE]),
+        # the budget's seconds underflow to 0: the floor divided by zero
+        ({"urllc_outage_budget": 5e-324}, [FLOOR_LINE]),
+        ({"urllc_outage_budget": 5e-324, "puncture_prob": 0.0}, []),
     ],
 )
 def test_total_bandwidth_and_expected_load_fraction_are_bounded(kw, bad):

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from urllc_slice import alternating, simulator, urllc_placement
 from urllc_slice.cli import main
-from urllc_slice.json_writer import _json_indented
+from urllc_slice.json_writer import _json_indented, _trace_pieces, _TraceRecords
 from urllc_slice.model import (
     ChannelRealization,
     SystemConfig,
@@ -350,6 +350,25 @@ def test_cli_trace_file_is_json_dumps_of_the_library_sink(
     assert main(argv + (["--post-round"] if post_round else [])) == 0
     text = (tmp_path / "out" / "trace_proposed.json").read_text()
     assert text == json.dumps(sink, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("post_round", [False, True])
+def test_trace_pieces_are_one_per_slot_across_records(monkeypatch, post_round):
+    # chunks of 7 slots; near -156 dB a user is degenerate in some slots, whose
+    # dicts are the records' fallback, and every other slot is answered
+    cfg = SystemConfig(num_embb_users=3, snr_min_db=-165.0, snr_max_db=-150.0)
+    per_slot = cfg.num_embb_users + cfg.num_urllc_users + cfg.num_minislots
+    monkeypatch.setattr(simulator, "_CHUNK_ENTRIES", 7 * per_slot)
+    records = _TraceRecords()
+    simulator.run_simulation(cfg, "proposed", 40, 7, post_round=post_round, trace_sink=records)
+    assert [r.start for r in records] == list(range(0, 40, 7))
+    answered = sum(int(r.rounds.answered.sum()) for r in records)
+    assert 0 < answered < 40 and sum(len(r.fallback) for r in records) == 40 - answered
+    pieces = list(_trace_pieces(records))
+    assert len(pieces) == 40 + 1 and pieces[-1] == "\n]"
+    assert [p[:5] for p in pieces[:-1]] == ["[\n  {"] + [",\n  {"] * 39
+    assert all(p.count('"slot": ') == 1 for p in pieces[:-1])
+    assert "".join(pieces) == _json_indented(list(simulator._trace_dicts(records)))
 
 
 def test_untraced_range_returns_no_traces():
