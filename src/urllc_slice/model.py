@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, fields
 from typing import Union
 
@@ -59,6 +60,17 @@ MIN_RB_BANDWIDTH = 1e-100
 # over users and its products with the weights stay finite. At 9e302 (l_max
 # = 1e-300 with the other fields at their defaults) it overflows.
 MAX_LOAD_FRACTION = 1e100
+# Smallest accepted l_max / (urllc_outage_budget * 1 ms * W * 338) for a
+# total bandwidth W, where the URLLC rate floor is positive: the smallest
+# normal float. Baseline 2's greedy gives a user of bandwidth phi and mean
+# URLLC spectral efficiency e (below 338 bit/s/Hz, see MAX_TOTAL_BANDWIDTH)
+# the share floor / (phi * kappa * e), at least floor / (kappa * W * 338),
+# which is this ratio: floor / kappa = l_max / (urllc_outage_budget * 1 ms),
+# as the expected load, and puncture_prob with it, cancels. A subnormal share
+# loses the bits by which the user's floor coefficient times it meets the
+# floor: at demand_quantum 1e-322 every share was 0, and baseline 2 counted
+# every slot feasible without puncturing.
+MIN_FLOOR_SHARE = sys.float_info.min
 
 
 def _in_noise_range(v) -> bool:
@@ -173,11 +185,15 @@ class SystemConfig:
             if _is_count(length) and _vector_problem(value, length) is None:
                 vec = np.broadcast_to(np.asarray(value, dtype=float), (length,)).copy()
                 setattr(self, name, vec)
-        if self.l_max is None and self._l_max_derivable():
+        # l_max's default is derived only from fields that pass their own
+        # rules; validate() reports a default that fails as their error
+        self._l_max_derived = self.l_max is None and self._l_max_derivable()
+        if self._l_max_derived:
             self.l_max = float(self.num_minislots * float(self.demand_quantum))
 
     def _l_max_derivable(self) -> bool:
-        return _is_count(self.num_minislots) and _is_number(self.demand_quantum)
+        quantum = self.demand_quantum
+        return _is_count(self.num_minislots) and _is_number(quantum) and 0 < quantum < math.inf
 
     # -- derived quantities -------------------------------------------------
 
@@ -220,7 +236,7 @@ class SystemConfig:
                     f"num_rbs: num_rbs * num_embb_users must be at most "
                     f"{MAX_ASSIGNMENT_ENTRIES}, got {entries}"
                 )
-        powers = []  # transmit powers that are valid vectors
+        powers, bandwidth = [], None  # transmit powers that are valid vectors; a valid total bandwidth
         for name, count in _VECTOR_FIELDS:
             v, length = getattr(self, name), getattr(self, count)
             if not _is_count(length):
@@ -240,16 +256,21 @@ class SystemConfig:
                     total = self.total_bandwidth()
                 if total > MAX_TOTAL_BANDWIDTH:
                     bad.append(f"rb_bandwidth: must sum to at most {MAX_TOTAL_BANDWIDTH:g} Hz, got {total!r}")
+                else:
+                    bandwidth = total
+        # a derived l_max that fails a rule is an error of the field it comes from
+        l_max = "demand_quantum: num_minislots * demand_quantum" if self._l_max_derived else "l_max: l_max"
         not_finite, valid = set(), set()
         for name, rule, ok in _SCALAR_RULES:
             v = getattr(self, name)
             if name == "l_max" and v is None and not self._l_max_derivable():
                 continue  # no default: num_minislots or demand_quantum is reported
+            label = l_max if name == "l_max" and self._l_max_derived else f"{name}:"
             if not _is_number(v) or not math.isfinite(v):
                 not_finite.add(name)
-                bad.append(f"{name}: must be a finite number, got {v!r}")
+                bad.append(f"{label} must be a finite number, got {v!r}")
             elif not ok(v):
-                bad.append(f"{name}: {rule}")
+                bad.append(f"{label} {rule}")
             else:
                 valid.add(name)
         if _is_count(self.num_minislots) and {"l_max", "puncture_prob", "demand_quantum"} <= valid:
@@ -264,6 +285,13 @@ class SystemConfig:
                     "demand_quantum: the URLLC rate floor num_minislots * puncture_prob * "
                     "demand_quantum / (urllc_outage_budget * 1 ms) must be finite"
                 )
+            elif "urllc_outage_budget" in valid and bandwidth and self.markov_rate_floor() > 0.0:
+                share = self.l_max / (self.urllc_outage_budget * SLOT_DURATION_S) / (bandwidth * 338.0)
+                if share < MIN_FLOOR_SHARE:
+                    bad.append(
+                        f"{l_max} / (urllc_outage_budget * 1 ms * total bandwidth * 338) must be at least "
+                        f"{MIN_FLOOR_SHARE!r} where the URLLC rate floor is positive, got {share!r}"
+                    )
         if not not_finite & {"snr_min_db", "snr_max_db"} and self.snr_min_db > self.snr_max_db:
             bad.append("snr_min_db: must not exceed snr_max_db")
         if "noise_power" not in not_finite and _in_noise_range(self.noise_power):

@@ -17,10 +17,10 @@ spectral efficiency until the reliability floor holds.
 
 ``_solve_rows`` and ``_baseline2_rows`` solve S slots' problems as S x U
 arrays; the per-slot functions are their one-row calls (``_slot_rows``).
-``_solve_rows`` computes the multiplier's fixed-shape terms once for all the
-rows that need it, over every user of a row; ``_multiplier_step`` searches
-each row's positive breakpoints and solves its segment, and every floor test
-it makes sums the supply as one dot over the row.
+``_solve_rows`` computes the multiplier's fixed-shape terms and every row's
+breakpoint bracket (``_brackets``) once for all the rows that need it, over
+every user of a row; ``_multiplier_step`` solves each row's bracketing
+segment, and every floor test sums the supply as one dot over the row.
 """
 
 from __future__ import annotations
@@ -135,26 +135,22 @@ def solve_placement(
     return _solve_rows(*_slot_rows(cfg, chan, mat)).solution(0)
 
 
-def _multiplier_step(kappa, floor, cap, w, d, s, enter, full, bps, met):
+def _multiplier_step(kappa, floor, cap, w, d, s, enter, full, bracket):
     """The feasibility and Newton-step count of one placement problem whose
     ``lam = 0`` weights miss the floor (or supply NaN): ``solve_placement``'s
-    breakpoint search and Newton solve, which write the row's weights into
-    ``w``. Every argument holds every user of the row: their caps, floor
-    coefficients and penalties, their entry and cap breakpoints and both
-    sorted, as ``_solve_rows`` computes them, ``w`` the ``lam = 0`` weights
-    with the users outside the log objective at their caps, and ``met``
-    whether ``d @ w`` meets the floor. Every floor test sums the supply as
-    that one dot over the row, so the search, the early exit, the
+    solve on the segment ``bracket = (lam_lo, lam_hi)`` that ``_brackets``
+    found, which writes the row's weights into ``w`` (None, where the search
+    stops, keeps them). Every other argument holds every user of the row:
+    their caps, floor coefficients, penalties and entry and cap breakpoints,
+    as ``_solve_rows`` computes them, ``w`` the ``lam = 0`` weights with the
+    users outside the log objective at their caps. Every floor test sums the
+    supply as one dot over the row, so the search, the early exit, the
     no-free-user branch and Newton round it alike. It runs inside
     ``_solve_rows``'s ``np.errstate``, which its ``_weights_at`` calls
     need."""
-    bps = bps[bps > 0.0]
-    if bps.size == 0 or met:
+    if bracket is None:
         return True, 0
-
-    at_bps = _row_dots(_weights_at(kappa, d, s, bps[:, None], cap), d)
-    k = min(int(np.count_nonzero(at_bps < floor)), bps.size - 1)
-    lam_lo, lam_hi = (float(bps[k - 1]) if k else 0.0), float(bps[k])
+    lam_lo, lam_hi = bracket
     free, capped = (enter <= lam_lo) & (full >= lam_hi), full <= lam_lo
     if not free.any():
         # Only rounding leaves the segment without a free user: with 1/kappa
@@ -185,6 +181,37 @@ def _multiplier_step(kappa, floor, cap, w, d, s, enter, full, bps, met):
         # at least one ulp a step, in case rounding makes the Newton step vanish
         lam = max(lam + (goal - supplied) / slope, float(np.nextafter(lam, np.inf)))
     return True, iters
+
+
+# The breakpoint search holds a block of rows' weights at their positive
+# breakpoints, at most 2U x U values a row, as the per-row search held one
+# row's: up to 3 200 at 40 users. Blocks of 4 096 values keep it that size
+# (32 KiB an array) at any chunk length, and take 20 rows of 10 users at once.
+_BRACKET_VALUES = 4096
+
+
+def _brackets(kappa, floor, cap, d, s, bps, met):
+    """The breakpoint search of every row of the R x U ``d`` and ``s``, the
+    R x 2U sorted breakpoints ``bps`` and the R early-exit tests ``met``:
+    each row's index k among its positive breakpoints of the first whose
+    supply meets the floor (its last if none does), -1 where it has none or
+    ``met``, and the R x 2 ends (lam_lo, lam_hi) of its bracketing segment,
+    lam_lo = 0 at k = 0. Each supply is the row's ``_row_dots`` of the
+    weights at one breakpoint with its ``d``, as the one-row search sums it,
+    and every positive breakpoint is counted: rounding and NaN supplies are
+    not monotone in lam, so no bisection."""
+    take = (bps > 0.0) & ~met[:, None]
+    below = np.zeros(bps.shape, dtype=bool)
+    block = max(1, _BRACKET_VALUES // bps[0].size // d[0].size)
+    for b in range(0, len(bps), block):
+        rows = slice(b, b + block)
+        r = b + np.nonzero(take[rows])[0]
+        lam = bps[rows][take[rows]][:, None]
+        below[rows][take[rows]] = _row_dots(_weights_at(kappa, d[r], s[r], lam, cap), d[r]) < floor
+    k = np.minimum(np.count_nonzero(below, axis=1), np.count_nonzero(take, axis=1) - 1)
+    # a row's positive breakpoints follow the others (its NaNs sort last)
+    i, at = np.arange(len(bps)), np.count_nonzero(bps <= 0.0, axis=1) + k
+    return k, np.stack((np.where(k > 0, bps[i, at - 1], 0.0), bps[i, at]), axis=1)
 
 
 def _weights_at(kappa, d, s, lam, cap):
@@ -266,12 +293,14 @@ def _solve_rows(terms: _ConfigTerms, phi: np.ndarray, eff: np.ndarray, urllc_eff
     baseline 1). The rows decided in closed form (no floor, caps below the
     floor, or the ``lam = 0`` weights meeting it) are computed together, every
     ``@`` of one row a ``_row_dots``. For the rows that need the multiplier
-    the R x U penalties, breakpoints and sorted breakpoints and the
-    early-exit test are computed at once, over every user, and each row then
-    goes through ``_multiplier_step`` on its rows of these arrays, with every
-    operand and summation order of the one-row solver. One ``np.errstate``
-    holds the ``lam = 0`` weights and the multiplier terms and loop, so every
-    ``_weights_at`` call of the chunk runs inside it."""
+    the R x U penalties, breakpoints and sorted breakpoints, the early-exit
+    test and the brackets (``_brackets``, in blocks of rows) are computed at
+    once, over every user, and each row then goes through
+    ``_multiplier_step`` on its bracket and its rows of these arrays, with
+    every operand and summation order of the one-row solver. One
+    ``np.errstate`` holds the ``lam = 0`` weights and the multiplier terms,
+    search and loop, so every ``_weights_at`` call of the chunk runs inside
+    it."""
     kappa, floor, caps, penalty = terms
     active = _log_users(phi, eff)
     rate = phi * eff
@@ -306,8 +335,9 @@ def _solve_rows(terms: _ConfigTerms, phi: np.ndarray, eff: np.ndarray, urllc_eff
                 bps = np.sort(np.concatenate((enter, full), axis=1), axis=1)
                 s[~inside & ~held] = 0.0
                 w[rows] = start = np.where(held, caps, w[rows])
-                met = _row_dots(d, start) >= floor
-                for i, *row in zip(rows.tolist(), d, s, enter, full, bps, met.tolist()):
+                k, ends = _brackets(kappa, floor, caps, d, s, bps, _row_dots(d, start) >= floor)
+                brackets = [e if j >= 0 else None for j, e in zip(k.tolist(), ends.tolist())]
+                for i, *row in zip(rows.tolist(), d, s, enter, full, brackets):
                     # overwrites row i of w
                     feasible[i], iterations[i] = _multiplier_step(kappa, floor, caps, w[i], *row)
     objective, var_level = _row_objectives(rate, w, kappa, penalty, active)

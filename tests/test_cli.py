@@ -465,6 +465,19 @@ LOAD_LINE = (
         # budget whose seconds underflow to 0 raised ZeroDivisionError
         ('{"demand_quantum": 1e306}', FLOOR_LINE),
         ('{"urllc_outage_budget": 5e-324}', FLOOR_LINE),
+        # a demand_quantum that fails its own rule was also reported as the
+        # l_max derived from it, and one whose derived l_max overflows as
+        # l_max alone
+        ('{"demand_quantum": -5}', "demand_quantum: must be > 0"),
+        ('{"demand_quantum": NaN}', "demand_quantum: must be a finite number, got nan"),
+        ('{"demand_quantum": 1e308}', "demand_quantum: num_minislots * demand_quantum must be a finite number, got inf"),
+        # a floor of 3.5e-318 bit/s: baseline 2's greedy shares underflowed to
+        # 0, and the run exited 0 with no infeasible slot and outage 0.99
+        (
+            '{"demand_quantum": 1e-322}',
+            "demand_quantum: num_minislots * demand_quantum / (urllc_outage_budget * 1 ms * total bandwidth "
+            "* 338) must be at least 2.2250738585072014e-308 where the URLLC rate floor is positive, got 0.0",
+        ),
     ],
 )
 def test_snr_that_would_overflow_is_one_config_error(tmp_path, capsys, command, text, line):

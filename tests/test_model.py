@@ -504,6 +504,11 @@ FLOOR_LINE = (
     "demand_quantum: the URLLC rate floor num_minislots * puncture_prob * "
     "demand_quantum / (urllc_outage_budget * 1 ms) must be finite"
 )
+SHARE_LINE = (
+    "{}: {} / (urllc_outage_budget * 1 ms * total bandwidth * 338) must be at least "
+    "2.2250738585072014e-308 where the URLLC rate floor is positive, got {}"
+)
+DERIVED = "demand_quantum", "num_minislots * demand_quantum"
 
 
 @pytest.mark.parametrize(
@@ -546,6 +551,23 @@ FLOOR_LINE = (
         # the budget's seconds underflow to 0: the floor divided by zero
         ({"urllc_outage_budget": 5e-324}, [FLOOR_LINE]),
         ({"urllc_outage_budget": 5e-324, "puncture_prob": 0.0}, []),
+        # l_max is derived only from a demand_quantum that passes its own
+        # rules, and a derived l_max that fails one is demand_quantum's error
+        ({"demand_quantum": -5}, ["demand_quantum: must be > 0"]),
+        ({"demand_quantum": float("nan")}, ["demand_quantum: must be a finite number, got nan"]),
+        ({"demand_quantum": 1e308}, ["demand_quantum: num_minislots * demand_quantum must be a finite number, got inf"]),
+        ({"demand_quantum": 1e308, "l_max": 1.0}, [LOAD_LINE.format("inf")]),
+        # baseline 2's greedy shares of the floor stay normal floats: l_max /
+        # 608 400 at the defaults, so demand_quantum at least 1.934e-303; at
+        # 1e-322 every share was 0 and every slot counted feasible
+        ({"demand_quantum": 1e-322}, [SHARE_LINE.format(*DERIVED, "0.0")]),
+        ({"demand_quantum": 1e-305}, [SHARE_LINE.format(*DERIVED, "1.15055884286654e-310")]),
+        ({"demand_quantum": 1.93e-303}, [SHARE_LINE.format(*DERIVED, "2.2205785667324124e-308")]),
+        ({"demand_quantum": 1.94e-303}, []),
+        ({"demand_quantum": 1e-310, "l_max": 1e-302}, [SHARE_LINE.format("l_max", "l_max", "1.643655489809336e-308")]),
+        ({"demand_quantum": 1e-310, "l_max": 2e-302}, []),
+        # no floor, no share
+        ({"demand_quantum": 1e-322, "puncture_prob": 0.0}, []),
     ],
 )
 def test_total_bandwidth_and_expected_load_fraction_are_bounded(kw, bad):

@@ -626,6 +626,49 @@ def frozen_finish(terms, phi, eff, urllc_eff, w):
     return objective, total, float((phi * kappa * urllc_eff) @ caps)
 
 
+def frozen_bracket(kappa, floor, cap, d, s, bps, met):
+    """The breakpoint search ``_multiplier_step`` made on its own row before
+    ``_brackets`` took its place, on the row's terms as ``_solve_rows``
+    computes them: the index k among the positive breakpoints and the
+    segment's ends, or k = -1 (no ends) where the step returned at once."""
+    bps = bps[bps > 0.0]
+    if bps.size == 0 or met:
+        return -1, None
+    at_bps = np.array([d @ w for w in frozen_weights_at(kappa, d, s, bps[:, None], cap)])
+    k = min(int(np.count_nonzero(at_bps < floor)), bps.size - 1)
+    return k, ((float(bps[k - 1]) if k else 0.0), float(bps[k]))
+
+
+def check_brackets(monkeypatch):
+    """Wrap ``_brackets`` so that each call's rows are checked against
+    ``frozen_bracket``, bit for bit: k and both ends. Returns the list of
+    (rows, row blocks) of the calls, a block being one ``_weights_at`` call
+    of the search."""
+    from urllc_slice import urllc_placement
+
+    brackets, weights_at, calls, weighed = urllc_placement._brackets, urllc_placement._weights_at, [], []
+
+    def counting_weights_at(*args):
+        weighed.append(1)
+        return weights_at(*args)
+
+    def checking(kappa, floor, cap, d, s, bps, met):
+        before = len(weighed)
+        k, ends = brackets(kappa, floor, cap, d, s, bps, met)
+        calls.append((len(bps), len(weighed) - before))
+        assert k.shape == (len(bps),) and ends.shape == (len(bps), 2)
+        for i in range(len(bps)):
+            want_k, want_ends = frozen_bracket(kappa, floor, cap, d[i], s[i], bps[i], met[i])
+            assert k[i] == want_k
+            if want_k >= 0:
+                assert ends[i].tobytes() == np.array(want_ends).tobytes()
+        return k, ends
+
+    monkeypatch.setattr(urllc_placement, "_weights_at", counting_weights_at)
+    monkeypatch.setattr(urllc_placement, "_brackets", checking)
+    return calls
+
+
 def chunk_arrays(cfg, seed, slots, degenerate=False):
     """The S x U and S x C fading gains and the spectral efficiencies of
     slots 0 to ``slots`` as a range computes them. With ``degenerate``, every
@@ -738,6 +781,7 @@ def test_multiplier_step_equals_the_frozen_solver_bit_for_bit(monkeypatch, kw, m
         return step(*args)
 
     monkeypatch.setattr(urllc_placement, "_multiplier_step", counting)
+    brackets = check_brackets(monkeypatch)
     cfg = SystemConfig(**kw)
     all_active = all_active_assignment(cfg)
     phi = all_active.rounded_bandwidth
@@ -749,8 +793,11 @@ def test_multiplier_step_equals_the_frozen_solver_bit_for_bit(monkeypatch, kw, m
             want = [frozen_solve(terms, phi, eff[i], urllc_eff[i]) for i in range(len(eff))]
             multiplier = [i for i, (*_, past_lam_zero) in enumerate(want) if past_lam_zero]
             before = len(steps)
+            calls = len(brackets)
             rows = urllc_placement._solve_rows(terms, phi, eff, urllc_eff)
             assert len(steps) - before == len(multiplier)
+            # one search over the chunk's multiplier rows, each checked
+            assert [r for r, _ in brackets[calls:]] == ([len(multiplier)] if multiplier else [])
             seen += len(multiplier)
             inside = (phi > 0.0) & (eff[multiplier] > 0.0)
             outside = ~inside & (phi * terms.load_fraction * urllc_eff[multiplier, None] > 0.0)
@@ -767,6 +814,37 @@ def test_multiplier_step_equals_the_frozen_solver_bit_for_bit(monkeypatch, kw, m
     assert seen == multiplier_rows[degenerate]
     groups, nan_rows, outside_rows = np.array(mixed).max(axis=0)
     assert (groups >= 2, nan_rows > 0, outside_rows > 0) == (degenerate,) * 3
+
+
+@pytest.mark.parametrize("values, block", [(None, 1), (7 * 80 * 40, 7), (10**9, 10**9 // (80 * 40))])
+@pytest.mark.parametrize("penalty", [0.0, None])
+def test_a_chunk_of_many_row_blocks_equals_the_frozen_solver(monkeypatch, values, block, penalty):
+    # 40 users on 30 RBs: ten users of every row without bandwidth (zero floor
+    # coverage, NaN breakpoints), rows with a zero or NaN efficiency, and 80
+    # breakpoints a row, so the search's 4 096 values take one row at a time.
+    # However the rows are blocked, the brackets equal the per-row search's
+    # and the rows the frozen solver's, bit for bit
+    from urllc_slice import urllc_placement
+    from urllc_slice.alternating import all_active_assignment
+
+    if values is not None:
+        monkeypatch.setattr(urllc_placement, "_BRACKET_VALUES", values)
+    brackets = check_brackets(monkeypatch)
+    cfg = SystemConfig(num_embb_users=40, num_rbs=30)
+    all_active = all_active_assignment(cfg)
+    phi = all_active.rounded_bandwidth
+    assert (phi == 0.0).sum() == 10
+    _, _, eff, urllc_eff = chunk_arrays(cfg, 7, 60, degenerate=True)
+    terms = all_active.placement_terms
+    terms = terms._replace(penalty=terms.penalty if penalty is None else penalty)
+    want = [frozen_solve(terms, phi, eff[i], urllc_eff[i]) for i in range(len(eff))]
+    multiplier = sum(past_lam_zero for *_, past_lam_zero in want)
+    rows = urllc_placement._solve_rows(terms, phi, eff, urllc_eff)
+    assert brackets == [(multiplier, -(-multiplier // block))]
+    assert multiplier == 60 if penalty == 0.0 else multiplier > 9
+    for i, (w, feasible, iters, _) in enumerate(want):
+        assert rows.weights[i].tobytes() == w.tobytes()
+        assert (rows.feasible[i], rows.iterations[i]) == (feasible, iters)
 
 
 # kappa, d, s, lam, cap of hand-built rows for _weights_at
@@ -1033,7 +1111,7 @@ def test_a_chunk_stacking_the_rounding_row_with_other_branches_equals_its_one_ro
     assert (rows.feasible.tolist(), rows.iterations.tolist()) == ([True], [0])
 
 
-def test_rows_whose_caps_meet_a_floor_at_a_breakpoints_supply_are_feasible():
+def test_rows_whose_caps_meet_a_floor_at_a_breakpoints_supply_are_feasible(monkeypatch):
     # Hand-built rows with users outside the log objective, and floors at
     # every breakpoint's supply and an ulp either side: the supply summed as
     # one dot over the row, and as the active users' dot plus the outside
@@ -1045,9 +1123,11 @@ def test_rows_whose_caps_meet_a_floor_at_a_breakpoints_supply_are_feasible():
     # matrix-vector product rounds some apart from the row's dot). Every row
     # equals the frozen solver bit for bit, and every one whose caps meet the
     # floor passes lam = 0 (the penalty is off) and comes back feasible, its
-    # weights in the box and meeting the floor
+    # weights in the box and meeting the floor. Every bracket equals the
+    # per-row search's
     from urllc_slice.urllc_placement import _ConfigTerms, _solve_rows
 
+    brackets = check_brackets(monkeypatch)
     kappa, rng = 0.1, np.random.default_rng(17)
     shapes = [
         (np.array([u, 3.0, 1.4304732188153333]), np.array([0.0, 1.0, 1.0]))
@@ -1077,6 +1157,27 @@ def test_rows_whose_caps_meet_a_floor_at_a_breakpoints_supply_are_feasible():
                 missed.append((phi.tolist(), floor))
     assert apart > 0 and met > 0.9 * len(cases)
     assert missed == []
+    assert len(cases) == 870 + 243 and brackets == [(1, 1)] * met
+
+
+def test_a_breakpoint_at_zero_is_left_out_of_the_search(monkeypatch):
+    # A user whose penalty times rate is exactly 1 enters at lam = 0 exactly:
+    # kappa / d - s is 0.0. The search takes only the positive breakpoints,
+    # as the per-row search did, so that one is neither counted nor an end of
+    # the segment; the other users are capped at lam = 0, and the first is
+    # free on (0, its cap point)
+    from urllc_slice.urllc_placement import _ConfigTerms, _solve_rows
+
+    brackets = check_brackets(monkeypatch)
+    kappa, phi, eff, urllc_eff = 0.1, np.array([1.0, 2.0, 3.0]), np.array([[1.0, 0.7, 0.4]]), np.array([1.0])
+    d = phi * kappa
+    assert kappa / d[0] - kappa * 1.0 * (phi[0] * eff[0, 0]) / d[0] == 0.0
+    terms = _ConfigTerms(kappa, 0.55, np.ones(3), 1.0)
+    rows = _solve_rows(terms, phi, eff, urllc_eff)
+    w, feasible, iters, past_lam_zero = frozen_solve(terms, phi, eff[0], urllc_eff[0])
+    assert (rows.weights[0].tobytes(), rows.feasible[0], rows.iterations[0]) == (w.tobytes(), feasible, iters)
+    assert past_lam_zero and feasible and brackets == [(1, 1)]
+    assert rows.weights[0, 1:].tolist() == [1.0, 1.0] and 0.0 < rows.weights[0, 0] < 1.0
 
 
 def sequential_baseline2(terms, phi, eff, urllc_eff):
@@ -1203,3 +1304,25 @@ def test_solve_baseline2_equals_the_sequential_greedy(kw):
         sol = solve_baseline2(cfg, chan, mat)
         assert sol.weights.weights.tobytes() == want_w.tobytes()
         assert sol.feasible == want_feasible
+
+
+@pytest.mark.parametrize("demand_quantum, accepted", [(1.94e-303, True), (1e-300, True), (1e-322, False)])
+def test_baseline2_rows_counted_feasible_meet_the_floor(demand_quantum, accepted):
+    # SystemConfig keeps the greedy's shares of the floor normal floats
+    # (MIN_FLOOR_SHARE); at the smallest accepted demand_quantum every row
+    # counted feasible meets its floor. At 1e-322, now rejected, the floor
+    # is 3.5e-318 bit/s, every share underflows to 0, and every row is
+    # counted feasible with no weight at all
+    from urllc_slice.alternating import all_active_assignment
+    from urllc_slice.urllc_placement import _baseline2_rows
+
+    cfg = SystemConfig(demand_quantum=demand_quantum)
+    assert (cfg.validate() == []) == accepted
+    all_active = all_active_assignment(cfg)
+    terms, phi = all_active.placement_terms, all_active.rounded_bandwidth
+    _, _, eff, urllc_eff = chunk_arrays(cfg, 153, 200)
+    w, feasible = _baseline2_rows(terms, np.broadcast_to(phi, eff.shape), eff, urllc_eff)
+    supply = np.array([(phi * terms.load_fraction * urllc_eff[i]) @ w[i] for i in range(len(w))])
+    assert terms.floor > 0.0 and feasible.all()
+    assert (supply >= terms.floor).all() == accepted
+    assert (w == 0.0).all() != accepted
