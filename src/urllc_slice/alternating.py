@@ -84,11 +84,11 @@ class AlternationTrace:
 @dataclass(frozen=True)
 class AllActive:
     """Round 1's assignment of a zero-initialised ``run`` whose active set is
-    ``mask``, the users it leaves out, its user bandwidths (as floats in
-    ``rounded_values``, which answered trace entries copy) and the placement
-    problem's configuration terms: one serves every slot of a run with that
-    active set. ``_row_assignments`` stacks a chunk's rows: S x U masks and
-    bandwidths, the rest None but the terms."""
+    ``mask``, the users it leaves out and its user bandwidths (as floats in
+    ``rounded_values``, which answered trace entries copy). It depends on
+    the channel only through ``mask`` and on no swept field, so one serves
+    every slot of a batch with that active set. ``_row_assignments`` stacks
+    a chunk's rows: S x U masks and bandwidths, the rest None."""
 
     mask: np.ndarray
     excluded: list | None
@@ -96,21 +96,20 @@ class AllActive:
     fractional_bandwidth: np.ndarray
     rounded_bandwidth: np.ndarray
     rounded_values: tuple | None
-    placement_terms: _ConfigTerms
 
 
 def all_active_assignment(cfg: SystemConfig) -> AllActive:
     """The ``AllActive`` of ``cfg`` with every user active."""
-    return _assignment(cfg, np.ones(cfg.num_embb_users, dtype=bool), _config_terms(cfg))
+    return _assignment(cfg, np.ones(cfg.num_embb_users, dtype=bool))
 
 
-def _assignment(cfg: SystemConfig, mask: np.ndarray, terms: _ConfigTerms) -> AllActive:
+def _assignment(cfg: SystemConfig, mask: np.ndarray) -> AllActive:
     """The ``AllActive`` of ``cfg`` whose active set is ``mask``."""
     frac = _equal_shares(cfg, mask)
     binary = round_to_binary(frac, cfg)
     rounded = binary.user_bandwidth(cfg.rb_bandwidth)
     excluded, fractional = np.flatnonzero(~mask).tolist(), frac.user_bandwidth(cfg.rb_bandwidth)
-    return AllActive(mask, excluded, binary, fractional, rounded, tuple(rounded.tolist()), terms)
+    return AllActive(mask, excluded, binary, fractional, rounded, tuple(rounded.tolist()))
 
 
 def _row_assignments(cfg: SystemConfig, all_active: AllActive, eff: np.ndarray):
@@ -122,10 +121,10 @@ def _row_assignments(cfg: SystemConfig, all_active: AllActive, eff: np.ndarray):
     if positive.all():
         return [all_active] * len(eff), all_active
     masks, group = _row_groups(positive)
-    distinct = [all_active if m.all() else _assignment(cfg, m, all_active.placement_terms) for m in masks]
+    distinct = [all_active if m.all() else _assignment(cfg, m) for m in masks]
     frac = np.array([a.fractional_bandwidth for a in distinct])[group]
     rounded = np.array([a.rounded_bandwidth for a in distinct])[group]
-    stacked = AllActive(positive, None, None, frac, rounded, None, all_active.placement_terms)
+    stacked = AllActive(positive, None, None, frac, rounded, None)
     return [distinct[g] for g in group.tolist()], stacked
 
 
@@ -172,14 +171,16 @@ def run(
     log included. ``row``, ``(rounds, i)``, hands over those rounds when the
     caller has computed them for a chunk of slots, ``rounds`` being the
     chunk's ``_all_active_rounds`` at the same ``post_round`` and this slot
-    its row ``i``; without it the call computes its own one-row case.
+    its row ``i``; without it the call computes its own one-row case, under
+    ``cfg``'s ``_config_terms``.
     """
     if max_iters < 1:
         raise ConfigError("max_iters must be >= 1")
     if all_active is not None and init == "zero" and max_iters >= 2:
         if row is None:
             eff, urllc_eff = spectral_efficiencies(cfg, chan)
-            row = _all_active_rounds(all_active, eff[None, :], np.array([urllc_eff]), post_round), 0
+            terms = _config_terms(cfg)
+            row = _all_active_rounds(all_active, terms, eff[None, :], np.array([urllc_eff]), post_round), 0
         rounds, i = row
         if rounds.answered[i]:
             _log_excluded(all_active.excluded)
@@ -237,15 +238,15 @@ class AllActiveRounds(NamedTuple):
     objectives: np.ndarray
 
 
-def _all_active_rounds(all_active: AllActive, eff: np.ndarray, urllc_eff: np.ndarray, post_round: bool):
-    """The ``AllActiveRounds`` at ``all_active`` (or at its stacked rows) of
-    the slots whose S x U broadband and S mean URLLC spectral efficiencies
-    are ``eff`` and ``urllc_eff``. Round 1 assigns ``all_active`` to a row
-    whose positive efficiencies are its mask; round 2 repeats it, and the
-    loop stops converged, exactly when round 1's weights keep those users
-    active (``active_user_mask``'s test): those rows are answered, with the
-    loop's values bit for bit (``_solve_rows``)."""
-    terms = all_active.placement_terms
+def _all_active_rounds(all_active: AllActive, terms: _ConfigTerms, eff, urllc_eff, post_round: bool):
+    """The ``AllActiveRounds`` at ``all_active`` (or at its stacked rows),
+    under a configuration's ``_config_terms`` ``terms``, of the slots whose
+    S x U broadband and S mean URLLC spectral efficiencies are ``eff`` and
+    ``urllc_eff``. Round 1 assigns ``all_active`` to a row whose positive
+    efficiencies are its mask; round 2 repeats it, and the loop stops
+    converged, exactly when round 1's weights keep those users active
+    (``active_user_mask``'s test): those rows are answered, with the loop's
+    values bit for bit (``_solve_rows``)."""
     placed, other = all_active.fractional_bandwidth, all_active.rounded_bandwidth
     if not post_round:
         placed, other = other, placed

@@ -2,10 +2,10 @@
 ``json.dumps(obj, indent=2, sort_keys=True)``, without its pure-Python
 encoder); a trace file is written one slot at a time from the pieces of
 ``_trace_pieces``, which fills the slots of the simulator's chunk records
-into one template straight from their arrays. Every CSV file goes through
-``_csv_lines``, and dataclasses through ``_fields_dict``. A float list
-written to a JSON file and a CSV file is turned into text once, by
-``_float_texts``."""
+into the template of each slot's assignment straight from their arrays.
+Every CSV file goes through ``_csv_lines``, and dataclasses through
+``_fields_dict``. A float list written to a JSON file and a CSV file is
+turned into text once, by ``_float_texts``."""
 
 from __future__ import annotations
 
@@ -106,12 +106,13 @@ class _TraceRecord(NamedTuple):
     """The traces of the proposed slots of one chunk, from slot ``start``
     on, in slot order. A row that ``rounds`` (the chunk's
     ``alternating.AllActiveRounds``) answers is the converged two-entry trace
-    of ``alternating._answered_run``: both entries hold the row's weights,
-    objectives and feasibility and ``all_active.rounded_bandwidth``. Every
-    other row is the next slot dict of ``fallback``."""
+    of ``alternating._answered_run`` at its entry of ``assignments`` (one
+    ``AllActive`` a row): both entries hold the row's weights, objectives and
+    feasibility and that assignment's ``rounded_values``. Every other row
+    is the next slot dict of ``fallback``."""
 
     start: int
-    all_active: object
+    assignments: list
     rounds: object
     fallback: list
 
@@ -141,14 +142,11 @@ def _answered_template(bandwidth: list) -> str:
 def _record_pieces(record: _TraceRecord, templates: dict, sep: str):
     """The slots of ``record`` as ``_json_indented`` writes them inside the
     trace's list, one piece a slot, each led by its separator (``sep`` for the
-    first). The answered rows fill the template of the run's bandwidths (kept
-    in ``templates``): all their weights go through one encoder call, split
-    per row, and so do all their objectives."""
-    bandwidth = record.all_active.rounded_bandwidth
-    key = bandwidth.tobytes()
-    if key not in templates:
-        templates[key] = _answered_template(bandwidth.tolist())
-    template = templates[key]
+    first). An answered row fills the template of its assignment's
+    bandwidths (kept in ``templates``), looked up again only where a row's
+    assignment is not the previous answered row's: all their weights go
+    through one encoder call, split per row, and so do all their
+    objectives."""
     answered, rows = record.rounds.answered, record.rounds.placement
     slots = (np.flatnonzero(answered) + record.start).tolist()
     # with no row answered, each split gives [""] and zip stops at once
@@ -156,35 +154,28 @@ def _record_pieces(record: _TraceRecord, templates: dict, sep: str):
     objectives = _float_texts(record.rounds.objectives[answered].ravel().tolist())
     feasible = map(("false", "true").__getitem__, rows.feasible[answered].tolist())
     zipped = zip(slots, weights, objectives[::2], objectives[1::2], feasible)
-    texts = (template % (f, b, r, w, f, b, r, w, slot) for slot, w, f, r, b in zipped)
-    fallback = iter(record.fallback)
-    for a in answered.tolist():
-        yield sep + (next(texts) if a else _json_indented(next(fallback), "\n  "))
+    fills = ((f, b, r, w, f, b, r, w, slot) for slot, w, f, r, b in zipped)
+    fallback, previous = iter(record.fallback), None
+    for a, assignment in zip(answered.tolist(), record.assignments):
+        if a and assignment is not previous:
+            previous, key = assignment, assignment.rounded_bandwidth.tobytes()
+            if key not in templates:
+                templates[key] = _answered_template(list(assignment.rounded_values))
+            template = templates[key]
+        yield sep + (template % next(fills) if a else _json_indented(next(fallback), "\n  "))
         sep = ",\n  "
 
 
-def _trace_pieces(slots):
-    """``_json_indented(slots)`` in pieces, one per slot and the closing
-    bracket, so a writer holds one slot's text at a time. An item of the list
-    ``slots`` is a slot dict or a ``_TraceRecord`` standing for the dicts of
-    its slots. Anything but a non-empty list is one piece."""
-    if not isinstance(slots, list) or not slots:
-        yield _json_indented(slots)
-        return
+def _trace_pieces(records: list):
+    """``_json_indented`` of the slot dicts of ``records``, a non-empty list
+    of ``_TraceRecord``s, in pieces, one per slot and the closing bracket, so
+    a writer holds one slot's text at a time."""
     templates = {}
     sep = "[\n  "
-    for item in slots:
-        if type(item) is _TraceRecord:
-            yield from _record_pieces(item, templates, sep)
-        else:
-            yield sep + _json_indented(item, "\n  ")
+    for record in records:
+        yield from _record_pieces(record, templates, sep)
         sep = ",\n  "
     yield "\n]"
-
-
-def _trace_json(slots) -> str:
-    """Exactly ``_json_indented`` of ``slots`` with every record expanded."""
-    return "".join(_trace_pieces(slots))
 
 
 def _fields_dict(obj) -> dict:

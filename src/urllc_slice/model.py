@@ -524,6 +524,11 @@ def _checked_load_bits(cfg: SystemConfig, load_bits):
     return load_bits
 
 
+def _load_fraction(cfg: SystemConfig, load: LoadLike) -> float:
+    """A slot's realized load normalized by l_max, after ``_checked_load_bits``."""
+    return _checked_load_bits(cfg, _load_bits(load)) / cfg.l_max
+
+
 def _slot_rates(phi, w, load_fraction, embb_eff, urllc_eff):
     """Per-user broadband rates, punctured bandwidth per user and aggregate
     URLLC rate at a load normalized by l_max. A user loses rate in proportion
@@ -550,9 +555,10 @@ def punctured_bandwidth(
     load: LoadLike,
 ) -> np.ndarray:
     """Hz surrendered by each user: its bandwidth, scaled by its puncture
-    weight and by the normalized realized load."""
+    weight and by the normalized realized load (``_slot_rates``' theta,
+    which takes no spectral efficiency)."""
     phi = mat.user_bandwidth(cfg.rb_bandwidth)
-    return phi * _weights_vec(weights) * (_load_bits(load) / cfg.l_max)
+    return _slot_rates(phi, _weights_vec(weights), _load_fraction(cfg, load), 0.0, 0.0)[1]
 
 
 def embb_rate(
@@ -563,8 +569,7 @@ def embb_rate(
     load: LoadLike,
 ) -> np.ndarray:
     """Instantaneous per-user broadband rate (bits/s) after puncturing."""
-    load_fraction = _checked_load_bits(cfg, _load_bits(load)) / cfg.l_max
-    return _matrix_rates(cfg, chan, mat, weights, load_fraction)[0]
+    return _matrix_rates(cfg, chan, mat, weights, _load_fraction(cfg, load))[0]
 
 
 def expected_embb_rate(
@@ -587,7 +592,7 @@ def urllc_rate(
 ) -> float:
     """Aggregate URLLC rate (bits/s) over the punctured bandwidth, which is
     divided equally between the URLLC users."""
-    return float(_matrix_rates(cfg, chan, mat, weights, _load_bits(load) / cfg.l_max)[2])
+    return float(_matrix_rates(cfg, chan, mat, weights, _load_fraction(cfg, load))[2])
 
 
 def expected_urllc_rate(

@@ -12,8 +12,9 @@ the calling process as one range, a chunk at a time.
 
 A range of slots is drawn, turned into channel terms, solved and evaluated
 as arrays, a chunk at a time, each slot at round 1's assignment of its own
-active set; only ``alternating.run`` runs slot by slot, and enters its loop
-only for a proposed slot its chunk's rounds do not answer. Each slot's
+active set, which a chunk builds once for all the runs; only
+``alternating.run`` runs slot by slot, and enters its loop only for a
+proposed slot its chunk's rounds do not answer. Each slot's
 stream is NumPy's ``default_rng(SeedSequence((seed, 1, slot)))``: its
 SeedSequence hashing is done for a whole range at once, and each slot's
 ``PCG64`` seeds itself from its words, bit for bit as in ``slot_rng``.
@@ -232,14 +233,18 @@ def _chunk_slots(cfg: SystemConfig) -> int:
 class _Chunk(NamedTuple):
     """What every run of a batch takes alike from the slots of one chunk,
     from slot ``start`` on: the S x U and S x C fading gains, the S x U
-    broadband spectral efficiencies and the S mean URLLC spectral
-    efficiencies."""
+    broadband spectral efficiencies, the S mean URLLC spectral efficiencies
+    and each slot's round 1 assignment, that of its own active set, as
+    ``alternating._row_assignments`` returns them: one ``AllActive`` a slot
+    and their stack."""
 
     start: int
     gains: np.ndarray
     urllc_gains: np.ndarray
     eff: np.ndarray
     urllc_eff: np.ndarray
+    assignments: list
+    stacked: alternating.AllActive
 
 
 class _ChunkRows(NamedTuple):
@@ -254,32 +259,28 @@ class _ChunkRows(NamedTuple):
     record: _TraceRecord | None
 
 
-def _policy_rows(cfg, policy, all_active, chunk: _Chunk, post_round, traced):
+def _policy_rows(cfg, policy, terms, chunk: _Chunk, post_round, traced):
     """One run's user bandwidths and weights (S x U) and feasibility (S) on
-    the slots of ``chunk``, and, if ``traced`` (proposed policy only), its
-    ``_TraceRecord``: its rounds stand for the slots they answer at
-    ``all_active`` (``alternating.all_active_assignment(cfg)``), its list
-    holds the other slots' trace dicts. The chunk is solved once, each slot
-    at round 1's assignment of its own active set
-    (``alternating._row_assignments``): proposed's two rounds
-    (``alternating._all_active_rounds``), whose rows each slot's
+    the slots of ``chunk``, under its configuration's
+    ``urllc_placement._config_terms`` ``terms``, and, if ``traced`` (proposed
+    policy only), its ``_TraceRecord``: its rounds stand for the slots they
+    answer, each at its chunk assignment, its list holds the trace dicts of
+    the slots the loop solved. Every slot is solved at its chunk assignment: proposed's
+    two rounds (``alternating._all_active_rounds``), whose rows each slot's
     ``alternating.run`` takes, or a baseline's placement
     (``urllc_placement._baseline2_rows``, or ``_solve_rows`` with the penalty
     off), whose slots' excluded users are logged as ``solve_fractional`` does."""
-    eff, urllc_eff = chunk.eff, chunk.urllc_eff
-    assignments, stacked = alternating._row_assignments(cfg, all_active, eff)
+    eff, urllc_eff, assignments, stacked = chunk.eff, chunk.urllc_eff, chunk.assignments, chunk.stacked
     phi = np.broadcast_to(stacked.rounded_bandwidth, eff.shape).copy()
     if policy != Policy.PROPOSED:
         for assignment in assignments:
             _log_excluded(assignment.excluded)
-        terms = stacked.placement_terms
         if policy == Policy.BASELINE2:
             return (phi, *urllc_placement._baseline2_rows(terms, phi, eff, urllc_eff), None)
         return (phi, *urllc_placement._solve_rows(terms._replace(penalty=0.0), phi, eff, urllc_eff)[:2], None)
-    rounds = alternating._all_active_rounds(stacked, eff, urllc_eff, post_round)
+    rounds = alternating._all_active_rounds(stacked, terms, eff, urllc_eff, post_round)
     weights, feasible = rounds.placement.weights.copy(), rounds.placement.feasible.copy()
-    answered = rounds.answered & (eff > 0.0).all(axis=1)  # at all_active; the slot loop fills in the rest
-    record = _TraceRecord(chunk.start, all_active, rounds._replace(answered=answered), []) if traced else None
+    record = _TraceRecord(chunk.start, assignments, rounds, []) if traced else None
     for i, assignment in enumerate(assignments):
         chan = ChannelRealization(chunk.gains[i], chunk.urllc_gains[i])
         binary, placement, alternation = alternating.run(
@@ -288,8 +289,8 @@ def _policy_rows(cfg, policy, all_active, chunk: _Chunk, post_round, traced):
         if binary is not assignment.binary:  # the loop ran
             phi[i] = binary.user_bandwidth(cfg.rb_bandwidth)
             weights[i], feasible[i] = placement.weights.weights, placement.feasible
-        if record is not None and binary is not all_active.binary:
-            record.fallback.append({"slot": chunk.start + i, **alternation.to_dict()})
+            if record is not None:
+                record.fallback.append({"slot": chunk.start + i, **alternation.to_dict()})
     return phi, weights, feasible, record
 
 
@@ -297,15 +298,16 @@ def _simulate_range(runs, seed, start, stop, post_round, held):
     """Yields, for each chunk of slots ``start`` to ``stop`` in turn, a list
     of one ``_ChunkRows`` per run of ``runs``: (config, policy, traced)
     triples whose configs differ at most in the swept fields. A chunk's
-    draws, fading gains and spectral efficiencies are computed once for all
-    the runs, and its minislot loads once per distinct ``puncture_prob``;
-    each run then takes its policy step (``_policy_rows``) and
-    ``evaluate_slots`` on them. ``held``, a ``_HeldRecords``, receives the
-    package's log records of a chunk, filed under the run whose step made
-    them (the first run's when none did)."""
+    draws, fading gains, spectral efficiencies and slot assignments
+    (``_Chunk``) are computed once for all the runs, and its minislot loads
+    once per distinct ``puncture_prob``; each run then takes its policy step
+    (``_policy_rows``) and ``evaluate_slots`` on them. ``held``, a
+    ``_HeldRecords``, receives the package's log records of a chunk, filed
+    under the run whose step made them (the first run's when none did)."""
     cfg = runs[0][0]
     means = sample_mean_snr(cfg, mean_snr_rng(seed))
-    assignments = [alternating.all_active_assignment(run_cfg) for run_cfg, _, _ in runs]
+    all_active = alternating.all_active_assignment(cfg)
+    terms = [urllc_placement._config_terms(run_cfg) for run_cfg, _, _ in runs]
     step = _chunk_slots(cfg)
     for lo in range(start, stop, step):
         rows, loads = [], {}
@@ -313,18 +315,16 @@ def _simulate_range(runs, seed, start, stop, post_round, held):
         with _holding(held):
             fading, urllc_fading, uniforms = _slot_draws(cfg, seed, lo, min(lo + step, stop))
             gains, urllc_gains = _fading_gains(cfg, *means, fading, urllc_fading)
-            chunk = _Chunk(lo, gains, urllc_gains, *_efficiencies(cfg, gains, urllc_gains))
-            for i, ((run_cfg, policy, traced), all_active) in enumerate(zip(runs, assignments)):
+            eff, urllc_eff = _efficiencies(cfg, gains, urllc_gains)
+            assignments = alternating._row_assignments(cfg, all_active, eff)
+            chunk = _Chunk(lo, gains, urllc_gains, eff, urllc_eff, *assignments)
+            for i, (run_cfg, policy, traced) in enumerate(runs):
                 held.run = i
-                phi, weights, feasible, record = _policy_rows(
-                    run_cfg, policy, all_active, chunk, post_round, traced
-                )
+                phi, weights, feasible, record = _policy_rows(run_cfg, policy, terms[i], chunk, post_round, traced)
                 p = run_cfg.puncture_prob
                 if p not in loads:
                     loads[p] = _minislot_loads(run_cfg, uniforms)[1]
-                rates, thetas, _, outages = evaluate_slots(
-                    run_cfg, chunk.eff, chunk.urllc_eff, phi, weights, loads[p]
-                )
+                rates, thetas, _, outages = evaluate_slots(run_cfg, eff, urllc_eff, phi, weights, loads[p])
                 rows.append(_ChunkRows(rates, thetas, outages, feasible, record))
         yield rows
 
@@ -335,7 +335,7 @@ def _trace_dicts(records):
         fallback = iter(record.fallback)
         for i, answered in enumerate(record.rounds.answered.tolist()):
             if answered:
-                trace = alternating._answered_run(record.all_active, record.rounds, i)[2]
+                trace = alternating._answered_run(record.assignments[i], record.rounds, i)[2]
                 yield {"slot": record.start + i, **trace.to_dict()}
             else:
                 yield next(fallback)
@@ -552,13 +552,17 @@ def run_simulation(
 
 def sweep_configs(cfg: SystemConfig, parameter: str, values: list[float]) -> list[SystemConfig]:
     """``cfg`` with the field that ``parameter`` names set to each value in
-    turn; a value that field rejects is a ``ConfigError``."""
+    turn, a derived ``l_max`` derived again. ``cfg`` must be valid; then any
+    rule a swept config breaks rejects its value, as a ``ConfigError``."""
     if parameter not in _SWEEP_FIELDS:
         raise ConfigError(f"unknown sweep parameter {parameter!r}; use p, epsilon, or beta")
-    field_name = _SWEEP_FIELDS[parameter]
-    cfgs = [replace(cfg, **{field_name: float(v)}) for v in values]
+    bad = cfg.validate()
+    if bad:
+        raise ConfigError("config invalid: " + "; ".join(bad))
+    derived = {"l_max": None} if cfg._l_max_derived else {}
+    cfgs = [replace(cfg, **derived, **{_SWEEP_FIELDS[parameter]: float(v)}) for v in values]
     for v, swept in zip(values, cfgs):
-        bad = [b for b in swept.validate() if b.startswith(field_name)]
+        bad = swept.validate()
         if bad:
             raise ConfigError(f"sweep value {v} rejected: " + "; ".join(bad))
     return cfgs

@@ -506,13 +506,33 @@ def test_snr_of_1000_db_runs_without_numpy_warnings(tmp_path):
 
 
 def test_a_sweep_value_that_lifts_the_load_fraction_over_its_bound_is_one_config_error(tmp_path, capsys):
-    # 8.96e99 at the config's p = 0.5, twice that at p = 1
+    # 8.96e99 at the config's p = 0.5, twice that at p = 1: the value that
+    # breaks the rule is named, though the rule's error is l_max's
     path = tmp_path / "cfg.json"
     path.write_text('{"l_max": 1e-97}')
     argv = ["run", "--config", str(path), "--sweep", "p", "--values", "0.5,1", "--slots", "5"]
     assert main(argv + ["--out", str(tmp_path / "out")]) == 1
-    assert capsys.readouterr().err == f"error: config invalid: {LOAD_LINE.format('1.792e+100')}\n"
+    assert capsys.readouterr().err == f"error: config sweep value 1.0 rejected: {LOAD_LINE.format('1.792e+100')}\n"
     assert not (tmp_path / "out").exists()
+
+
+def test_a_sweep_value_that_breaks_a_derived_l_max_rule_is_rejected_as_that_value(tmp_path, capsys):
+    # l_max is derived from demand_quantum, not set: at epsilon 0.5 the floor
+    # share falls below its bound, which names demand_quantum and the value
+    path = tmp_path / "cfg.json"
+    path.write_text('{"demand_quantum": 2e-303}')
+    argv = ["run", "--config", str(path), "--sweep", "epsilon", "--values", "0.1,0.5", "--policy", "baseline2"]
+    assert main(argv + ["--slots", "5", "--out", str(tmp_path / "out")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: config sweep value 0.5 rejected: demand_quantum: num_minislots * demand_quantum / "
+        "(urllc_outage_budget * 1 ms * total bandwidth * 338) must be at least 2.2250738585072014e-308 "
+        "where the URLLC rate floor is positive, got 4.602235371466143e-309\n"
+    )
+    assert not (tmp_path / "out").exists()
+    # at 0.1 alone the derived l_max passes, as in the config itself
+    assert main(argv[:6] + ["0.1", "--policy", "baseline2", "--slots", "5", "--out", str(tmp_path / "ok")]) == 0
 
 
 def test_a_config_at_the_bandwidth_and_load_fraction_bounds_runs_without_numpy_warnings(tmp_path):

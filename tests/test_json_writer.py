@@ -5,7 +5,7 @@ import numpy as np
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from urllc_slice.json_writer import _csv, _json_indented, _trace_json
+from urllc_slice.json_writer import _csv, _json_indented
 from urllc_slice.simulator import RunMetrics
 
 scalars = (
@@ -44,8 +44,8 @@ def test_non_string_keys_fall_back_to_json_dumps():
     assert _json_indented(doc) == json.dumps(doc, indent=2, sort_keys=True)
 
 
-# Trace-shaped documents for ``_trace_json``: the slot dicts ``run_simulation``
-# collects, with the shapes and values that must leave its template.
+# Trace-shaped documents for ``_json_indented``: the slot dicts ``run_simulation``
+# collects, with shapes and values that no answered slot's template holds.
 numbers = (
     st.floats(allow_nan=True, allow_infinity=True)
     | st.sampled_from([0.0, -0.0, 1.0, math.nan, math.inf, -math.inf])
@@ -137,12 +137,12 @@ weights_a, weights_b, bandwidth = [0.25, 0.0, 1.0], [0.25, -0.0, 1.0], [2.5e5, 1
 @example([slot(0, [entry(1, weights_a, (0.5, 1.0)), entry(2, weights_a, [0.5, 1.0])])])
 @example([slot(True, [entry(1, [None], [True]), entry(2, [None], [[1]])], converged=None, reason=3)])
 def test_trace_writer_matches_json_dumps_byte_for_byte(sink):
-    assert _trace_json(sink) == json.dumps(sink, indent=2, sort_keys=True)
+    assert _json_indented(sink) == json.dumps(sink, indent=2, sort_keys=True)
 
 
 def test_trace_writer_writes_other_documents_as_json_dumps():
     for doc in ([], {}, [[]], [1, 2], {"slot": 0}, "trace"):
-        assert _trace_json(doc) == json.dumps(doc, indent=2, sort_keys=True)
+        assert _json_indented(doc) == json.dumps(doc, indent=2, sort_keys=True)
 
 
 # -- the metrics files from one text per float ---------------------------------

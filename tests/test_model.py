@@ -141,11 +141,24 @@ def test_rate_matches_independent_reference():
             assert got[u] == pytest.approx(want, rel=1e-12)
 
 
-def test_rate_rejects_load_above_lmax():
+# every function of a realized load, in one signature
+REALIZED_LOAD_FUNCTIONS = {
+    "embb_rate": embb_rate,
+    "urllc_rate": urllc_rate,
+    "punctured_bandwidth": lambda cfg, chan, mat, w, load: punctured_bandwidth(cfg, mat, w, load),
+    "evaluate_slot": evaluate_slot,
+}
+
+
+@pytest.mark.parametrize("name", sorted(REALIZED_LOAD_FUNCTIONS))
+@pytest.mark.parametrize("factor", [1.01, 3.0])
+def test_every_realized_load_function_rejects_a_load_above_lmax(factor, name):
     cfg = small_cfg()
     mat, chan, w, _ = random_instance(np.random.default_rng(0), cfg)
-    with pytest.raises(ValueError):
-        embb_rate(cfg, chan, mat, w, cfg.l_max * 1.01)
+    fn = REALIZED_LOAD_FUNCTIONS[name]
+    fn(cfg, chan, mat, w, cfg.l_max)
+    with pytest.raises(ValueError, match=r"exceeds l_max .*; clamp first"):
+        fn(cfg, chan, mat, w, factor * cfg.l_max)
 
 
 def test_expected_rate_p_zero_is_unpunctured():
@@ -440,13 +453,6 @@ def test_evaluate_slot_equals_rate_functions_bit_for_bit():
         np.testing.assert_array_equal(out.embb_rate_per_user, embb_rate(cfg, chan, mat, w, load))
         np.testing.assert_array_equal(out.punctured_bw, punctured_bandwidth(cfg, mat, w, load))
         assert out.urllc_rate == urllc_rate(cfg, chan, mat, w, load)
-
-
-def test_evaluate_slot_rejects_load_above_lmax():
-    cfg = small_cfg()
-    mat, chan, w, _ = random_instance(np.random.default_rng(18), cfg)
-    with pytest.raises(ValueError, match="exceeds l_max"):
-        evaluate_slot(cfg, chan, mat, w, cfg.l_max * 1.01)
 
 
 @pytest.mark.parametrize(

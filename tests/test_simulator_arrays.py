@@ -71,12 +71,13 @@ def outcome_of(fn, *args):
 
 
 def assert_same_range(cfg, seed, start, stop, post_round):
+    """Checks the range against the reference loop; returns its trace records."""
     got = outcome_of(simulate_range, cfg, Policy.PROPOSED, seed, start, stop, post_round, True)
     want = outcome_of(reference_range, cfg, seed, start, stop, post_round)
     if isinstance(want, str):
         # a solver failure of the per-slot API must be the array path's too
         assert got == want
-        return
+        return None
     for g, w in zip(got[:4], want[:4]):
         assert (g.dtype, g.shape) == (w.dtype, w.shape)
         assert g.tobytes() == w.tobytes()
@@ -85,9 +86,12 @@ def assert_same_range(cfg, seed, start, stop, post_round):
     traces = list(simulator._trace_dicts(got[4]))
     assert traces == want[4]
     assert _json_indented(traces) == _json_indented(want[4])
+    # and into the text the CLI writes from each slot's assignment's template
+    assert "".join(_trace_pieces(got[4])) == _json_indented(want[4])
     lists = [t["iterations"] for t in traces]
     lists += [e[key] for t in traces for e in t["iterations"] for key in ("weights", "user_bandwidth")]
     assert len({id(x) for x in lists}) == len(lists)  # no list is shared
+    return got[4]
 
 
 @st.composite
@@ -235,10 +239,12 @@ def test_slots_failing_the_round_two_check_fall_back_to_the_loop(monkeypatch, po
 
     monkeypatch.setattr(alternating, "_array_rate_coefficients", every_other_fails)
     calls, answered = record_calls(monkeypatch)
-    assert_same_range(SystemConfig(), 11, 5, 15, post_round)
+    [record] = assert_same_range(SystemConfig(), 11, 5, 15, post_round)
     assert seen == [10]  # one chunk of 10 slots
     assert answered == [True, False] * 5
     assert len(calls) == 10 + 10
+    # the slots the loop solved, and only they, are the record's fallback dicts
+    assert [trace["slot"] for trace in record.fallback] == [6, 8, 10, 12, 14]
 
 
 def chunk_rows(all_active, keep):
@@ -275,19 +281,19 @@ def test_a_range_of_many_chunks_mixing_every_kind_of_row(monkeypatch, post_round
         solved.append(1)
         return step(*args)
 
-    def steps_of(all_active, eff, urllc_eff, keep):
+    def steps_of(all_active, terms, eff, urllc_eff, keep):
         before = len(solved)
         if keep.any():
-            rounds_of(chunk_rows(all_active, keep), eff[keep], urllc_eff[keep], post_round)
+            rounds_of(chunk_rows(all_active, keep), terms, eff[keep], urllc_eff[keep], post_round)
         return len(solved) - before
 
-    def recording(all_active, eff, urllc_eff, post_round):
+    def recording(all_active, terms, eff, urllc_eff, post_round):
         before = len(solved)
-        rounds = rounds_of(all_active, eff, urllc_eff, post_round)
+        rounds = rounds_of(all_active, terms, eff, urllc_eff, post_round)
         steps = len(solved) - before
         ok = (eff > 0.0).all(axis=1)
-        multiplier = steps_of(all_active, eff, urllc_eff, ok)
-        degenerate_steps = steps_of(all_active, eff, urllc_eff, ~ok)
+        multiplier = steps_of(all_active, terms, eff, urllc_eff, ok)
+        degenerate_steps = steps_of(all_active, terms, eff, urllc_eff, ~ok)
         infeasible = int((ok & ~rounds.placement.feasible).sum())
         lam_zero = int((ok & rounds.placement.feasible).sum()) - multiplier
         counts = (steps, multiplier, degenerate_steps, infeasible, lam_zero, int((~ok).sum()))
@@ -354,21 +360,63 @@ def test_cli_trace_file_is_json_dumps_of_the_library_sink(
 
 @pytest.mark.parametrize("post_round", [False, True])
 def test_trace_pieces_are_one_per_slot_across_records(monkeypatch, post_round):
-    # chunks of 7 slots; near -156 dB a user is degenerate in some slots, whose
-    # dicts are the records' fallback, and every other slot is answered
+    # chunks of 7 slots; near -156 dB a user is degenerate in some slots: every
+    # slot is answered at its own active set's assignment, so no record has a
+    # fallback dict, and the records mix the all-active assignment with others
     cfg = SystemConfig(num_embb_users=3, snr_min_db=-165.0, snr_max_db=-150.0)
     per_slot = cfg.num_embb_users + cfg.num_urllc_users + cfg.num_minislots
     monkeypatch.setattr(simulator, "_CHUNK_ENTRIES", 7 * per_slot)
     records = _TraceRecords()
     simulator.run_simulation(cfg, "proposed", 40, 7, post_round=post_round, trace_sink=records)
     assert [r.start for r in records] == list(range(0, 40, 7))
-    answered = sum(int(r.rounds.answered.sum()) for r in records)
-    assert 0 < answered < 40 and sum(len(r.fallback) for r in records) == 40 - answered
+    assert all(r.rounds.answered.all() and r.fallback == [] for r in records)
+    all_active = sum(bool(a.mask.all()) for r in records for a in r.assignments)
+    assert all_active == 23 and len({id(a) for r in records for a in r.assignments}) > 2
     pieces = list(_trace_pieces(records))
     assert len(pieces) == 40 + 1 and pieces[-1] == "\n]"
     assert [p[:5] for p in pieces[:-1]] == ["[\n  {"] + [",\n  {"] * 39
     assert all(p.count('"slot": ') == 1 for p in pieces[:-1])
     assert "".join(pieces) == _json_indented(list(simulator._trace_dicts(records)))
+
+
+def test_a_batch_builds_its_assignments_once_per_chunk_for_every_run(monkeypatch):
+    # a three-policy beta sweep is nine runs over chunks of 7 slots: the
+    # all-active assignment is built once, each chunk's row assignments once
+    cfg = SystemConfig(snr_min_db=-400.0, snr_max_db=30.0)
+    per_slot = cfg.num_embb_users + cfg.num_urllc_users + cfg.num_minislots
+    monkeypatch.setattr(simulator, "_CHUNK_ENTRIES", 7 * per_slot)
+    calls = {"all_active_assignment": 0, "_row_assignments": 0}
+    for name in calls:
+        def counting(*args, _fn=getattr(alternating, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(alternating, name, counting)
+    runs = [(swept, policy) for policy in Policy for swept in simulator.sweep_configs(cfg, "beta", [0.0, 0.5, 1.0])]
+    simulator.run_simulations(runs, 20, 153)
+    assert calls == {"all_active_assignment": 1, "_row_assignments": 3}
+
+
+@pytest.mark.parametrize("post_round", [False, True])
+def test_a_traced_run_with_a_degenerate_user_in_every_slot_has_no_fallback(tmp_path, monkeypatch, post_round):
+    # every slot at -400...30 dB has a user at zero spectral efficiency; at
+    # seed 153 most rows need the floor multiplier. Each slot is answered at
+    # its own assignment and written from that assignment's template
+    kw = {"snr_min_db": -400.0, "snr_max_db": 30.0}
+    cfg = SystemConfig(**kw)
+    per_slot = cfg.num_embb_users + cfg.num_urllc_users + cfg.num_minislots
+    monkeypatch.setattr(simulator, "_CHUNK_ENTRIES", 7 * per_slot)
+    records, sink = _TraceRecords(), []
+    for trace_sink in (records, sink):
+        simulator.run_simulation(cfg, "proposed", 60, 153, post_round=post_round, trace_sink=trace_sink)
+    assert len(records) == 9 and all(r.rounds.answered.all() and r.fallback == [] for r in records)
+    assert not any(a.mask.all() for r in records for a in r.assignments)
+    (tmp_path / "cfg.json").write_text(json.dumps(kw))
+    argv = ["run", "--config", str(tmp_path / "cfg.json"), "--policy", "proposed", "--slots", "60"]
+    argv += ["--seed", "153", "--trace", "--out", str(tmp_path / "out")]
+    assert main(argv + (["--post-round"] if post_round else [])) == 0
+    text = (tmp_path / "out" / "trace_proposed.json").read_text()
+    assert text == json.dumps(sink, indent=2, sort_keys=True) + "\n"
 
 
 def test_untraced_range_returns_no_traces():
@@ -428,7 +476,7 @@ def test_a_slot_given_its_chunk_row_equals_one_computing_it(kw, shortcut, post_r
     if own:
         assignments, stacked = alternating._row_assignments(cfg, all_active, eff)
         assert not any(a.mask.all() for a in assignments)
-    rounds = alternating._all_active_rounds(stacked, eff, urllc_eff, post_round)
+    rounds = alternating._all_active_rounds(stacked, urllc_placement._config_terms(cfg), eff, urllc_eff, post_round)
     assert rounds.answered.tolist() == [shortcut] * slots
     feasible = []
     for i, assignment in enumerate(assignments):

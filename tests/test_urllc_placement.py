@@ -15,6 +15,7 @@ from urllc_slice.model import (
     urllc_rate,
 )
 from urllc_slice.urllc_placement import (
+    _config_terms,
     solve_baseline1,
     solve_baseline2,
     solve_placement,
@@ -701,7 +702,7 @@ def assert_rows_equal_the_frozen_solver(kw, rounded, degenerate, risk_neutral):
     phi = mat.user_bandwidth(cfg.rb_bandwidth)
     gains, urllc_gains, eff, urllc_eff = chunk_arrays(cfg, 7, 100, degenerate)
     assert (eff > 0.0).all() != degenerate
-    terms, solver = all_active.placement_terms, solve_placement
+    terms, solver = _config_terms(cfg), solve_placement
     if risk_neutral:
         terms, solver = terms._replace(penalty=0.0), solve_baseline1
     with warnings.catch_warnings():
@@ -788,7 +789,7 @@ def test_multiplier_step_equals_the_frozen_solver_bit_for_bit(monkeypatch, kw, m
     seen, mixed = 0, []
     for seed in (0, 7, 20261):
         gains, urllc_gains, eff, urllc_eff = chunk_arrays(cfg, seed, 100, degenerate)
-        terms = all_active.placement_terms
+        terms = _config_terms(cfg)
         for terms, solver in ((terms, solve_placement), (terms._replace(penalty=0.0), solve_baseline1)):
             want = [frozen_solve(terms, phi, eff[i], urllc_eff[i]) for i in range(len(eff))]
             multiplier = [i for i, (*_, past_lam_zero) in enumerate(want) if past_lam_zero]
@@ -835,7 +836,7 @@ def test_a_chunk_of_many_row_blocks_equals_the_frozen_solver(monkeypatch, values
     phi = all_active.rounded_bandwidth
     assert (phi == 0.0).sum() == 10
     _, _, eff, urllc_eff = chunk_arrays(cfg, 7, 60, degenerate=True)
-    terms = all_active.placement_terms
+    terms = _config_terms(cfg)
     terms = terms._replace(penalty=terms.penalty if penalty is None else penalty)
     want = [frozen_solve(terms, phi, eff[i], urllc_eff[i]) for i in range(len(eff))]
     multiplier = sum(past_lam_zero for *_, past_lam_zero in want)
@@ -1214,7 +1215,7 @@ def baseline2_rows_case(kw, seed, slots, tie=False):
     eff, urllc_eff = _efficiencies(cfg, gains, urllc_gains)
     if tie:
         eff = np.ceil(eff)
-    return all_active.placement_terms, all_active.rounded_bandwidth, eff, urllc_eff
+    return _config_terms(cfg), all_active.rounded_bandwidth, eff, urllc_eff
 
 
 def rows_past_the_partial_user(w, eff, cap):
@@ -1291,7 +1292,6 @@ def test_solve_baseline2_equals_the_sequential_greedy(kw):
     from urllc_slice.embb_scheduler import round_to_binary, solve_fractional
     from urllc_slice.model import sample_channel, sample_mean_snr, spectral_efficiencies
     from urllc_slice.simulator import mean_snr_rng, slot_rng
-    from urllc_slice.urllc_placement import _config_terms
 
     cfg = SystemConfig(**kw)
     means = sample_mean_snr(cfg, mean_snr_rng(3))
@@ -1319,7 +1319,7 @@ def test_baseline2_rows_counted_feasible_meet_the_floor(demand_quantum, accepted
     cfg = SystemConfig(demand_quantum=demand_quantum)
     assert (cfg.validate() == []) == accepted
     all_active = all_active_assignment(cfg)
-    terms, phi = all_active.placement_terms, all_active.rounded_bandwidth
+    terms, phi = _config_terms(cfg), all_active.rounded_bandwidth
     _, _, eff, urllc_eff = chunk_arrays(cfg, 153, 200)
     w, feasible = _baseline2_rows(terms, np.broadcast_to(phi, eff.shape), eff, urllc_eff)
     supply = np.array([(phi * terms.load_fraction * urllc_eff[i]) @ w[i] for i in range(len(w))])
